@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import random
@@ -36,16 +35,19 @@ from .homology import (
     ce_convention,
     ce_ppart_general,
     cyclic_sylow_ppart,
+    factor,
     resolution_homology,
 )
 from .intlinalg import smith_normal_form
-from .permgroup import PermGroup
-from .resolution import bar_resolution, resolution_small
+from .permgroup import PermGroup, fingerprint
+from .resolution import SMALL_GROUP_CAP, bar_resolution, resolution_small
 from .sylow import p_part, sylow_ascent, weyl_exponent
-from .wall import from_cells, splice, wall_assemble
+from .wall import WALL_RANK_CAP, from_cells, splice, wall_assemble
 from . import __version__
 
-SMALL_ORDER_CAP = 128
+# Above the library's equivariant.FLAG_CAP: a CLI user asked for the
+# flag complex and accepts the coloring cost.
+CLI_FLAG_CAP = 500_000
 
 MATHIEU_NAMES = "M11,M12,M21,M22,M23,M24"
 
@@ -57,37 +59,10 @@ def _group(spec: str) -> PermGroup:
     return catalog.lookup(spec)
 
 
-def _fingerprint(G: PermGroup) -> str:
-    data = json.dumps(
-        [G.degree, G.order(), sorted(G.generators)]
-    ).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _least_prime(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
-
-
 def _prime_list(order: int, p: int | None, p_min: int | None) -> list:
     if p is not None:
         return [p]
-    out = []
-    rest = order
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            out.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        out.append(rest)
-    return [q for q in out if q >= (p_min or 0)]
+    return [q for q in factor(order) if q >= (p_min or 0)]
 
 
 def _restrict(inv: AbelianInvariants, primes) -> list:
@@ -95,7 +70,7 @@ def _restrict(inv: AbelianInvariants, primes) -> list:
     (prime, power).  Free summands belong to no prime and drop out."""
     keep = set(primes)
     items = sorted(
-        (p, q) for q in inv.torsion if (p := _least_prime(q)) in keep
+        (p, q) for q in inv.torsion if (p := min(factor(q))) in keep
     )
     return [q for _, q in items]
 
@@ -157,12 +132,12 @@ def _cmd_homology(args):
     if method == "auto":
         if restriction is not None:
             method = "sylow"
-        elif G.order() <= SMALL_ORDER_CAP:
+        elif G.order() <= SMALL_GROUP_CAP:
             method = "small"
         else:
             raise CapExceeded(
                 f"group order {G.order()} exceeds the resolution cap "
-                f"{SMALL_ORDER_CAP}; restrict to a prime or pick "
+                f"{SMALL_GROUP_CAP}; restrict to a prime or pick "
                 "--method wall with a complex"
             )
 
@@ -176,7 +151,7 @@ def _cmd_homology(args):
             used = "sylow"
             for p in primes:
                 tor, used = _sylow_invariants(G, p, n, args.seed)
-                parts += [(_least_prime(q), q) for q in tor]
+                parts += [(min(factor(q)), q) for q in tor]
             inv = [q for _, q in sorted(parts)]
             results.append({"degree": n, "invariants": inv, "method": used})
     else:
@@ -199,7 +174,7 @@ def _cmd_homology(args):
             results.append({"degree": n, "invariants": out, "method": method})
 
     return {
-        "group": _fingerprint(G),
+        "group": fingerprint(G),
         "group_name": args.group,
         "order": G.order(),
         "p_restriction": restriction,
@@ -233,6 +208,8 @@ def _cmd_wythoff(args):
     G = _group(args.group)
     dims = args.dims
     poset = essential_poset(G.degree - 1, dims)
+    if args.orbit_dim is not None and not 0 <= args.orbit_dim <= poset.max_height:
+        raise ValueError(f"--orbit-dim must be in 0..{poset.max_height}")
     counts = simplex_face_counts(poset, G.degree)
     order = G.order()
     classes = []
@@ -248,7 +225,7 @@ def _cmd_wythoff(args):
         })
         f_vector[cls.height] = f_vector.get(cls.height, 0) + c
     payload = {
-        "group": _fingerprint(G),
+        "group": fingerprint(G),
         "group_name": args.group,
         "order": order,
         "rings": list(dims),
@@ -279,6 +256,9 @@ def _cmd_wythoff(args):
 
 
 def _cmd_edge_degree(args):
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
+    threads = min(args.threads, os.cpu_count() or 1)
     G = _group(args.group)
     v = tuple(Fraction(s) for s in args.vector.split(","))
     pts = polytope.orbit_points(G, v, cap=args.orbit_cap)
@@ -286,9 +266,9 @@ def _cmd_edge_degree(args):
     if args.dump_points:
         with open(args.dump_points, "w", newline="") as fh:
             polytope.points_csv(pts, fh)
-    deg = polytope.vertex_degree(pts, i, threads=args.threads)
+    deg = polytope.vertex_degree(pts, i, threads=threads)
     return {
-        "group": _fingerprint(G),
+        "group": fingerprint(G),
         "group_name": args.group,
         "points": len(pts),
         "vertex_index": i,
@@ -308,7 +288,7 @@ def _cmd_resolution(args):
     else:
         R = resolution_small(G, args.length, cache_dir=args.cache_dir)
     return {
-        "group": _fingerprint(G),
+        "group": fingerprint(G),
         "group_name": args.group,
         "order": R.G.n,
         "method": args.method,
@@ -459,7 +439,6 @@ def _parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument(
             "--cache-dir",
             default=os.environ.get("PERMHOMOLOGY_CACHE"),
@@ -491,8 +470,8 @@ def _parser():
         help="flag ring dims for --complex flags",
     )
     p.add_argument("--max-dim", type=int, help="truncation of the flag complex")
-    p.add_argument("--flag-cap", type=int, default=500_000)
-    p.add_argument("--rank-cap", type=int, default=50_000)
+    p.add_argument("--flag-cap", type=int, default=CLI_FLAG_CAP)
+    p.add_argument("--rank-cap", type=int, default=WALL_RANK_CAP)
     common(p)
     p.set_defaults(func=_cmd_homology)
 
@@ -509,7 +488,7 @@ def _parser():
         "--orbit-dim", type=int,
         help="also decompose orbits up to this dimension",
     )
-    p.add_argument("--flag-cap", type=int, default=500_000)
+    p.add_argument("--flag-cap", type=int, default=CLI_FLAG_CAP)
     common(p)
     p.set_defaults(func=_cmd_wythoff)
 
@@ -519,6 +498,10 @@ def _parser():
     p.add_argument("--vertex", type=int, help="index into the sorted orbit")
     p.add_argument("--orbit-cap", type=int, default=polytope.ORBIT_CAP)
     p.add_argument("--dump-points", metavar="PATH", help="write points CSV")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="LP worker processes, at most the CPU count",
+    )
     common(p)
     p.set_defaults(func=_cmd_edge_degree)
 

@@ -1,11 +1,13 @@
 """Blocking relation, essential subsets, and Wythoff complexes.
 
-A ground set is either the node set of a tree-shaped Coxeter diagram or
-the dimension range {0..d} of a face complex; both carry a unique-path
-structure, which is all the blocking relation needs.  Equivalence
-classes of subsets under mutual blocking have a unique largest member
-(the closure) and a unique smallest one (the core); cores index the
-faces of the Wythoff complex, with class height as face dimension.
+The ground set {0..n-1} is the node set of a path-shaped Coxeter
+diagram, or the dimension range of a face complex; paths between
+points are integer intervals, which is all the blocking relation
+needs.  Edge orders play no part in blocking, so the A and B diagrams
+of one rank share a ground set.  Equivalence classes of subsets under
+mutual blocking have a unique largest member (the closure) and a
+unique smallest one (the core); cores index the faces of the Wythoff
+complex, with class height as face dimension.
 """
 
 from __future__ import annotations
@@ -42,126 +44,6 @@ def _unmask(m: int) -> tuple:
     return tuple(out)
 
 
-class CoxeterDiagram:
-    """Tree on generator nodes 0..n-1; adjacent iff the generators do not commute.
-
-    Edge orders are carried along for labelling but play no role in the
-    blocking combinatorics.  Non-tree inputs are rejected: unique paths
-    are load-bearing everywhere below.
-    """
-
-    def __init__(self, n: int, edges, orders=None, name=None):
-        if n < 1:
-            raise ValueError("diagram needs at least one node")
-        adj = [[] for _ in range(n)]
-        seen = set()
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"bad edge {e!r}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {e!r}")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        if len(seen) != n - 1:
-            raise ValueError("not a tree: wrong edge count")
-        reach = [0]
-        parent = {0: 0}
-        for u in reach:
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    reach.append(w)
-        if len(reach) != n:
-            raise ValueError("not a tree: disconnected")
-        self.n = n
-        self.edges = sorted(seen)
-        self.orders = {(min(u, v), max(u, v)): o for (u, v), o in (orders or {}).items()}
-        self.name = name
-        self._adj = adj
-        self._parents = None  # per-root BFS trees, built lazily
-
-    @classmethod
-    def type_A(cls, n: int) -> "CoxeterDiagram":
-        edges = [(i, i + 1) for i in range(n - 1)]
-        return cls(n, edges, orders={e: 3 for e in edges}, name=f"A{n}")
-
-    @classmethod
-    def type_B(cls, n: int) -> "CoxeterDiagram":
-        edges = [(i, i + 1) for i in range(n - 1)]
-        orders = {e: 3 for e in edges}
-        if n >= 2:
-            orders[(n - 2, n - 1)] = 4
-        return cls(n, edges, orders=orders, name=f"B{n}")
-
-    @classmethod
-    def from_json(cls, data) -> "CoxeterDiagram":
-        """Accepts {"type": "A"|"B", "n": k} or {"nodes": k, "edges": [[u,v,order?], ..]}."""
-        if isinstance(data, str):
-            data = json.loads(data)
-        if "type" in data:
-            kind = str(data["type"]).upper()
-            n = int(data["n"])
-            if kind == "A":
-                return cls.type_A(n)
-            if kind == "B":
-                return cls.type_B(n)
-            raise ValueError(f"unsupported diagram type {kind!r}")
-        edges = []
-        orders = {}
-        for e in data["edges"]:
-            u, v = int(e[0]), int(e[1])
-            edges.append((u, v))
-            if len(e) > 2:
-                orders[(u, v)] = int(e[2])
-        return cls(int(data["nodes"]), edges, orders=orders)
-
-    def _tree(self, root):
-        if self._parents is None:
-            self._parents = {}
-        if root not in self._parents:
-            parent = [-1] * self.n
-            parent[root] = root
-            queue = [root]
-            for u in queue:
-                for w in self._adj[u]:
-                    if parent[w] == -1:
-                        parent[w] = u
-                        queue.append(w)
-            self._parents[root] = parent
-        return self._parents[root]
-
-    def path(self, u: int, v: int) -> tuple:
-        """Node sequence of the unique tree path from u to v, endpoints included."""
-        parent = self._tree(u)
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return tuple(out)
-
-    def path_mask(self, u: int, v: int) -> int:
-        return _mask(self.path(u, v))
-
-    def linear_order(self):
-        """Nodes in path order if the tree is a path, else None."""
-        deg = [len(a) for a in self._adj]
-        if self.n == 1:
-            return [0]
-        if max(deg) > 2:
-            return None
-        start = deg.index(1)
-        order = [start]
-        prev = -1
-        while len(order) < self.n:
-            nxt = [w for w in self._adj[order[-1]] if w != prev]
-            prev = order[-1]
-            order.append(nxt[0])
-        return order
-
-
 class _Interval:
     """Path ground {0..n-1}; paths are integer intervals."""
 
@@ -174,15 +56,11 @@ class _Interval:
 
 
 def _ground(base):
-    if isinstance(base, bool):
-        raise TypeError("base must be a diagram or a ground-set size")
-    if isinstance(base, int):
-        if base < 1:
-            raise ValueError("ground set must be nonempty")
-        return _Interval(base)
-    if isinstance(base, CoxeterDiagram):
-        return base
-    raise TypeError(f"unsupported base {base!r}")
+    if isinstance(base, bool) or not isinstance(base, int):
+        raise TypeError(f"base must be a ground-set size, not {base!r}")
+    if base < 1:
+        raise ValueError("ground set must be nonempty")
+    return _Interval(base)
 
 
 def blocks(blocker, blocked, V, base) -> bool:
@@ -304,18 +182,6 @@ def _closed_sets_brute(g, vlist):
     return sorted(out)
 
 
-def _closed_sets(g, vlist):
-    if isinstance(g, _Interval):
-        return _closed_sets_interval(g.n, vlist)
-    order = g.linear_order()
-    if order is not None:
-        # path-shaped diagram: relabel onto an interval and back
-        pos = {node: i for i, node in enumerate(order)}
-        rel = _closed_sets_interval(g.n, sorted(pos[v] for v in vlist))
-        return sorted(_mask(order[i] for i in _unmask(m)) for m in rel)
-    return _closed_sets_brute(g, vlist)
-
-
 @dataclass(frozen=True)
 class EssentialClass:
     core: tuple
@@ -376,14 +242,14 @@ class EssentialPoset:
 
 
 def essential_poset(base, V) -> EssentialPoset:
-    """Essential-class poset of (base, V); base is a diagram or a path length."""
+    """Essential-class poset of (base, V); base is the ground-set size."""
     g = _ground(base)
     vlist = sorted(set(V))
     if not vlist:
         raise ValueError("V must be nonempty")
     if vlist[0] < 0 or vlist[-1] >= g.n:
         raise ValueError("V outside the ground set")
-    closed = _closed_sets(g, vlist)
+    closed = _closed_sets_interval(g.n, vlist)
 
     cores = []
     for m in closed:
@@ -661,9 +527,6 @@ class WythoffComplex(DComplex):
         super().__init__(labels, dims, below)
         self.poset = poset
         self.class_of = list(class_of)
-
-    def type_of(self, i):
-        return self.poset.classes[self.class_of[i]].core
 
 
 def wythoff_complex(K: DComplex, V, cap: int = MATERIALIZE_CAP) -> WythoffComplex:

@@ -38,7 +38,8 @@ from .sylow import double_cosets, p_part, sylow_ascent, weyl_exponent
 CE_CONVENTIONS = ("intersect-right", "intersect-left")
 
 
-def _factor(n: int) -> dict:
+def factor(n: int) -> dict:
+    """Prime factorisation {p: e} of n >= 1, primes ascending."""
     out: dict = {}
     d = 2
     while d * d <= n:
@@ -68,7 +69,7 @@ class AbelianInvariants:
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} is not a torsion order")
-            for p, e in _factor(d).items():
+            for p, e in factor(d).items():
                 parts.append((p, p**e))
         parts.sort()
         return cls(free, tuple(q for _, q in parts))
@@ -217,7 +218,7 @@ def ce_ppart_general(
     if P.order() == 1:
         return TRIVIAL
     po = P.order()
-    p = min(_factor(po))
+    p = min(factor(po))
     if p_part(po, p) != po or p_part(G.order(), p) != po:
         raise ValueError("P must be a Sylow p-subgroup of G")
     if convention is None:

@@ -10,7 +10,9 @@ downstream computation reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from math import lcm
 
 from .errors import CapExceeded, InvariantViolation
@@ -22,10 +24,6 @@ ORBIT_CAP = 2 * 10**7
 
 def act_point(g: tuple, x: int) -> int:
     return g[x]
-
-
-def act_tuple(g: tuple, t: tuple) -> tuple:
-    return tuple(g[x] for x in t)
 
 
 def act_set(g: tuple, s: tuple) -> tuple:
@@ -345,25 +343,40 @@ def schreier_stabilizer(group: PermGroup, od: OrbitData) -> PermGroup:
     total = group.order()
     if total % len(od):
         raise InvariantViolation("orbit size does not divide the group order")
-    target = total // len(od)
+
+    def schreier_generators():
+        for s in od.states:
+            u = od.transporter(s)
+            for g in group.generators:
+                yield mul(inv(od.transporter(od.act(g, s))), mul(g, u))
+
+    return generate_to_order(schreier_generators(), group.degree, total // len(od))
+
+
+def generate_to_order(candidates, degree: int, target: int) -> PermGroup:
+    """Group generated by the first candidates that reach order `target`,
+    skipping identities and repeats; a lazy iterable is read no further."""
     if target == 1:
-        return PermGroup([], group.degree)
-    idn = identity(group.degree)
+        return PermGroup([], degree)
+    idn = identity(degree)
     gens: list = []
     have = set()
-    for s in od.states:
-        u = od.transporter(s)
-        for g in group.generators:
-            t = od.act(g, s)
-            h = mul(inv(od.transporter(t)), mul(g, u))
-            if h == idn or h in have:
-                continue
-            have.add(h)
-            gens.append(h)
-            H = PermGroup(gens, group.degree)
-            if H.order() == target:
-                return H
-    raise InvariantViolation("Schreier generators fell short of the predicted order")
+    for h in candidates:
+        if h == idn or h in have:
+            continue
+        have.add(h)
+        gens.append(h)
+        H = PermGroup(gens, degree)
+        if H.order() == target:
+            return H
+    raise InvariantViolation(f"generators fell short of the predicted order {target}")
+
+
+def fingerprint(G: PermGroup) -> str:
+    """Hash of degree, order and sorted generators; reports print it and
+    resolution cache files are keyed by it, so it must not change."""
+    data = json.dumps([G.degree, G.order(), sorted(G.generators)]).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _pr_step(pool: list, rng) -> tuple:
@@ -374,75 +387,3 @@ def _pr_step(pool: list, rng) -> tuple:
     g = pool[j] if rng.random() < 0.5 else inv(pool[j])
     pool[i] = mul(pool[i], g)
     return pool[i]
-
-
-def tuple_orbits(generators, degree: int, k: int, seeds=None, cap: int = ORBIT_CAP):
-    """Orbits of ordered k-tuples of distinct points.
-
-    Vectorized BFS over integer-encoded tuples (base ``degree`` digits).
-    Returns a list of (size, representative) pairs sorted by encoded
-    representative; with ``seeds`` given, only those orbits are walked,
-    in seed order.  Counting only: no Schreier vectors, the per-state
-    memory would dwarf the payoff at millions of states.
-    """
-    import numpy as np
-
-    n = degree
-    if n**k > cap:
-        raise CapExceeded(f"state space {n}**{k} exceeds cap {cap}")
-    gens = [np.array(g, dtype=np.int64) for g in generators]
-    # big-endian digits so code order equals tuple lex order
-    weights = np.array([n ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-
-    def encode(cols):
-        return cols @ weights
-
-    def decode(e):
-        return np.stack([(e // n ** (k - 1 - i)) % n for i in range(k)], axis=1)
-
-    seen = np.zeros(n**k, dtype=bool)
-
-    def sweep(start_codes):
-        frontier = start_codes[~seen[start_codes]]
-        frontier = np.unique(frontier)
-        seen[frontier] = True
-        size = len(frontier)
-        while len(frontier):
-            cols = decode(frontier)
-            images = [encode(g[cols]) for g in gens] or [frontier[:0]]
-            nxt = np.unique(np.concatenate(images))
-            nxt = nxt[~seen[nxt]]
-            seen[nxt] = True
-            size += len(nxt)
-            frontier = nxt
-        return size
-
-    out = []
-    if seeds is not None:
-        for s in seeds:
-            code = int(encode(np.array(s, dtype=np.int64)))
-            if seen[code]:
-                continue
-            out.append((sweep(np.array([code], dtype=np.int64)), tuple(s)))
-        return out
-
-    # all distinct k-tuples, built by repeated extension
-    tuples = np.arange(n, dtype=np.int64).reshape(n, 1)
-    for _ in range(k - 1):
-        grown = []
-        for p in range(n):
-            mask = (tuples != p).all(axis=1)
-            block = tuples[mask]
-            grown.append(
-                np.concatenate([block, np.full((len(block), 1), p, dtype=np.int64)], axis=1)
-            )
-        tuples = np.concatenate(grown)
-    all_codes = np.sort(encode(tuples))
-    while True:
-        remaining = all_codes[~seen[all_codes]]
-        if not len(remaining):
-            break
-        rep = int(remaining[0])
-        size = sweep(np.array([rep], dtype=np.int64))
-        out.append((size, tuple(int(x) for x in decode(np.array([rep]))[0])))
-    return out

@@ -20,7 +20,6 @@ re-checked anyway.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, InvariantViolation
 from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_diagonal_sparse, smith_normal_form
 from .perm import identity, inv, mul
-from .permgroup import PermGroup
+from .permgroup import PermGroup, fingerprint
 
 SMALL_GROUP_CAP = 128
 BAR_RANK_CAP = 20_000
@@ -58,10 +57,7 @@ class SmallGroup:
         return self._mul[i][j]
 
     def fingerprint(self) -> str:
-        data = json.dumps(
-            [self.group.degree, self.n, sorted(self.group.generators)]
-        ).encode()
-        return hashlib.sha256(data).hexdigest()[:16]
+        return fingerprint(self.group)
 
     def __repr__(self):
         return f"SmallGroup(order={self.n}, degree={self.group.degree})"
@@ -165,17 +161,6 @@ class FreeResolution:
     def apply_h(self, k: int, w: ZGWord) -> ZGWord:
         out = [word_scale(c, self._h(k, e, j)) for c, e, j in w.terms]
         return word_add(ZGWord(k + 1, ()), *out)
-
-    def flat_matrix(self, k: int) -> list:
-        """d_k on the free Z-basis, rows indexed like the flat vectors."""
-        G = self.G
-        rows = G.n * self.ranks[k - 1]
-        cols = []
-        for j in range(self.ranks[k]):
-            base = self._d[k][j]
-            for e in range(G.n):
-                cols.append(word_to_vec(G, self.ranks[k - 1], act_word(G, e, base)))
-        return [[cols[c][r] for c in range(len(cols))] for r in range(rows)]
 
     def boundary_matrix_z(self, k: int) -> list:
         """d_k with the group collapsed to Z (coefficient sums)."""

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import CapExceeded, InvariantViolation
 from .perm import conj, identity, inv, mul, power
 from .perm import order as perm_order
-from .permgroup import ENUM_CAP, OrbitData, PermGroup
+from .permgroup import ENUM_CAP, OrbitData, PermGroup, generate_to_order, schreier_stabilizer
 
 CYCLIC_ORBIT_CAP = 4 * 10**6
 SUBGROUP_ORBIT_CAP = 200000
@@ -211,23 +211,11 @@ class CyclicConjOrbit:
         return out
 
     def normalizer(self) -> PermGroup:
-        """N_G(<x>) from Schreier generators of the orbit stabilizer."""
-        target = self.normalizer_order
-        if target == 1:
-            return PermGroup([], self.G.degree)
-        gens: list = []
-        have = set()
-        for edge in self.closed_edges:
-            s = self.schreier_element(edge)
-            if s in have or s == identity(self.G.degree):
-                continue
-            have.add(s)
-            gens.append(s)
-            H = PermGroup(gens, self.G.degree)
-            if H.order() == target:
-                return H
-        raise InvariantViolation(
-            "closed-edge budget too small to generate the normalizer"
+        """N_G(<x>) from Schreier generators of the orbit stabilizer; an
+        InvariantViolation here means the closed-edge budget was too small."""
+        return generate_to_order(
+            map(self.schreier_element, self.closed_edges),
+            self.G.degree, self.normalizer_order,
         )
 
 
@@ -293,27 +281,7 @@ def subgroup_normalizer(G: PermGroup, H: PermGroup,
     def act(g, state):
         return tuple(sorted(conj(g, h) for h in state))
 
-    od = OrbitData(seed, G.generators, act, G.degree, cap)
-    total = G.order()
-    if total % len(od):
-        raise InvariantViolation("subgroup orbit size does not divide group order")
-    target = total // len(od)
-    gens: list = []
-    have = set()
-    if target == 1:
-        return PermGroup([], G.degree)
-    for s in od.states:
-        u = od.transporter(s)
-        for g in G.generators:
-            h = mul(inv(od.transporter(act(g, s))), mul(g, u))
-            if h == idn or h in have:
-                continue
-            have.add(h)
-            gens.append(h)
-            N = PermGroup(gens, G.degree)
-            if N.order() == target:
-                return N
-    raise InvariantViolation("normalizer fell short of predicted order")
+    return schreier_stabilizer(G, OrbitData(seed, G.generators, act, G.degree, cap))
 
 
 def _ascend_within(N: PermGroup, Q: PermGroup, p: int, enum_cap: int) -> PermGroup:

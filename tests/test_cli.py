@@ -1,9 +1,11 @@
 """Command line surface: formats, methods, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
+from permhomology import polytope
 from permhomology.cli import main
 
 
@@ -44,6 +46,18 @@ def test_homology_degree_range_with_restriction(capsys):
     d = run_json(capsys, "homology", "Z12", "-n", "1", "--to", "3", "-p", "2")
     got = {r["degree"]: r["invariants"] for r in d["results"]}
     assert got == {1: [4], 2: [], 3: [4]}
+
+
+def test_restricted_small_route_matches_sylow(capsys):
+    # the only path into the CLI's prime restriction of a resolution
+    for restrict, want in ((["-p", "2"], {1: [4], 2: [], 3: [4]}),
+                           (["--p-min", "3"], {1: [3], 2: [], 3: [3]})):
+        got = {}
+        for method in ("small", "sylow"):
+            d = run_json(capsys, "homology", "Z12", "-n", "1", "--to", "3",
+                         "--method", method, *restrict)
+            got[method] = {r["degree"]: r["invariants"] for r in d["results"]}
+        assert got["small"] == got["sylow"] == want
 
 
 def test_wall_method_polygon(capsys):
@@ -110,6 +124,32 @@ def test_wythoff_orbit_mode(capsys):
     for k, stabs in enumerate(orbits["stabilizer_orders"]):
         assert len(stabs) == orbits["counts"][k]
         assert sum(d["order"] // s for s in stabs) == d["f_vector"][str(k)]
+
+
+def test_wythoff_orbit_dim_range(capsys):
+    # the S4 complex with rings 0 has dimensions 0..2
+    assert main(["wythoff", "S4", "--rings", "0", "--orbit-dim", "-1"]) == 2
+    assert main(["wythoff", "S4", "--rings", "0", "--orbit-dim", "3"]) == 2
+    d = run_json(capsys, "wythoff", "S4", "--rings", "0", "--orbit-dim", "2")
+    assert len(d["orbits"]["counts"]) == 3
+
+
+def test_threads_bounded(capsys, monkeypatch):
+    seen = []
+
+    def fake_vertex_degree(pts, i, threads=1):
+        seen.append(threads)
+        return 2
+
+    monkeypatch.setattr(polytope, "vertex_degree", fake_vertex_degree)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_json(capsys, "edge-degree", "S3", "--vector", "1,2,3", "--threads", "64")
+    run_json(capsys, "edge-degree", "S3", "--vector", "1,2,3")
+    assert seen == [2, 1]
+    assert main(["edge-degree", "S3", "--vector", "1,2,3", "--threads", "0"]) == 2
+    assert seen == [2, 1]
+    with pytest.raises(SystemExit):
+        main(["homology", "Z4", "-n", "1", "--threads", "2"])
 
 
 def test_edge_degree_hexagon(capsys, tmp_path):

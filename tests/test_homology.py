@@ -1,3 +1,5 @@
+from math import isqrt, prod
+
 import pytest
 
 from permhomology.catalog import alternating, cyclic, klein_four, mathieu, symmetric
@@ -10,6 +12,7 @@ from permhomology.homology import (
     ce_ppart_general,
     chain_homology,
     cyclic_sylow_ppart,
+    factor,
     ppart,
     resolution_homology,
 )
@@ -29,6 +32,16 @@ def test_abelian_invariants_canonical():
     assert AbelianInvariants(1, (4, 3)).as_list() == [0, 4, 3]
     assert str(AbelianInvariants(0, (4, 3))) == "Z/4 + Z/3"
     assert str(TRIVIAL) == "0"
+
+
+def test_factor_property():
+    mathieu_orders = (7920, 95040, 20160, 443520, 10200960, 244823040)
+    for n in list(range(1, 5001)) + list(mathieu_orders):
+        f = factor(n)
+        assert prod(p**e for p, e in f.items()) == n
+        assert all(p > 1 and all(p % d for d in range(2, isqrt(p) + 1)) for p in f)
+        assert list(f) == sorted(f)
+    assert factor(244823040) == {2: 10, 3: 3, 5: 1, 7: 1, 11: 1, 23: 1}
 
 
 def test_ppart_examples():

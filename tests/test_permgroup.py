@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -16,7 +15,7 @@ from permhomology.perm import (
     power,
     to_images_1based,
 )
-from permhomology.permgroup import PermGroup, tuple_orbits
+from permhomology.permgroup import PermGroup
 
 
 def mulclose(gens, degree, maxsize=200000):
@@ -203,27 +202,3 @@ def test_exponent_and_abelian():
     assert C.is_abelian()
     assert C.exponent() == 4
 
-
-def test_tuple_orbits_small():
-    G = sym(4)
-    got = tuple_orbits(G.generators, 4, 2)
-    assert got == [(12, (0, 1))]
-    H = PermGroup([parse_cycles("(1,2)", 4)], 4)
-    sizes = sorted(s for s, _ in tuple_orbits(H.generators, 4, 1))
-    assert sizes == [1, 1, 2]
-
-
-def test_tuple_orbits_match_brute_force():
-    gens = [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)", 5)]
-    # brute force orbit split of ordered triples under S5
-    els = mulclose(gens, 5)
-    all_triples = [t for t in itertools.permutations(range(5), 3)]
-    unseen = set(all_triples)
-    brute = []
-    while unseen:
-        t0 = min(unseen)
-        orb = {tuple(g[x] for x in t0) for g in els}
-        unseen -= orb
-        brute.append(len(orb))
-    got = sorted(s for s, _ in tuple_orbits(gens, 5, 3))
-    assert got == sorted(brute)

@@ -11,6 +11,7 @@ from permhomology.catalog import (
 )
 from permhomology.errors import CapExceeded
 from permhomology.perm import inv, mul
+from permhomology.permgroup import fingerprint
 from permhomology.resolution import (
     ChainMap,
     FreeResolution,
@@ -80,6 +81,8 @@ def test_small_group_table():
         assert G.mul(i, G.inverse[i]) == G.id
         assert G.mul(G.id, i) == i
     assert G.fingerprint() == SmallGroup(klein_four()).fingerprint()
+    # resolution cache files are named by this value
+    assert fingerprint(klein_four()) == G.fingerprint() == "d85fc658b866d0c0"
     assert G.fingerprint() != SmallGroup(cyclic(4)).fingerprint()
 
 
