@@ -1,8 +1,9 @@
 """Command line driver with reproducible reports.
 
 Every report embeds the tool version, the seed, the method that
-produced each value, and the conjugation convention picked by the
-startup self-test, so the same invocation yields byte-identical
+produced each value, and the conjugation convention of the
+stable-element route (fixed; `selftest` checks it against the
+resolution oracle), so the same invocation yields byte-identical
 output.  Caches change runtime, never results.
 
 Exit codes: 0 on success, 2 when a resource cap stops the run, 3 when
@@ -34,6 +35,7 @@ from .homology import (
     AbelianInvariants,
     ce_convention,
     ce_ppart_general,
+    check_ce_convention,
     cyclic_sylow_ppart,
     factor,
     resolution_homology,
@@ -105,14 +107,21 @@ def _polygon_complex(G: PermGroup):
 def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
     if base_kind == "polygon":
         ecc = orbit_decompose(_polygon_complex(G), G, 2)
-        try:
+        top = ecc.chain[-1]
+        # a one-orbit top cell fixed by all of G closes up periodically
+        if len(top) == 1 and top[0].stab.order() == G.order():
             return wall_assemble(splice(ecc), n, rank_cap=rank_cap)
-        except InvariantViolation:
-            pass  # not a one-orbit top; fall through to the finite form
         return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
-    ecc = orbit_decompose(
-        SimplexFlags(G.degree, dims), G, max_dim, flag_cap=flag_cap
-    )
+    flags = SimplexFlags(G.degree, dims)
+    if max_dim is None:
+        max_dim = n + 1
+    elif not n + 1 <= max_dim <= flags.poset.max_height:
+        raise ValueError(
+            f"--max-dim {max_dim} is out of range: degree {n} needs cells up "
+            f"to dimension {n + 1}, and the complex has dimensions "
+            f"0..{flags.poset.max_height}"
+        )
+    ecc = orbit_decompose(flags, G, max_dim, flag_cap=flag_cap)
     return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
 
 
@@ -161,8 +170,7 @@ def _cmd_homology(args):
             R = bar_resolution(G, top + 1)
         else:
             R = _wall_resolution(
-                G, args.complex, args.dims, top,
-                args.max_dim if args.max_dim is not None else top + 1,
+                G, args.complex, args.dims, top, args.max_dim,
                 args.flag_cap, args.rank_cap,
             )
         for n in degrees:
@@ -261,7 +269,7 @@ def _cmd_edge_degree(args):
     threads = min(args.threads, os.cpu_count() or 1)
     G = _group(args.group)
     v = tuple(Fraction(s) for s in args.vector.split(","))
-    pts = polytope.orbit_points(G, v, cap=args.orbit_cap)
+    pts = polytope.orbit_points(G, v, cap=args.point_cap)
     i = args.vertex if args.vertex is not None else pts.index(v)
     if args.dump_points:
         with open(args.dump_points, "w", newline="") as fh:
@@ -361,13 +369,14 @@ def _cmd_selftest(args):
         ecc = orbit_decompose(polygon_solid(4), catalog.cyclic(4), 2)
         W = wall_assemble(splice(ecc), 3)
         for k in (1, 2, 3):
-            if W.homology(k) != resolution_homology(R, k):
+            if resolution_homology(W, k) != resolution_homology(R, k):
                 raise InvariantViolation(f"wall and oracle differ at degree {k}")
 
     check("snf-transforms", snf_sweep)
     check("resolution-identities", resolutions)
     check("cell-boundaries", complexes)
     check("wall-vs-oracle", wall_oracle)
+    check_ce_convention()
     checks.append({"check": "ce-convention", "ok": True, "value": ce_convention()})
     return {"checks": checks}
 
@@ -496,7 +505,9 @@ def _parser():
     p.add_argument("group")
     p.add_argument("--vector", required=True, help="comma list of rationals")
     p.add_argument("--vertex", type=int, help="index into the sorted orbit")
-    p.add_argument("--orbit-cap", type=int, default=polytope.ORBIT_CAP)
+    p.add_argument(
+        "--orbit-cap", dest="point_cap", type=int, default=polytope.ORBIT_CAP
+    )
     p.add_argument("--dump-points", metavar="PATH", help="write points CSV")
     p.add_argument(
         "--threads", type=int, default=1,

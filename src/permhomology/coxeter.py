@@ -598,7 +598,25 @@ def poset_isomorphic(A: DComplex, B: DComplex) -> bool:
     byc = {}
     for j, c in enumerate(cb):
         byc.setdefault(c, []).append(j)
-    order = sorted(range(len(ca)), key=lambda i: (len(byc.get(ca[i], ())), i))
+    # rarest colour first, then breadth first over covers, so that each
+    # element placed after a seed is adjacent to one already placed
+    seeds = sorted(range(len(ca)), key=lambda i: (len(byc.get(ca[i], ())), i))
+    rank = {i: r for r, i in enumerate(seeds)}
+    order = []
+    placed = set()
+    for s in seeds:
+        if s in placed:
+            continue
+        placed.add(s)
+        pos = len(order)
+        order.append(s)
+        while pos < len(order):
+            i = order[pos]
+            pos += 1
+            for k in sorted(ua[i] | da[i], key=rank.__getitem__):
+                if k not in placed:
+                    placed.add(k)
+                    order.append(k)
     image = [-1] * len(ca)
     used = set()
 

@@ -411,12 +411,11 @@ class _Rec:
 
 
 class _Engine:
-    def __init__(self, action, group: PermGroup, max_dim: int, emit_chain: bool,
+    def __init__(self, action, group: PermGroup, max_dim: int,
                  flag_cap: int = FLAG_CAP):
         self.action = action
         self.group = group
         self.max_dim = min(max_dim, action.top_dim)
-        self.emit_chain = emit_chain
         self.flag_cap = flag_cap
         self.raw = []
         self.chain = []
@@ -718,8 +717,7 @@ class _Engine:
         for k in range(self.max_dim + 1):
             layer = []
             self.raw.append(layer)
-            if self.emit_chain:
-                self.chain.append([])
+            self.chain.append([])
             total = 0
             for rep, stab, size in self.action.decompose(k):
                 rec = _Rec(rep, stab, size)
@@ -734,8 +732,6 @@ class _Engine:
                         raise InvariantViolation("edge boundary does not augment to zero")
                     if k >= 2:
                         self._check_dd("raw", k, rec)
-                if not self.emit_chain:
-                    continue
                 if -1 in rec.chi:
                     self._replace(k, raw_pos, rec)
                     continue
@@ -766,7 +762,7 @@ class _Engine:
         chain_counts = tuple(sum(r.size for r in lay) for lay in self.chain)
         euler_raw = sum((-1) ** k * c for k, c in enumerate(counts))
         euler_chain = sum((-1) ** k * c for k, c in enumerate(chain_counts))
-        if self.emit_chain and euler_raw != euler_chain:
+        if euler_raw != euler_chain:
             raise InvariantViolation("subdivision changed the Euler characteristic")
 
         def publish(rec: _Rec, dim: int) -> CellOrbit:
@@ -849,8 +845,7 @@ def expand_chain(ecc: EquivariantCellComplex):
     return [len(ix) for ix in index], mats
 
 
-def orbit_decompose(base, group: PermGroup, max_dim: int, emit_chain: bool = True,
-                    flag_cap: int = FLAG_CAP):
+def orbit_decompose(base, group: PermGroup, max_dim: int, flag_cap: int = FLAG_CAP):
     """Decompose a complex with a group action into cell orbits.
 
     `base` is either an explicit DComplex whose labels are frozensets of
@@ -868,7 +863,7 @@ def orbit_decompose(base, group: PermGroup, max_dim: int, emit_chain: bool = Tru
         action = _MaterializedAction(base, group)
     else:
         raise TypeError("base must be a DComplex or a SimplexFlags descriptor")
-    return _Engine(action, group, max_dim, emit_chain, flag_cap).run()
+    return _Engine(action, group, max_dim, flag_cap).run()
 
 
 def flag_edge_orbits(G: PermGroup, dims) -> dict:

@@ -12,9 +12,10 @@ exponent.  ce_ppart_general quotients H_n(P) by the stable-element
 kernel: for each double coset PxP the two inclusions of K = P n xPx~
 into P are lifted to chain maps and the differences of their induced
 images are divided out.  Conjugating with x or with x~ both give
-well-defined inclusions (with K intersected on the matching side);
-the convention is picked once by a self-test against the resolution
-oracle and reported alongside results.
+well-defined inclusions (with K intersected on the matching side) and,
+over the full double-coset loop, the same quotient.  The route uses
+"intersect-right" and reports it alongside results; check_ce_convention
+compares it with the resolution oracle on small groups.
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ from .errors import InvariantViolation
 from .perm import identity, inv, mul
 from .permgroup import PermGroup
 from .resolution import (
-    FreeResolution,
     chain_map,
     homology_action,
-    homology_invariants,
     resolution_small,
 )
 from .intlinalg import smith_diagonal_sparse
 from .sylow import double_cosets, p_part, sylow_ascent, weyl_exponent
-
-CE_CONVENTIONS = ("intersect-right", "intersect-left")
 
 
 def factor(n: int) -> dict:
@@ -92,15 +89,6 @@ class AbelianInvariants:
 TRIVIAL = AbelianInvariants(0, ())
 
 
-def ppart(inv_: AbelianInvariants, p: int) -> AbelianInvariants:
-    return inv_.ppart(p)
-
-
-def resolution_homology(R: FreeResolution, k: int) -> AbelianInvariants:
-    free, factors = homology_invariants(R, k)
-    return AbelianInvariants.from_factors(free, factors)
-
-
 # -- homology straight from boundary matrices ----------------------------
 
 
@@ -146,6 +134,19 @@ def chain_homology(sizes, mats) -> list:
     return out
 
 
+def resolution_homology(R, k: int) -> AbelianInvariants:
+    """H_k(R (x) Z) of a FreeResolution or an AssembledResolution.
+
+    Reads ranks k-1..k+1 and the boundaries d_k, d_{k+1} through
+    chain_homology, so their composite is checked too; needs k < length.
+    """
+    if not 0 <= k < R.length:
+        raise ValueError(f"homology degree {k} needs boundaries up to {k + 1}")
+    lo = max(k - 1, 0)
+    mats = [R.boundary_matrix_z(i) for i in range(lo + 1, k + 2)]
+    return chain_homology(R.ranks[lo : k + 2], mats)[k - lo]
+
+
 # -- closed-form p-part for prime-order Sylow subgroups ------------------
 
 _weyl_cache: dict = {}
@@ -179,8 +180,7 @@ def cyclic_sylow_ppart(G: PermGroup, p: int, n: int) -> AbelianInvariants:
 # -- the general stable-element route ------------------------------------
 
 DOUBLE_COSET_CAP = 200_000
-
-_ce_convention: str | None = None
+CE_CONVENTION = "intersect-right"
 
 
 def _conjugator(convention: str, x):
@@ -203,8 +203,7 @@ def ce_ppart_general(
     G: PermGroup,
     P: PermGroup,
     n: int,
-    convention: str | None = None,
-    cap: int = DOUBLE_COSET_CAP,
+    convention: str = CE_CONVENTION,
 ) -> AbelianInvariants:
     """p-part of H_n(G) as a quotient of H_n(P), P a Sylow p-subgroup.
 
@@ -221,15 +220,13 @@ def ce_ppart_general(
     p = min(factor(po))
     if p_part(po, p) != po or p_part(G.order(), p) != po:
         raise ValueError("P must be a Sylow p-subgroup of G")
-    if convention is None:
-        convention = ce_convention()
 
     pels = frozenset(P.elements())
     idn = identity(G.degree)
     RP = resolution_small(P, n + 1)
     orders = None
     rel_cols = []
-    for x in double_cosets(G, P, cap=cap):
+    for x in double_cosets(G, P, cap=DOUBLE_COSET_CAP):
         if x == idn:
             continue
         phi = _conjugator(convention, x)
@@ -252,7 +249,7 @@ def ce_ppart_general(
         for i in range(len(s1)):
             rel_cols.append([M1[r][i] - M2[r][i] for r in range(len(t1))])
     if orders is None:
-        orders = homology_invariants(RP, n)[1]
+        orders = resolution_homology(RP, n).torsion
 
     r = len(orders)
     ent: dict = {}
@@ -270,37 +267,26 @@ def ce_ppart_general(
     return AbelianInvariants.from_factors(0, [d for d in diag if d > 1])
 
 
-def _convention_cases():
-    yield symmetric(3), 3
-    yield alternating(4), 2
-    yield alternating(4), 3
-
-
 def ce_convention() -> str:
-    """Conjugation convention validated against the resolution oracle.
+    """The conjugation convention of the stable-element route, as reported
+    in CLI metadata."""
+    return CE_CONVENTION
 
-    Both orientations of the double-coset formula are tried on small
-    groups whose homology is known from resolutions; the first one
-    reproducing every p-part in degrees 1..3 wins.  The result is
-    cached for the process and reported in CLI metadata.
+
+def check_ce_convention() -> None:
+    """Compare the stable-element route with the resolution oracle.
+
+    S3 at p = 3 and A4 at p = 2 and 3, in degrees 1..3; any difference
+    raises InvariantViolation.
     """
-    global _ce_convention
-    if _ce_convention is not None:
-        return _ce_convention
-    for conv in CE_CONVENTIONS:
-        ok = True
-        for G, p in _convention_cases():
-            P = sylow_ascent(G, p)
-            R = resolution_small(G, 4)
-            for k in range(1, 4):
-                want = resolution_homology(R, k).ppart(p)
-                got = ce_ppart_general(G, P, k, convention=conv)
-                if got != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            _ce_convention = conv
-            return conv
-    raise InvariantViolation("no conjugation convention matches the oracle")
+    for G, p in ((symmetric(3), 3), (alternating(4), 2), (alternating(4), 3)):
+        P = sylow_ascent(G, p)
+        R = resolution_small(G, 4)
+        for k in range(1, 4):
+            want = resolution_homology(R, k).ppart(p)
+            got = ce_ppart_general(G, P, k)
+            if got != want:
+                raise InvariantViolation(
+                    f"stable elements give {got} for the {p}-part of H_{k} "
+                    f"of a group of order {G.order()}, the oracle {want}"
+                )

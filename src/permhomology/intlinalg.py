@@ -39,28 +39,27 @@ def mat_mul(A: list, B: list) -> list:
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
-def smith_normal_form(A: list, want_transforms: bool = True):
+def smith_normal_form(A: list):
     """Diagonalize over Z: returns (diag, U, V) with U*A*V diagonal,
     U and V unimodular, diag a divisibility chain d1 | d2 | ... >= 0.
 
-    diag has length min(m, n) including trailing zeros.  With
-    ``want_transforms=False`` the transforms are None.
+    diag has length min(m, n) including trailing zeros.
     """
     m = len(A)
     n = len(A[0]) if A else 0
     S = [list(row) for row in A]
-    U = identity_matrix(m) if want_transforms else None
-    V = identity_matrix(n) if want_transforms else None
+    U = identity_matrix(m)
+    V = identity_matrix(n)
 
     def rowcombine(i, k, x, y, z, w):
         # rows i, k <- (x*row_i + y*row_k, z*row_i + w*row_k); det = xw - yz = +-1
-        for M in (S, U) if U is not None else (S,):
+        for M in (S, U):
             ri, rk = M[i], M[k]
             M[i] = [x * a + y * b for a, b in zip(ri, rk)]
             M[k] = [z * a + w * b for a, b in zip(ri, rk)]
 
     def colcombine(j, k, x, y, z, w):
-        for M in (S, V) if V is not None else (S,):
+        for M in (S, V):
             for row in M:
                 a, b = row[j], row[k]
                 row[j] = x * a + y * b
@@ -90,8 +89,7 @@ def smith_normal_form(A: list, want_transforms: bool = True):
         while True:
             if S[t][t] < 0:
                 S[t] = [-a for a in S[t]]
-                if U is not None:
-                    U[t] = [-a for a in U[t]]
+                U[t] = [-a for a in U[t]]
             p = S[t][t]
             k = next((i for i in range(t + 1, m) if S[i][t]), None)
             if k is not None:
@@ -130,14 +128,14 @@ def smith_normal_form(A: list, want_transforms: bool = True):
     return diag, U, V
 
 
-def _row_echelon(A: list, want_transform: bool):
+def _row_echelon(A: list):
     """Integer row echelon via xgcd row ops: returns (H, U, pivots) with
     U*A = H, pivots a list of (row, col), pivot entries positive, zeros
     below each pivot (entries above are not reduced)."""
     m = len(A)
     n = len(A[0]) if A else 0
     H = [list(row) for row in A]
-    U = identity_matrix(m) if want_transform else None
+    U = identity_matrix(m)
     pivots = []
     r = 0
     for c in range(n):
@@ -145,30 +143,26 @@ def _row_echelon(A: list, want_transform: bool):
         if k is None:
             continue
         H[r], H[k] = H[k], H[r]
-        if U is not None:
-            U[r], U[k] = U[k], U[r]
+        U[r], U[k] = U[k], U[r]
         for i in range(r + 1, m):
             while H[i][c]:
                 p, q = H[r][c], H[i][c]
                 if q % p == 0:
                     f = q // p
                     H[i] = [a - f * b for a, b in zip(H[i], H[r])]
-                    if U is not None:
-                        U[i] = [a - f * b for a, b in zip(U[i], U[r])]
+                    U[i] = [a - f * b for a, b in zip(U[i], U[r])]
                 else:
                     g, x, y = xgcd(p, q)
                     a, b = p // g, q // g
                     hr, hi = H[r], H[i]
                     H[r] = [x * s + y * t for s, t in zip(hr, hi)]
                     H[i] = [-b * s + a * t for s, t in zip(hr, hi)]
-                    if U is not None:
-                        ur, ui = U[r], U[i]
-                        U[r] = [x * s + y * t for s, t in zip(ur, ui)]
-                        U[i] = [-b * s + a * t for s, t in zip(ur, ui)]
+                    ur, ui = U[r], U[i]
+                    U[r] = [x * s + y * t for s, t in zip(ur, ui)]
+                    U[i] = [-b * s + a * t for s, t in zip(ur, ui)]
         if H[r][c] < 0:
             H[r] = [-a for a in H[r]]
-            if U is not None:
-                U[r] = [-a for a in U[r]]
+            U[r] = [-a for a in U[r]]
         pivots.append((r, c))
         r += 1
         if r == m:
@@ -177,7 +171,7 @@ def _row_echelon(A: list, want_transform: bool):
 
 
 def rank_int(A: list) -> int:
-    return len(_row_echelon(A, want_transform=False)[2])
+    return len(_row_echelon(A)[2])
 
 
 class ColumnSolver:
@@ -193,7 +187,7 @@ class ColumnSolver:
         if n is None:
             n = len(A[0]) if A else 0
         At = [[A[i][j] for i in range(m)] for j in range(n)]
-        Ht, Ut, pivots = _row_echelon(At, want_transform=True)
+        Ht, Ut, pivots = _row_echelon(At)
         self.m, self.n = m, n
         # A V = H with V = Ut^T, H = Ht^T column echelon
         self.H = [[Ht[j][i] for j in range(n)] for i in range(m)]

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InvariantViolation
-from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_diagonal_sparse, smith_normal_form
+from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
 from .perm import identity, inv, mul
 from .permgroup import PermGroup, fingerprint
 
@@ -203,23 +203,6 @@ class FreeResolution:
             rhs = word_add(x, word_scale(-self.augment(x), self.section()))
             if lhs != rhs:
                 raise InvariantViolation("d_1 h_0 != 1 - section.augmentation")
-
-
-def homology_invariants(R: FreeResolution, k: int):
-    """(free rank, invariant factors) of H_k(R (x) Z); needs k < length."""
-    if not 0 <= k < R.length:
-        raise ValueError(f"homology degree {k} needs boundaries up to {k + 1}")
-    if k == 0:
-        below = 0
-    else:
-        Dk = R.boundary_matrix_z(k)
-        ent = {(i, j): v for i, row in enumerate(Dk) for j, v in enumerate(row) if v}
-        below = len(smith_diagonal_sparse(ent))
-    Dk1 = R.boundary_matrix_z(k + 1)
-    ent = {(i, j): v for i, row in enumerate(Dk1) for j, v in enumerate(row) if v}
-    diag = smith_diagonal_sparse(ent)
-    free = R.ranks[k] - below - len(diag)
-    return free, tuple(x for x in diag if x > 1)
 
 
 # -- the bar resolution --------------------------------------------------

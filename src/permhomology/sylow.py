@@ -34,6 +34,8 @@ from .permgroup import ENUM_CAP, OrbitData, PermGroup, generate_to_order, schrei
 
 CYCLIC_ORBIT_CAP = 4 * 10**6
 SUBGROUP_ORBIT_CAP = 200000
+# closed orbit edges kept for normalizer()'s Schreier generators
+CLOSED_EDGE_BUDGET = 2048
 
 
 def p_part(n: int, p: int) -> int:
@@ -42,12 +44,6 @@ def p_part(n: int, p: int) -> int:
         n //= p
         out *= p
     return out
-
-
-def is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def element_of_order(G: PermGroup, p: int, seed: int = 0) -> tuple:
@@ -79,16 +75,15 @@ def _pack_rows(R):
 class CyclicConjOrbit:
     """Conjugation orbit of the cyclic subgroup <x> under G."""
 
-    def __init__(self, G: PermGroup, x: tuple, cap: int = CYCLIC_ORBIT_CAP,
-                 closed_budget: int = 512):
+    def __init__(self, G: PermGroup, x: tuple):
         self.G = G
         self.x = tuple(x)
         self.m = perm_order(self.x)
         if self.m < 2:
             raise ValueError("need a nontrivial cyclic subgroup")
-        self._run(cap, closed_budget)
+        self._run()
 
-    def _run(self, cap, closed_budget):
+    def _run(self):
         G, m = self.G, self.m
         n = G.degree
         gens = G.generators
@@ -142,9 +137,10 @@ class CyclicConjOrbit:
                     eps = index.get(key)
                     if eps is None:
                         eps = len(parent)
-                        if eps >= cap:
+                        if eps >= CYCLIC_ORBIT_CAP:
                             raise CapExceeded(
-                                f"cyclic conjugation orbit exceeded cap {cap}",
+                                "cyclic conjugation orbit exceeded cap "
+                                f"{CYCLIC_ORBIT_CAP}",
                                 attained=eps,
                             )
                         index[key] = eps
@@ -157,7 +153,7 @@ class CyclicConjOrbit:
                         res = a * cval[delta] * pow(cval[eps], -1, m) % m
                         if res not in self.residue_edges:
                             self.residue_edges[res] = (delta, gi, eps)
-                        if len(self.closed_edges) < closed_budget:
+                        if len(self.closed_edges) < CLOSED_EDGE_BUDGET:
                             self.closed_edges.append((delta, gi, eps))
                 if new_rows:
                     next_rows.append(Ycan[new_rows])
@@ -234,8 +230,7 @@ class WeylData:
         return f"{2 * self.exponent}k-1"
 
 
-def weyl_exponent(G: PermGroup, p: int, seed: int = 0,
-                  cap: int = CYCLIC_ORBIT_CAP) -> WeylData:
+def weyl_exponent(G: PermGroup, p: int, seed: int = 0) -> WeylData:
     """Order of the image of N_G(P) in Aut(P) for P the Sylow p-subgroup,
     which must be of order exactly p (p divides |G| once)."""
     if G.order() % p:
@@ -243,7 +238,7 @@ def weyl_exponent(G: PermGroup, p: int, seed: int = 0,
     if p_part(G.order(), p) != p:
         raise ValueError(f"Sylow {p}-subgroup is not of prime order")
     x = element_of_order(G, p, seed)
-    orb = CyclicConjOrbit(G, x, cap=cap)
+    orb = CyclicConjOrbit(G, x)
     E = orb.aut_image()
     e = len(E)
     if (p - 1) % e:
@@ -258,21 +253,17 @@ def weyl_exponent(G: PermGroup, p: int, seed: int = 0,
     )
 
 
-def normalizer_of_cyclic(G: PermGroup, x: tuple,
-                         cap: int = CYCLIC_ORBIT_CAP) -> PermGroup:
-    orb = CyclicConjOrbit(G, x, cap=cap, closed_budget=2048)
-    return orb.normalizer()
+def normalizer_of_cyclic(G: PermGroup, x: tuple) -> PermGroup:
+    return CyclicConjOrbit(G, x).normalizer()
 
 
-def subgroup_normalizer(G: PermGroup, H: PermGroup,
-                        cap: int = SUBGROUP_ORBIT_CAP,
-                        enum_cap: int = ENUM_CAP) -> PermGroup:
+def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) by conjugation orbit on the set of elements of H.
 
     H must be enumerable; the orbit is capped since each node stores the
     whole conjugated subgroup.
     """
-    hels = H.elements(enum_cap)
+    hels = H.elements(ENUM_CAP)
     idn = identity(G.degree)
     seed = tuple(sorted(h for h in hels if h != idn))
     if not seed:
@@ -281,19 +272,23 @@ def subgroup_normalizer(G: PermGroup, H: PermGroup,
     def act(g, state):
         return tuple(sorted(conj(g, h) for h in state))
 
-    return schreier_stabilizer(G, OrbitData(seed, G.generators, act, G.degree, cap))
+    od = OrbitData(seed, G.generators, act, G.degree, SUBGROUP_ORBIT_CAP)
+    return schreier_stabilizer(G, od)
 
 
-def _ascend_within(N: PermGroup, Q: PermGroup, p: int, enum_cap: int) -> PermGroup:
+def _ascend_within(N: PermGroup, Q: PermGroup, p: int) -> PermGroup:
     """Grow the p-subgroup Q towards a Sylow p-subgroup of N by scanning
     N's elements for normalizing p-elements outside Q."""
-    els = N.elements(enum_cap)
+    els = N.elements(ENUM_CAP)
     target = p_part(N.order(), p)
     qels = set(Q.elements())
     while len(qels) < target:
         grown = False
         for y in els:
-            if y in qels or not is_p_power(perm_order(y), p):
+            if y in qels:
+                continue
+            o = perm_order(y)
+            if p_part(o, p) != o:
                 continue
             if any(conj(y, q) not in qels for q in Q.generators):
                 continue
@@ -308,9 +303,7 @@ def _ascend_within(N: PermGroup, Q: PermGroup, p: int, enum_cap: int) -> PermGro
     return Q
 
 
-def sylow_ascent(G: PermGroup, p: int, seed: int = 0,
-                 enum_cap: int = ENUM_CAP,
-                 orbit_cap: int = SUBGROUP_ORBIT_CAP) -> PermGroup:
+def sylow_ascent(G: PermGroup, p: int, seed: int = 0) -> PermGroup:
     """A Sylow p-subgroup of G.
 
     Strategy: start from cyclic subgroups generated by p-power parts of
@@ -348,9 +341,9 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0,
             N = normalizer_of_cyclic(G, x)
         except CapExceeded:
             continue
-        if N.order() > enum_cap:
+        if N.order() > ENUM_CAP:
             continue
-        Q = _ascend_within(N, PermGroup([x], G.degree), p, enum_cap)
+        Q = _ascend_within(N, PermGroup([x], G.degree), p)
         if Q.order() == pe:
             return Q
         if Q.order() > best.order():
@@ -358,15 +351,15 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0,
     Q = best
     while Q.order() < pe:
         try:
-            N = subgroup_normalizer(G, Q, cap=orbit_cap, enum_cap=enum_cap)
+            N = subgroup_normalizer(G, Q)
         except CapExceeded as exc:
             raise CapExceeded(str(exc), attained=Q) from exc
-        if N.order() > enum_cap:
+        if N.order() > ENUM_CAP:
             raise CapExceeded(
                 f"normalizer of order {N.order()} exceeds enumeration cap",
                 attained=Q,
             )
-        Q2 = _ascend_within(N, Q, p, enum_cap)
+        Q2 = _ascend_within(N, Q, p)
         if Q2.order() == Q.order():
             raise InvariantViolation("p-subgroup failed to grow inside its normalizer")
         Q = Q2

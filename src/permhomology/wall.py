@@ -86,23 +86,23 @@ class NonFreeComplex:
         return self.layer(p)[o].boundary
 
 
-def from_cells(ecc, max_p: int | None = None) -> NonFreeComplex:
+def _summands(layers) -> list:
+    return [
+        tuple(
+            OrbitSummand(tuple(sorted(c.stab.elements())), tuple(c.boundary))
+            for c in layer
+        )
+        for layer in layers
+    ]
+
+
+def from_cells(ecc) -> NonFreeComplex:
     """Orbit complex from an equivariant cell decomposition (its
     untwisted chain layers)."""
-    layers = []
-    for p, layer in enumerate(ecc.chain):
-        if max_p is not None and p > max_p:
-            break
-        layers.append(
-            tuple(
-                OrbitSummand(tuple(sorted(c.stab.elements())), tuple(c.boundary))
-                for c in layer
-            )
-        )
-    return NonFreeComplex(ecc.group, layers)
+    return NonFreeComplex(ecc.group, _summands(ecc.chain))
 
 
-def splice(ecc, expand_check: bool = True) -> NonFreeComplex:
+def splice(ecc) -> NonFreeComplex:
     """Periodic complex from a solid whose top module is Z.
 
     The top chain layer must be one orbit stabilized by all of G; its
@@ -117,21 +117,14 @@ def splice(ecc, expand_check: bool = True) -> NonFreeComplex:
     cell = top[0]
     if cell.stab.order() != ecc.group.order():
         raise InvariantViolation("top module is not trivial of rank one")
-    if expand_check:
-        sizes, mats = expand_chain(ecc)
-        H = chain_homology(sizes, mats)
-        point = [h.free == 0 and not h.torsion for h in H]
-        if H[0].as_list() != [0] or not all(point[1:]):
-            raise InvariantViolation("solid does not expand to a point")
-    layers = []
-    for layer in ecc.chain[:-1]:
-        layers.append(
-            tuple(
-                OrbitSummand(tuple(sorted(c.stab.elements())), tuple(c.boundary))
-                for c in layer
-            )
-        )
-    return NonFreeComplex(ecc.group, layers, splice_word=tuple(cell.boundary))
+    sizes, mats = expand_chain(ecc)
+    H = chain_homology(sizes, mats)
+    point = [h.free == 0 and not h.torsion for h in H]
+    if H[0].as_list() != [0] or not all(point[1:]):
+        raise InvariantViolation("solid does not expand to a point")
+    return NonFreeComplex(
+        ecc.group, _summands(ecc.chain[:-1]), splice_word=tuple(cell.boundary)
+    )
 
 
 @dataclass(frozen=True)
@@ -161,13 +154,6 @@ class AssembledResolution:
             for c, _, i in word:
                 M[i][j] += c
         return M
-
-    def homology(self, k: int):
-        """AbelianInvariants of H_k; needs k < length."""
-        if not 0 <= k < self.length:
-            raise ValueError(f"homology degree {k} needs boundaries up to {k + 1}")
-        mats = [self.boundary_matrix_z(i + 1) for i in range(self.length)]
-        return chain_homology(self.ranks, mats)[k]
 
 
 class _Column:

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from permhomology import polytope
+from permhomology import cli, polytope
 from permhomology.cli import main
+from permhomology.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -66,6 +67,27 @@ def test_wall_method_polygon(capsys):
     got = {r["degree"]: r["invariants"] for r in d["results"]}
     assert got == {1: [4], 2: [], 3: [4]}
     assert d["results"][0]["method"] == "wall"
+
+
+def test_wall_polygon_splice_failure_is_not_rerouted(capsys, monkeypatch):
+    # Z4 fixes the square's 2-cell, so the polygon route splices; a
+    # failed splice must surface as exit 3, not fall back to from_cells
+    def broken_splice(ecc):
+        raise InvariantViolation("solid does not expand to a point")
+
+    monkeypatch.setattr(cli, "splice", broken_splice)
+    assert main(["homology", "Z4", "-n", "1", "--method", "wall"]) == 3
+
+
+def test_wall_flags_max_dim_range(capsys):
+    # the S4 complex with rings 0 has dimensions 0..2, and degree n
+    # needs cells up to dimension n + 1
+    base = ["homology", "S4", "-n", "1", "--method", "wall",
+            "--complex", "flags", "--dims", "0"]
+    assert main(base + ["--to", "2", "--max-dim", "1"]) == 2
+    assert main(base + ["--to", "2", "--max-dim", "9"]) == 2
+    d = run_json(capsys, *base, "--to", "1", "--max-dim", "2")
+    assert d["results"][0]["invariants"] == [2]
 
 
 def test_bar_method(capsys):

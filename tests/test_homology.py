@@ -1,19 +1,23 @@
+import os
+import subprocess
+import sys
 from math import isqrt, prod
 
 import pytest
 
+import permhomology
+from permhomology import homology
 from permhomology.catalog import alternating, cyclic, klein_four, mathieu, symmetric
 from permhomology.errors import InvariantViolation
 from permhomology.homology import (
     TRIVIAL,
     AbelianInvariants,
-    CE_CONVENTIONS,
     ce_convention,
     ce_ppart_general,
     chain_homology,
+    check_ce_convention,
     cyclic_sylow_ppart,
     factor,
-    ppart,
     resolution_homology,
 )
 from permhomology.permgroup import PermGroup
@@ -46,11 +50,11 @@ def test_factor_property():
 
 def test_ppart_examples():
     z12 = AbelianInvariants.from_factors(0, (12,))
-    assert ppart(z12, 2).torsion == (4,)
-    assert ppart(z12, 5) == TRIVIAL
+    assert z12.ppart(2).torsion == (4,)
+    assert z12.ppart(5) == TRIVIAL
     h5 = AbelianInvariants.from_factors(0, (2, 14))
-    assert ppart(h5, 7).torsion == (7,)
-    assert ppart(AbelianInvariants(3, (2,)), 2) == AbelianInvariants(0, (2,))
+    assert h5.ppart(7).torsion == (7,)
+    assert AbelianInvariants(3, (2,)).ppart(2) == AbelianInvariants(0, (2,))
 
 
 def test_sum_of_pparts_reconstructs():
@@ -129,9 +133,33 @@ def test_cyclic_sylow_rejects_higher_power():
 
 
 def test_ce_convention_selected():
-    conv = ce_convention()
-    assert conv in CE_CONVENTIONS
-    assert ce_convention() == conv
+    assert ce_convention() == "intersect-right"
+    check_ce_convention()  # the fixed convention matches the oracle
+
+
+def test_ce_convention_computes_nothing():
+    # a fresh interpreter, so that no earlier call has cached anything
+    code = (
+        "from permhomology import homology\n"
+        "def boom(*a, **k):\n"
+        "    raise RuntimeError('resolution_small called')\n"
+        "homology.resolution_small = boom\n"
+        "print(homology.ce_convention())\n"
+    )
+    src = os.path.dirname(os.path.dirname(permhomology.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "intersect-right\n"
+
+
+def test_check_ce_convention_fails_hard(monkeypatch):
+    wrong = AbelianInvariants(0, (5,))
+    monkeypatch.setattr(homology, "ce_ppart_general", lambda *a, **k: wrong)
+    with pytest.raises(InvariantViolation, match="oracle"):
+        check_ce_convention()
 
 
 def test_ce_matches_oracle_small():

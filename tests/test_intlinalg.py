@@ -123,7 +123,7 @@ def test_sparse_smith_matches_dense():
                 if rng.random() < 0.5:
                     A[i][j] = 0
         entries = {(i, j): A[i][j] for i in range(m) for j in range(n) if A[i][j]}
-        dense = [d for d in smith_normal_form(A, want_transforms=False)[0] if d]
+        dense = [d for d in smith_normal_form(A)[0] if d]
         assert smith_diagonal_sparse(entries) == dense
 
 
