@@ -41,7 +41,7 @@ from .homology import (
     resolution_homology,
 )
 from .intlinalg import smith_normal_form
-from .permgroup import PermGroup, fingerprint
+from .permgroup import PermGroup, fingerprint, schreier_stabilizer
 from .resolution import SMALL_GROUP_CAP, bar_resolution, resolution_small
 from .sylow import p_part, sylow_ascent, weyl_exponent
 from .wall import WALL_RANK_CAP, from_cells, splice, wall_assemble
@@ -112,7 +112,7 @@ def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
         if len(top) == 1 and top[0].stab.order() == G.order():
             return wall_assemble(splice(ecc), n, rank_cap=rank_cap)
         return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
-    flags = SimplexFlags(G.degree, dims)
+    flags = SimplexFlags(G.degree, dims if dims is not None else (0, 1))
     if max_dim is None:
         max_dim = n + 1
     elif not n + 1 <= max_dim <= flags.poset.max_height:
@@ -131,6 +131,12 @@ def _cmd_homology(args):
     if top < args.degree:
         raise ValueError("--to must not be below --degree")
     degrees = list(range(args.degree, top + 1))
+    if (args.method, args.complex) != ("wall", "flags"):
+        for flag, value in (("--max-dim", args.max_dim), ("--dims", args.dims)):
+            if value is not None:
+                raise ValueError(
+                    f"{flag} applies only to --method wall --complex flags"
+                )
     restriction = None
     if args.prime is not None:
         restriction = args.prime
@@ -271,10 +277,13 @@ def _cmd_edge_degree(args):
     v = tuple(Fraction(s) for s in args.vector.split(","))
     pts = polytope.orbit_points(G, v, cap=args.point_cap)
     i = args.vertex if args.vertex is not None else pts.index(v)
+    if not 0 <= i < len(pts):
+        raise ValueError(f"--vertex must be in 0..{len(pts) - 1}")
     if args.dump_points:
         with open(args.dump_points, "w", newline="") as fh:
             polytope.points_csv(pts, fh)
-    deg = polytope.vertex_degree(pts, i, threads=threads)
+    stab = schreier_stabilizer(G, G.orbit_data(pts[i], polytope.act_vec))
+    deg = polytope.vertex_degree(pts, i, stab.generators, threads=threads)
     return {
         "group": fingerprint(G),
         "group_name": args.group,
@@ -475,8 +484,8 @@ def _parser():
         help="geometric source for --method wall",
     )
     p.add_argument(
-        "--dims", type=_dims, default=(0, 1),
-        help="flag ring dims for --complex flags",
+        "--dims", type=_dims,
+        help="flag ring dims for --complex flags (default 0,1)",
     )
     p.add_argument("--max-dim", type=int, help="truncation of the flag complex")
     p.add_argument("--flag-cap", type=int, default=CLI_FLAG_CAP)
@@ -506,7 +515,7 @@ def _parser():
     p.add_argument("--vector", required=True, help="comma list of rationals")
     p.add_argument("--vertex", type=int, help="index into the sorted orbit")
     p.add_argument(
-        "--orbit-cap", dest="point_cap", type=int, default=polytope.ORBIT_CAP
+        "--orbit-cap", dest="point_cap", type=int, default=polytope.POINT_CAP
     )
     p.add_argument("--dump-points", metavar="PATH", help="write points CSV")
     p.add_argument(

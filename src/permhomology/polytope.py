@@ -15,6 +15,10 @@ exact value of the stated program.  The solver is a revised simplex
 over Fractions with Bland's rule, which keeps only the basis inverse
 dense: with thousands of degenerate pivots on these programs, pricing
 columns lazily is what makes the exhaustive edge sweeps affordable.
+
+The edge sweep at a vertex uses the symmetry: the vertex's stabilizer
+permutes the other points and maps edges at the vertex to edges, so
+one program per stabilizer orbit decides every point of that orbit.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InvariantViolation
-from .permgroup import PermGroup
+from .permgroup import OrbitData, PermGroup
 
-ORBIT_CAP = 100_000
+POINT_CAP = 100_000
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,25 +45,19 @@ def act_vec(g: tuple, v: tuple) -> tuple:
     return tuple(out)
 
 
-def orbit_points(G: PermGroup, v, cap: int = ORBIT_CAP) -> tuple:
+def orbit_points(G: PermGroup, v, cap: int = POINT_CAP) -> tuple:
     """Sorted orbit of v, as exact Fraction tuples on a common sphere."""
     if len(v) != G.degree:
         raise ValueError(f"vector length {len(v)} does not match degree {G.degree}")
     start = tuple(Fraction(x) for x in v)
-    seen = {start}
-    queue = [start]
-    for p in queue:
-        for g in G.generators:
-            q = act_vec(g, p)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-                if len(seen) > cap:
-                    raise CapExceeded(f"orbit exceeds {cap} points")
-    norms = {sum(x * x for x in p) for p in seen}
+    try:
+        od = G.orbit_data(start, act_vec, cap)
+    except CapExceeded as exc:
+        raise CapExceeded(f"orbit exceeds {cap} points", exc.attained) from None
+    norms = {sum(x * x for x in p) for p in od.states}
     if len(norms) != 1:
         raise InvariantViolation("orbit points do not share a norm")
-    return tuple(sorted(seen))
+    return tuple(sorted(od.states))
 
 
 # -- exact revised simplex -----------------------------------------------
@@ -299,20 +297,46 @@ def is_edge(points, i: int, j: int) -> bool:
     return edge_gap(points, i, j) > 0
 
 
-def vertex_degree(points, i: int, threads: int = 1) -> int:
-    """Number of hull edges at vertex i; one program per other vertex."""
-    idx = [j for j in range(len(points)) if j != i]
+def vertex_degree(points, i: int, gens=(), threads: int = 1) -> int:
+    """Number of hull edges at vertex i.
+
+    gens must fix points[i] and permute the points; whether [i, j] is
+    an edge does not change under them.  So one program is solved per
+    orbit of the group they generate on the other points, at its least
+    index, and its verdict counts for the whole orbit.  With no
+    generators every orbit is a single point.
+    """
+    u = points[i]
+    if any(act_vec(g, u) != u for g in gens):
+        raise InvariantViolation("a stabilizer generator moves the vertex")
+    index = {p: k for k, p in enumerate(points)}
+
+    def act(g, k):
+        k = index.get(act_vec(g, points[k]))
+        if k is None:
+            raise InvariantViolation("a generator sends a point outside the set")
+        return k
+
+    work = []
+    seen = {i}
+    for j in range(len(points)):
+        if j not in seen:
+            orbit = OrbitData(j, gens, act, len(u)).states
+            seen.update(orbit)
+            work.append((j, len(orbit)))
+    if sum(size for _, size in work) != len(points) - 1:
+        raise InvariantViolation("orbit sizes do not sum to the other points")
     if threads <= 1:
-        return sum(1 for j in idx if is_edge(points, i, j))
-    chunks = [idx[k::threads] for k in range(threads)]
+        return _degree_chunk((points, i, work))
+    chunks = [work[k::threads] for k in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as ex:
         parts = ex.map(_degree_chunk, [(points, i, c) for c in chunks])
     return sum(parts)
 
 
 def _degree_chunk(args) -> int:
-    points, i, js = args
-    return sum(1 for j in js if is_edge(points, i, j))
+    points, i, work = args
+    return sum(size for j, size in work if is_edge(points, i, j))
 
 
 def edge_count(points, degree: int) -> int:

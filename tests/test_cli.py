@@ -90,6 +90,21 @@ def test_wall_flags_max_dim_range(capsys):
     assert d["results"][0]["invariants"] == [2]
 
 
+def test_flags_options_need_the_flags_route(capsys):
+    assert main(["homology", "Z4", "-n", "1", "--to", "3", "--method", "wall",
+                 "--max-dim", "1", "--dims", "5"]) == 2
+    assert main(["homology", "Z4", "-n", "1", "--to", "2", "--method",
+                 "small", "--complex", "flags", "--max-dim", "1"]) == 2
+    assert main(["homology", "Z4", "-n", "1", "--dims", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count('"bad-input"') == 3
+    assert "--dims applies only to --method wall --complex flags" in err
+    # the flags route still defaults to rings 0,1
+    base = ["homology", "S4", "-n", "1", "--method", "wall",
+            "--complex", "flags"]
+    assert run_json(capsys, *base) == run_json(capsys, *base, "--dims", "0,1")
+
+
 def test_bar_method(capsys):
     d = run_json(capsys, "homology", "Z4", "-n", "2", "--method", "bar")
     assert d["results"][0]["invariants"] == []
@@ -159,7 +174,7 @@ def test_wythoff_orbit_dim_range(capsys):
 def test_threads_bounded(capsys, monkeypatch):
     seen = []
 
-    def fake_vertex_degree(pts, i, threads=1):
+    def fake_vertex_degree(pts, i, gens=(), threads=1):
         seen.append(threads)
         return 2
 
@@ -182,6 +197,31 @@ def test_edge_degree_hexagon(capsys, tmp_path):
     assert d["degree"] == 2
     assert d["edges"] == 6
     assert len(dump.read_text().strip().splitlines()) == 6
+
+
+def test_edge_degree_vertex_range(capsys):
+    for vertex in ("6", "-1"):
+        rc = main(["edge-degree", "S3", "--vector", "1,2,3", "--vertex", vertex])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "bad-input",
+                       "detail": "--vertex must be in 0..5"}
+    d = run_json(capsys, "edge-degree", "S3", "--vector", "1,2,3",
+                 "--vertex", "5")
+    assert (d["vertex_index"], d["degree"]) == (5, 2)
+
+
+def test_edge_degree_matches_benchmark_record(capsys):
+    # bench/expected.json holds the benchmark's recorded answers, keyed
+    # by request without --seed; it is only read here
+    request = "edge-degree M11 --vector 1,1,1,0,0,0,0,0,0,0,0"
+    path = os.path.join(os.path.dirname(__file__), "..", "bench",
+                        "expected.json")
+    with open(path) as fh:
+        want = json.load(fh)[request]
+    d = run_json(capsys, *request.split())
+    d.pop("seed")
+    assert d == want
 
 
 def test_resolution_report(capsys):

@@ -2,13 +2,39 @@
 
 import csv
 import io
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from permhomology.catalog import cyclic, symmetric
+from permhomology.catalog import alternating, cyclic, lookup, symmetric
+from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
+from permhomology.permgroup import schreier_stabilizer
 from permhomology import polytope as pt
+
+
+def stabilizer_gens(G, pts, i):
+    return schreier_stabilizer(G, G.orbit_data(pts[i], pt.act_vec)).generators
+
+
+def cli_json(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def edge_gap_calls(monkeypatch):
+    calls = []
+    solve = pt.edge_gap
+
+    def counted(points, i, j):
+        calls.append((i, j))
+        return solve(points, i, j)
+
+    monkeypatch.setattr(pt, "edge_gap", counted)
+    return calls
 
 
 def test_act_vec_moves_positions():
@@ -99,6 +125,74 @@ def test_permutohedron_s4():
 def test_vertex_degree_threads_agree():
     pts = pt.orbit_points(symmetric(3), (1, 2, 3))
     assert pt.vertex_degree(pts, 0, threads=2) == pt.vertex_degree(pts, 0)
+    # a stabilizer of order 2: the representatives, not the points, are
+    # spread over the pool
+    G = symmetric(4)
+    pts = pt.orbit_points(G, (1, 1, 2, 3))
+    gens = stabilizer_gens(G, pts, 5)
+    assert len(gens) == 1
+    one = pt.vertex_degree(pts, 5, gens)
+    assert pt.vertex_degree(pts, 5, gens, threads=2) == one == 3
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pruned_degree_matches_wythoff_count(capsys, n):
+    # ring r means coordinates r and r + 1 of the sorted vector differ
+    for r in range(1, n):
+        for rings in itertools.combinations(range(n - 1), r):
+            v = [1]
+            for k in range(n - 1):
+                v.append(v[-1] + (k in rings))
+            e = cli_json(capsys, "edge-degree", f"S{n}",
+                         "--vector", ",".join(map(str, v)))
+            w = cli_json(capsys, "wythoff", f"S{n}",
+                         "--rings", ",".join(map(str, rings)))
+            assert e["degree"] == w["vertex_degree"], (rings, v)
+            if rings == (0, 2) and n == 5:
+                assert v == [1, 2, 2, 3, 3] and e["degree"] == 6
+
+
+def test_pruned_degree_matches_sweep_at_every_vertex():
+    # vertex stabilizers of order 6 and 12 on the same ten points
+    for G in (alternating(5), symmetric(5)):
+        pts = pt.orbit_points(G, (1, 1, 1, 2, 2))
+        for i in range(len(pts)):
+            pruned = pt.vertex_degree(pts, i, stabilizer_gens(G, pts, i))
+            assert pruned == pt.vertex_degree(pts, i) == 6
+
+
+def test_pruned_degree_m11_two_sets():
+    # M11 is transitive on the 55 points, so the hull is vertex
+    # transitive and one sweep gives the degree at every vertex
+    G = lookup("M11")
+    pts = pt.orbit_points(G, (1, 1) + (0,) * 9)
+    sweep = pt.vertex_degree(pts, 0)
+    assert sweep == 18
+    for i in range(len(pts)):
+        assert pt.vertex_degree(pts, i, stabilizer_gens(G, pts, i)) == sweep
+
+
+def test_one_program_per_stabilizer_orbit(capsys, edge_gap_calls):
+    d = cli_json(capsys, "edge-degree", "M11",
+                 "--vector", "1,1,1,0,0,0,0,0,0,0,0")
+    assert (d["degree"], d["lp_count"], len(edge_gap_calls)) == (24, 164, 7)
+    edge_gap_calls.clear()
+    d = cli_json(capsys, "edge-degree", "S5", "--vector", "1,2,3,4,5")
+    assert (d["degree"], d["lp_count"], len(edge_gap_calls)) == (4, 119, 119)
+
+
+def test_vertex_degree_rejects_bad_generators():
+    G = symmetric(4)
+    pts = pt.orbit_points(G, (1, 1, 2, 3))
+    moves = next(g for g in G.generators if pt.act_vec(g, pts[0]) != pts[0])
+    with pytest.raises(InvariantViolation, match="moves the vertex"):
+        pt.vertex_degree(pts, 0, [moves])
+    # fixes pts[0] = (1, 1, 2, 3) but leaves the subset it is given
+    swap = (1, 0, 2, 3)
+    assert pt.act_vec(swap, pts[0]) == pts[0]
+    subset = [p for p in pts if p[0] <= p[1]]
+    with pytest.raises(InvariantViolation, match="outside the set"):
+        pt.vertex_degree(subset, 0, [swap])
 
 
 def test_edge_count_odd_sum():
