@@ -37,13 +37,13 @@ from .homology import (
     ce_ppart_general,
     check_ce_convention,
     cyclic_sylow_ppart,
-    factor,
     resolution_homology,
 )
-from .intlinalg import smith_normal_form
+from .intlinalg import factor, p_part, smith_normal_form
+from .perm import format_cycles
 from .permgroup import PermGroup, fingerprint, schreier_stabilizer
 from .resolution import SMALL_GROUP_CAP, bar_resolution, resolution_small
-from .sylow import p_part, sylow_ascent, weyl_exponent
+from .sylow import sylow_ascent, weyl_exponent
 from .wall import WALL_RANK_CAP, from_cells, splice, wall_assemble
 from . import __version__
 
@@ -131,6 +131,14 @@ def _cmd_homology(args):
     if top < args.degree:
         raise ValueError("--to must not be below --degree")
     degrees = list(range(args.degree, top + 1))
+    if args.method != "wall":
+        for flag, value in (
+            ("--complex", args.complex),
+            ("--flag-cap", args.flag_cap),
+            ("--rank-cap", args.rank_cap),
+        ):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --method wall")
     if (args.method, args.complex) != ("wall", "flags"):
         for flag, value in (("--max-dim", args.max_dim), ("--dims", args.dims)):
             if value is not None:
@@ -176,8 +184,9 @@ def _cmd_homology(args):
             R = bar_resolution(G, top + 1)
         else:
             R = _wall_resolution(
-                G, args.complex, args.dims, top, args.max_dim,
-                args.flag_cap, args.rank_cap,
+                G, args.complex or "polygon", args.dims, top, args.max_dim,
+                args.flag_cap if args.flag_cap is not None else CLI_FLAG_CAP,
+                args.rank_cap if args.rank_cap is not None else WALL_RANK_CAP,
             )
         for n in degrees:
             inv = resolution_homology(R, n)
@@ -480,16 +489,22 @@ def _parser():
         default="auto",
     )
     p.add_argument(
-        "--complex", choices=("polygon", "flags"), default="polygon",
-        help="geometric source for --method wall",
+        "--complex", choices=("polygon", "flags"),
+        help="geometric source for --method wall (default polygon)",
     )
     p.add_argument(
         "--dims", type=_dims,
         help="flag ring dims for --complex flags (default 0,1)",
     )
     p.add_argument("--max-dim", type=int, help="truncation of the flag complex")
-    p.add_argument("--flag-cap", type=int, default=CLI_FLAG_CAP)
-    p.add_argument("--rank-cap", type=int, default=WALL_RANK_CAP)
+    p.add_argument(
+        "--flag-cap", type=int,
+        help=f"flag cap for --method wall (default {CLI_FLAG_CAP})",
+    )
+    p.add_argument(
+        "--rank-cap", type=int,
+        help=f"resolution rank cap for --method wall (default {WALL_RANK_CAP})",
+    )
     common(p)
     p.set_defaults(func=_cmd_homology)
 
@@ -539,12 +554,26 @@ def _parser():
     return top
 
 
+def _attained(value):
+    """CapExceeded.attained in JSON form: a subgroup as its order and
+    1-based generator cycles, a count as it is."""
+    if isinstance(value, PermGroup):
+        return {
+            "order": value.order(),
+            "generators": [format_cycles(g) for g in value.generators],
+        }
+    return value
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         payload = args.func(args)
     except CapExceeded as exc:
-        json.dump({"error": "cap-exceeded", "detail": str(exc)}, sys.stderr)
+        err = {"error": "cap-exceeded", "detail": str(exc)}
+        if exc.attained is not None:
+            err["attained"] = _attained(exc.attained)
+        json.dump(err, sys.stderr)
         sys.stderr.write("\n")
         return 2
     except InvariantViolation as exc:

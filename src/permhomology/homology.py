@@ -31,22 +31,8 @@ from .resolution import (
     homology_action,
     resolution_small,
 )
-from .intlinalg import smith_diagonal_sparse
-from .sylow import double_cosets, p_part, sylow_ascent, weyl_exponent
-
-
-def factor(n: int) -> dict:
-    """Prime factorisation {p: e} of n >= 1, primes ascending."""
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .intlinalg import factor, p_part, smith_diagonal_sparse
+from .sylow import double_cosets, sylow_ascent, weyl_exponent
 
 
 @dataclass(frozen=True)

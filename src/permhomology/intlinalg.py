@@ -1,4 +1,5 @@
-"""Integer linear algebra: Smith and Hermite forms, kernels, span tracking.
+"""Integer linear algebra: Smith and Hermite forms, kernels, span tracking,
+and the prime factorisation the other modules read primes from.
 
 Plain Python ints throughout (no overflow), matrices as lists of rows.
 An m x n matrix maps Z^n to Z^m acting on column vectors.
@@ -9,6 +10,25 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from math import gcd
+
+
+def factor(n: int) -> dict:
+    """Prime factorisation {p: e} of n >= 1, primes ascending."""
+    out: dict = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of the prime p dividing n >= 1."""
+    return p ** factor(n).get(p, 0)
 
 
 def xgcd(a: int, b: int):

@@ -18,6 +18,14 @@ the automorphism induced by one Schreier generator of the normalizer as
 so the image of the whole normalizer in (Z/m)^* is assembled without
 reconstructing a single group element.  Elements are only rebuilt (by
 walking the tree) for the few witnesses we want to verify.
+
+The BFS runs one level per numpy batch: the conjugates of every frontier
+subgroup by every generator, their power tables and packed keys, one
+np.unique over the batch and one searchsorted against the sorted keys of
+the nodes already seen.  New nodes are numbered in order of first
+occurrence in (generator, frontier row) order, so every table equals
+the one a row-at-a-time walk builds.  Keys are exact: a 64-bit sort key
+is only trusted after its full packed row matches.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from math import gcd
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
+from .intlinalg import p_part
 from .perm import conj, identity, inv, mul, power
 from .perm import order as perm_order
 from .permgroup import ENUM_CAP, OrbitData, PermGroup, generate_to_order, schreier_stabilizer
@@ -36,14 +45,8 @@ CYCLIC_ORBIT_CAP = 4 * 10**6
 SUBGROUP_ORBIT_CAP = 200000
 # closed orbit edges kept for normalizer()'s Schreier generators
 CLOSED_EDGE_BUDGET = 2048
-
-
-def p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
+# frontier rows conjugated and powered per numpy block, bounding memory
+_BLOCK_ROWS = 1 << 12
 
 
 def element_of_order(G: PermGroup, p: int, seed: int = 0) -> tuple:
@@ -72,8 +75,121 @@ def _pack_rows(R):
     return hi, lo
 
 
+def _unpack_rows(hi, lo, n: int):
+    """Inverse of _pack_rows: the uint8 rows of degree n."""
+    R = np.empty((len(hi), n), dtype=np.uint8)
+    mask = np.uint64(31)
+    for t in range(min(n, 12)):
+        R[:, t] = (hi >> np.uint64(5 * (11 - t))) & mask
+    for t in range(12, n):
+        R[:, t] = (lo >> np.uint64(5 * (23 - t))) & mask
+    return R
+
+
+def _mix(hi, lo):
+    """64-bit sort key of packed rows.  It equals hi below degree 13, where
+    lo is 0; above, distinct rows may share it, so every match on it is
+    checked against the full (hi, lo) pair."""
+    return hi ^ (lo * np.uint64(0x9E3779B97F4A7C15))
+
+
+def _least_powers(Z, unit_inv):
+    """For each row z of Z (a permutation of order m = len(unit_inv)), the
+    packed lex-least generator z**j of <z> and its exponent j.  unit_inv
+    is nonzero exactly at the units mod m."""
+    c, n = Z.shape
+    values = Z.ravel()
+    # z(i) as a flat index into Z, so that z o w is one gather: step[w]
+    step = (Z + np.arange(c, dtype=np.intp)[:, None] * n).ravel()
+    hi, lo = _pack_rows(Z)
+    best = np.ones(c, dtype=np.int32)
+    cur = step  # z**(j-1) as flat indices
+    for j in range(2, len(unit_inv)):
+        if unit_inv[j]:
+            h, l = _pack_rows(values[cur].reshape(c, n))
+            better = (h < hi) | ((h == hi) & (l < lo))
+            np.copyto(hi, h, where=better)
+            np.copyto(lo, l, where=better)
+            best[better] = j
+        if j + 1 < len(unit_inv):
+            cur = step[cur]
+    return hi, lo, best
+
+
+def _conjugates(rows, gens, unit_inv):
+    """Packed canonical generators of g <y> g^-1 for every generator g and
+    every row y, candidate gi * len(rows) + r for gens[gi] and rows[r],
+    with the exponent j such that y_eps = (g y g^-1) ** j."""
+    k = len(rows)
+    hi = np.empty(len(gens) * k, dtype=np.uint64)
+    lo = np.empty_like(hi)
+    j = np.empty(len(hi), dtype=np.int32)
+    for gi, g in enumerate(gens):
+        garr = np.array(g, dtype=np.uint8)
+        ginv = np.array(inv(g), dtype=np.uint8)
+        for s in range(0, k, _BLOCK_ROWS):
+            Z = garr[rows[s:s + _BLOCK_ROWS][:, ginv]]
+            o = slice(gi * k + s, gi * k + s + len(Z))
+            hi[o], lo[o], j[o] = _least_powers(Z, unit_inv)
+    return hi, lo, j
+
+
+class _RowIndex:
+    """Ids of the packed rows seen so far, looked up a batch at a time.
+
+    Sorted by the 64-bit _mix key; a key match counts only when the full
+    (hi, lo) pair matches too, and any mismatch raises InvariantViolation,
+    so two distinct rows never share an id."""
+
+    def __init__(self):
+        self.key = np.empty(0, dtype=np.uint64)
+        self.hi = np.empty(0, dtype=np.uint64)
+        self.lo = np.empty(0, dtype=np.uint64)
+        self.id = np.empty(0, dtype=np.int32)
+        self.size = 0
+
+    def add(self, hi, lo):
+        """The id of every row of the batch, in batch order, and the batch
+        positions of the rows not seen before.  Those get the next ids in
+        order of first occurrence."""
+        key = _mix(hi, lo)
+        ukey, first, back = np.unique(key, return_index=True, return_inverse=True)
+        if (hi[first][back] != hi).any() or (lo[first][back] != lo).any():
+            raise InvariantViolation("packed-row sort keys collide within a batch")
+        pos = np.searchsorted(self.key, ukey)
+        old = pos < len(self.key)
+        old[old] = self.key[pos[old]] == ukey[old]
+        op, of = pos[old], first[old]
+        if (self.hi[op] != hi[of]).any() or (self.lo[op] != lo[of]).any():
+            raise InvariantViolation("packed-row sort keys collide with a seen row")
+        fresh = np.flatnonzero(~old)  # in key order
+        new = np.sort(first[fresh])
+        uid = np.empty(len(ukey), dtype=np.int32)
+        uid[old] = self.id[op]
+        uid[fresh] = self.size + np.searchsorted(new, first[fresh])
+        ins = pos[fresh]
+        self.key = np.insert(self.key, ins, ukey[fresh])
+        self.hi = np.insert(self.hi, ins, hi[first[fresh]])
+        self.lo = np.insert(self.lo, ins, lo[first[fresh]])
+        self.id = np.insert(self.id, ins, uid[fresh])
+        self.size += len(new)
+        return uid[back], new
+
+
 class CyclicConjOrbit:
-    """Conjugation orbit of the cyclic subgroup <x> under G."""
+    """Conjugation orbit of the cyclic subgroup <x> under G.
+
+    Breadth first, one level at a time: every generator conjugates every
+    frontier subgroup in one numpy batch, and the batch is deduplicated
+    at once against itself and against the sorted keys of the nodes seen.
+    Node ids follow first occurrence in (generator, frontier row) order,
+    which is the order a row-at-a-time walk discovers them in.  Keys are
+    exact: a shared sort key whose (hi, lo) rows differ raises
+    InvariantViolation rather than merge two subgroups.
+
+    parent, genidx and cval are int32 arrays indexed by node id; node 0
+    is <x> itself, generated by root_gen.
+    """
 
     def __init__(self, G: PermGroup, x: tuple):
         self.G = G
@@ -85,89 +201,64 @@ class CyclicConjOrbit:
 
     def _run(self):
         G, m = self.G, self.m
-        n = G.degree
-        gens = G.generators
-        garr = [np.array(g, dtype=np.uint8) for g in gens]
-        ginv = [np.array(inv(g), dtype=np.uint8) for g in gens]
-        units = [j for j in range(1, m) if gcd(j, m) == 1]
-
-        powers = [power(self.x, j) for j in range(1, m)]
-        y0 = min(powers[j - 1] for j in units)
-        self.root_gen = y0
-
-        def key_of(row_hi, row_lo):
-            return (int(row_hi) << 64) | int(row_lo)
-
-        r0 = np.array([y0], dtype=np.uint8)
-        h0, l0 = _pack_rows(r0)
-        index = {key_of(h0[0], l0[0]): 0}
-        parent = [-1]
-        genidx = [-1]
-        cval = [1]
+        # inverse mod m of each unit; 0 at the non-units
+        unit_inv = np.zeros(m, dtype=np.int64)
+        for j in range(1, m):
+            if gcd(j, m) == 1:
+                unit_inv[j] = pow(j, -1, m)
+        self.root_gen = min(power(self.x, j) for j in range(1, m) if unit_inv[j])
+        rows = np.array([self.root_gen], dtype=np.uint8)
+        index = _RowIndex()
+        index.add(*_pack_rows(rows))
+        self.parent = np.array([-1], dtype=np.int32)
+        self.genidx = np.array([-1], dtype=np.int32)
+        self.cval = np.array([1], dtype=np.int32)
         # residue -> first closed edge realizing it, for witness rebuilds
         self.residue_edges: dict = {}
         self.closed_edges: list = []
-        frontier_rows = r0
-        frontier_idx = [0]
-        maxu = np.uint64(0xFFFFFFFFFFFFFFFF)
-        while len(frontier_idx):
-            next_rows = []
-            next_idx = []
-            for gi in range(len(gens)):
-                Z = garr[gi][frontier_rows[:, ginv[gi]]]
-                P = np.empty((m - 1, len(Z), n), dtype=np.uint8)
-                P[0] = Z
-                for j in range(1, m - 1):
-                    P[j] = np.take_along_axis(Z, P[j - 1].astype(np.int64), axis=1)
-                HI = np.empty((len(units), len(Z)), dtype=np.uint64)
-                LO = np.empty_like(HI)
-                for uj, j in enumerate(units):
-                    HI[uj], LO[uj] = _pack_rows(P[j - 1])
-                m1 = HI.min(axis=0)
-                cand = HI == m1
-                LOm = np.where(cand, LO, maxu)
-                m2 = LOm.min(axis=0)
-                ustar = (cand & (LOm == m2)).argmax(axis=0)
-                Ycan = P[np.array(units)[ustar] - 1, np.arange(len(Z)), :]
-                new_rows = []
-                for r in range(len(Z)):
-                    key = key_of(m1[r], m2[r])
-                    delta = frontier_idx[r]
-                    a = pow(units[int(ustar[r])], -1, m)
-                    eps = index.get(key)
-                    if eps is None:
-                        eps = len(parent)
-                        if eps >= CYCLIC_ORBIT_CAP:
-                            raise CapExceeded(
-                                "cyclic conjugation orbit exceeded cap "
-                                f"{CYCLIC_ORBIT_CAP}",
-                                attained=eps,
-                            )
-                        index[key] = eps
-                        parent.append(delta)
-                        genidx.append(gi)
-                        cval.append(a * cval[delta] % m)
-                        new_rows.append(r)
-                        next_idx.append(eps)
-                    else:
-                        res = a * cval[delta] * pow(cval[eps], -1, m) % m
-                        if res not in self.residue_edges:
-                            self.residue_edges[res] = (delta, gi, eps)
-                        if len(self.closed_edges) < CLOSED_EDGE_BUDGET:
-                            self.closed_edges.append((delta, gi, eps))
-                if new_rows:
-                    next_rows.append(Ycan[new_rows])
-            frontier_rows = (
-                np.concatenate(next_rows) if next_rows else np.empty((0, n), np.uint8)
-            )
-            frontier_idx = next_idx
-        self.size = len(parent)
-        self.parent = parent
-        self.genidx = genidx
-        self.cval = cval
+        while len(rows):
+            rows = self._level(rows, index, unit_inv)
+        self.size = len(self.parent)
         if G.order() % self.size:
             raise InvariantViolation("orbit size does not divide group order")
         self.normalizer_order = G.order() // self.size
+
+    def _level(self, rows, index, unit_inv):
+        """Walk every edge out of the frontier, the last len(rows) nodes,
+        whose canonical generators are rows; return the new nodes' rows."""
+        m, k = self.m, len(rows)
+        start = len(self.parent) - k
+        hi, lo, j = _conjugates(rows, self.G.generators, unit_inv)
+        eps, tree = index.add(hi, lo)
+        if index.size > CYCLIC_ORBIT_CAP:
+            raise CapExceeded(
+                f"cyclic conjugation orbit exceeded cap {CYCLIC_ORBIT_CAP}",
+                attained=CYCLIC_ORBIT_CAP,
+            )
+        delta = start + tree % k
+        self.parent = np.concatenate([self.parent, delta.astype(np.int32)])
+        self.genidx = np.concatenate([self.genidx, (tree // k).astype(np.int32)])
+        # g y_delta g^-1 = y_eps ** a with a the inverse of j mod m
+        self.cval = np.concatenate(
+            [self.cval, (unit_inv[j[tree]] * self.cval[delta] % m).astype(np.int32)]
+        )
+        closed = np.ones(len(hi), dtype=bool)
+        closed[tree] = False
+        cpos = np.flatnonzero(closed)
+        cdelta, ceps = start + cpos % k, eps[cpos]
+        res = unit_inv[j[cpos]] * self.cval[cdelta] % m * unit_inv[self.cval[ceps]] % m
+        # first closed edge of each residue, and the first closed edges
+        for f in np.sort(np.unique(res, return_index=True)[1]):
+            self.residue_edges.setdefault(
+                int(res[f]), (int(cdelta[f]), int(cpos[f] // k), int(ceps[f]))
+            )
+        room = CLOSED_EDGE_BUDGET - len(self.closed_edges)
+        if room > 0:
+            self.closed_edges += list(zip(
+                cdelta[:room].tolist(), (cpos[:room] // k).tolist(),
+                ceps[:room].tolist(),
+            ))
+        return _unpack_rows(hi[tree], lo[tree], self.G.degree)
 
     def transporter(self, idx: int) -> tuple:
         word = []

@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from permhomology import cli, polytope
+from permhomology import cli, polytope, sylow
+from permhomology.catalog import group_from_cycles
 from permhomology.cli import main
-from permhomology.errors import InvariantViolation
+from permhomology.errors import CapExceeded, InvariantViolation
 
 
 def run(capsys, *argv):
@@ -103,6 +104,52 @@ def test_flags_options_need_the_flags_route(capsys):
     base = ["homology", "S4", "-n", "1", "--method", "wall",
             "--complex", "flags"]
     assert run_json(capsys, *base) == run_json(capsys, *base, "--dims", "0,1")
+
+
+def test_wall_options_need_the_wall_route(capsys):
+    for argv, flag in (
+        (["--method", "small", "--complex", "flags"], "--complex"),
+        (["-p", "2", "--complex", "flags"], "--complex"),
+        (["--method", "small", "--rank-cap", "5"], "--rank-cap"),
+        (["--flag-cap", "9"], "--flag-cap"),
+    ):
+        assert main(["homology", "Z4", "-n", "1"] + argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "bad-input",
+            "detail": f"{flag} applies only to --method wall",
+        }
+    # on the wall route the defaults are filled in: polygon and both caps
+    base = ["homology", "Z4", "-n", "1", "--to", "3", "--method", "wall"]
+    explicit = base + ["--complex", "polygon", "--flag-cap", str(cli.CLI_FLAG_CAP),
+                       "--rank-cap", str(cli.WALL_RANK_CAP)]
+    assert run_json(capsys, *base) == run_json(capsys, *explicit)
+
+
+def test_cap_error_reports_attained_count(capsys, monkeypatch):
+    monkeypatch.setattr(sylow, "CYCLIC_ORBIT_CAP", 1000)
+    assert main(["ppart-table", "--groups", "M22", "--primes", "7"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "cap-exceeded",
+        "detail": "cyclic conjugation orbit exceeded cap 1000",
+        "attained": 1000,
+    }
+
+
+def test_cap_error_reports_attained_subgroup(capsys, monkeypatch):
+    Q = group_from_cycles(["(1,2)(3,4)", "(1,3)(2,4)"], 4)
+
+    def capped(G, p, seed=0):
+        raise CapExceeded("normalizer too big", attained=Q)
+
+    monkeypatch.setattr(cli, "weyl_exponent", capped)
+    assert main(["ppart-table", "--groups", "S4", "--primes", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["attained"] == {"order": 4, "generators": ["(1,2)(3,4)", "(1,3)(2,4)"]}
+    # nothing certified: no "attained" key at all
+    assert main(["homology", "M24", "-n", "3"]) == 2
+    assert "attained" not in json.loads(capsys.readouterr().err)
 
 
 def test_bar_method(capsys):

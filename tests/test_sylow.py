@@ -1,5 +1,7 @@
 import random
+from math import gcd
 
+import numpy as np
 import pytest
 
 from permhomology.catalog import (
@@ -8,14 +10,18 @@ from permhomology.catalog import (
     mathieu,
     symmetric,
 )
-from permhomology.perm import conj, parse_cycles, power
+from permhomology import sylow
+from permhomology.errors import CapExceeded, InvariantViolation
+from permhomology.intlinalg import factor, p_part
+from permhomology.perm import conj, inv, parse_cycles, power
 from permhomology.perm import order as perm_order
 from permhomology.permgroup import PermGroup
 from permhomology.sylow import (
+    CLOSED_EDGE_BUDGET,
     CyclicConjOrbit,
+    _pack_rows,
     double_cosets,
     element_of_order,
-    p_part,
     subgroup_normalizer,
     sylow_ascent,
     weyl_exponent,
@@ -35,6 +41,117 @@ def brute_normalizer_image(G, x):
             norm += 1
             residues.add(sub[y])
     return norm, residues
+
+
+def reference_orbit(G, x):
+    """The orbit tables of CyclicConjOrbit, walked one candidate row at a
+    time with a dict of exact keys: the oracle for the batched walk."""
+    m = perm_order(x)
+    n = G.degree
+    gens = G.generators
+    garr = [np.array(g, dtype=np.uint8) for g in gens]
+    ginv = [np.array(inv(g), dtype=np.uint8) for g in gens]
+    units = [j for j in range(1, m) if gcd(j, m) == 1]
+    y0 = min(power(x, j) for j in units)
+    r0 = np.array([y0], dtype=np.uint8)
+    h0, l0 = _pack_rows(r0)
+    index = {(int(h0[0]), int(l0[0])): 0}
+    parent, genidx, cval = [-1], [-1], [1]
+    residue_edges, closed_edges = {}, []
+    frontier_rows, frontier_idx = r0, [0]
+    while frontier_idx:
+        next_rows, next_idx = [], []
+        for gi in range(len(gens)):
+            Z = garr[gi][frontier_rows[:, ginv[gi]]]
+            P = [Z]
+            for _ in range(m - 2):
+                P.append(np.take_along_axis(Z, P[-1].astype(np.int64), axis=1))
+            packed = [_pack_rows(P[j - 1]) for j in units]
+            new_rows = []
+            for r in range(len(Z)):
+                key, uj = min(
+                    ((int(h[r]), int(l[r])), uj) for uj, (h, l) in enumerate(packed)
+                )
+                delta = frontier_idx[r]
+                a = pow(units[uj], -1, m)
+                eps = index.get(key)
+                if eps is None:
+                    eps = len(parent)
+                    index[key] = eps
+                    parent.append(delta)
+                    genidx.append(gi)
+                    cval.append(a * cval[delta] % m)
+                    new_rows.append(P[units[uj] - 1][r])
+                    next_idx.append(eps)
+                else:
+                    res = a * cval[delta] * pow(cval[eps], -1, m) % m
+                    residue_edges.setdefault(res, (delta, gi, eps))
+                    if len(closed_edges) < CLOSED_EDGE_BUDGET:
+                        closed_edges.append((delta, gi, eps))
+            next_rows += new_rows
+        frontier_rows = np.array(next_rows, dtype=np.uint8).reshape(-1, n)
+        frontier_idx = next_idx
+    return {
+        "size": len(parent),
+        "root_gen": y0,
+        "parent": parent,
+        "genidx": genidx,
+        "cval": cval,
+        "residue_edges": list(residue_edges.items()),
+        "closed_edges": closed_edges,
+    }
+
+
+def orbit_tables(orb):
+    return {
+        "size": orb.size,
+        "root_gen": orb.root_gen,
+        "parent": orb.parent.tolist(),
+        "genidx": orb.genidx.tolist(),
+        "cval": orb.cval.tolist(),
+        "residue_edges": list(orb.residue_edges.items()),
+        "closed_edges": orb.closed_edges,
+    }
+
+
+@pytest.mark.parametrize("name", ["M11", "M12", "M21", "M22"])
+def test_batched_orbit_matches_row_walk(name):
+    G = mathieu(int(name[1:]))
+    for p in factor(G.order()):
+        for seed in range(3):
+            x = element_of_order(G, p, seed)
+            assert orbit_tables(CyclicConjOrbit(G, x)) == reference_orbit(G, x), (p, seed)
+
+
+def test_batched_orbit_matches_row_walk_composite_orders():
+    x = parse_cycles("(1,2,3,4)", 4)
+    G = symmetric(4)
+    assert orbit_tables(CyclicConjOrbit(G, x)) == reference_orbit(G, x)
+    # orders 4 and 8 in M11: the cyclic normalizers sylow_ascent takes
+    M11 = mathieu(11)
+    stream = M11.random_elements(0)
+    found = {}
+    while len(found) < 2:
+        g = next(stream)
+        if perm_order(g) in (4, 8):
+            found.setdefault(perm_order(g), g)
+    for x in found.values():
+        assert orbit_tables(CyclicConjOrbit(M11, x)) == reference_orbit(M11, x)
+
+
+def test_orbit_cap_reports_attained(monkeypatch):
+    monkeypatch.setattr(sylow, "CYCLIC_ORBIT_CAP", 1000)
+    G = mathieu(22)
+    with pytest.raises(CapExceeded) as info:
+        CyclicConjOrbit(G, element_of_order(G, 7))
+    assert info.value.attained == 1000
+    assert str(info.value) == "cyclic conjugation orbit exceeded cap 1000"
+
+
+def test_colliding_sort_keys_are_never_merged(monkeypatch):
+    monkeypatch.setattr(sylow, "_mix", lambda hi, lo: np.zeros_like(hi))
+    with pytest.raises(InvariantViolation):
+        CyclicConjOrbit(symmetric(5), parse_cycles("(1,2,3)", 5))
 
 
 def test_p_part_helpers():
