@@ -3,6 +3,15 @@ and the prime factorisation the other modules read primes from.
 
 Plain Python ints throughout (no overflow), matrices as lists of rows.
 An m x n matrix maps Z^n to Z^m acting on column vectors.
+
+The echelon engine behind ColumnSolver and ZSpan keeps its rows sparse,
+as {column: value} dicts holding the nonzero entries: the free-module
+boundaries it is fed are almost all zeros.  It takes the same pivots,
+swaps, divmod and xgcd steps and sign normalisation a dense echelon
+would, so every result is the one dense rows would give.  Dense vectors
+and rows passed to it are converted on the way in; results come back
+sparse.  smith_normal_form works on dense lists, smith_diagonal_sparse
+on a dict of entries.
 """
 
 from __future__ import annotations
@@ -46,17 +55,6 @@ def xgcd(a: int, b: int):
 
 def identity_matrix(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_vec(A: list, v) -> list:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def mat_mul(A: list, B: list) -> list:
-    if not B:
-        return [[] for _ in A]
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 def smith_normal_form(A: list):
@@ -148,50 +146,90 @@ def smith_normal_form(A: list):
     return diag, U, V
 
 
-def _row_echelon(A: list):
-    """Integer row echelon via xgcd row ops: returns (H, U, pivots) with
-    U*A = H, pivots a list of (row, col), pivot entries positive, zeros
-    below each pivot (entries above are not reduced)."""
+def _sparse(v, n: int) -> dict:
+    """v as a sparse row {index: value} of Z^n holding its nonzero
+    entries.  v is a dense sequence of length n or a dict with indices in
+    range(n); anything else raises ValueError."""
+    if isinstance(v, dict):
+        if any(not 0 <= i < n for i in v):
+            raise ValueError(f"sparse vector has an index outside range({n})")
+        return {i: a for i, a in v.items() if a}
+    v = list(v)
+    if len(v) != n:
+        raise ValueError(f"vector of length {len(v)}, expected {n}")
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def _sub_multiple(v: dict, f: int, row: dict) -> None:
+    """v -= f * row in place, dropping the entries that cancel."""
+    for j, b in row.items():
+        a = v.get(j, 0) - f * b
+        if a:
+            v[j] = a
+        else:
+            v.pop(j, None)
+
+
+def _combine(r: dict, s: dict, x: int, y: int, z: int, w: int):
+    """The rows (x*r + y*s, z*r + w*s)."""
+    out_r, out_s = {}, {}
+    for j in r.keys() | s.keys():
+        a, b = r.get(j, 0), s.get(j, 0)
+        c = x * a + y * b
+        if c:
+            out_r[j] = c
+        c = z * a + w * b
+        if c:
+            out_s[j] = c
+    return out_r, out_s
+
+
+def _negate(r: dict) -> dict:
+    return {j: -a for j, a in r.items()}
+
+
+def _row_echelon(A: list, n: int):
+    """Integer row echelon of the m x n matrix with sparse rows A, via
+    xgcd row ops: returns (H, U, pivots) with U*A = H as sparse rows,
+    pivots a list of (row, col), pivot entries positive, zeros below each
+    pivot (entries above are not reduced).
+
+    Column by column, the pivot row is the first row at or below the
+    next pivot position with an entry in the column; it is swapped up, and
+    each later row with an entry there is cleared, in row order.
+    """
     m = len(A)
-    n = len(A[0]) if A else 0
-    H = [list(row) for row in A]
-    U = identity_matrix(m)
+    H = [dict(row) for row in A]
+    U = [{i: 1} for i in range(m)]
     pivots = []
     r = 0
     for c in range(n):
-        k = next((i for i in range(r, m) if H[i][c]), None)
-        if k is None:
+        rows = [i for i in range(r, m) if c in H[i]]
+        if not rows:
             continue
+        k = rows[0]
         H[r], H[k] = H[k], H[r]
         U[r], U[k] = U[k], U[r]
-        for i in range(r + 1, m):
-            while H[i][c]:
+        for i in rows[1:]:
+            while H[i].get(c):
                 p, q = H[r][c], H[i][c]
                 if q % p == 0:
                     f = q // p
-                    H[i] = [a - f * b for a, b in zip(H[i], H[r])]
-                    U[i] = [a - f * b for a, b in zip(U[i], U[r])]
+                    _sub_multiple(H[i], f, H[r])
+                    _sub_multiple(U[i], f, U[r])
                 else:
                     g, x, y = xgcd(p, q)
                     a, b = p // g, q // g
-                    hr, hi = H[r], H[i]
-                    H[r] = [x * s + y * t for s, t in zip(hr, hi)]
-                    H[i] = [-b * s + a * t for s, t in zip(hr, hi)]
-                    ur, ui = U[r], U[i]
-                    U[r] = [x * s + y * t for s, t in zip(ur, ui)]
-                    U[i] = [-b * s + a * t for s, t in zip(ur, ui)]
+                    H[r], H[i] = _combine(H[r], H[i], x, y, -b, a)
+                    U[r], U[i] = _combine(U[r], U[i], x, y, -b, a)
         if H[r][c] < 0:
-            H[r] = [-a for a in H[r]]
-            U[r] = [-a for a in U[r]]
+            H[r] = _negate(H[r])
+            U[r] = _negate(U[r])
         pivots.append((r, c))
         r += 1
         if r == m:
             break
     return H, U, pivots
-
-
-def rank_int(A: list) -> int:
-    return len(_row_echelon(A)[2])
 
 
 class ColumnSolver:
@@ -200,54 +238,64 @@ class ColumnSolver:
     Precomputes a column Hermite form A V = H once, so repeated solves
     against the same matrix are cheap.  ``solve`` returns the unique
     echelon-determined solution (or None), so results are reproducible.
+
+    The rows of A may be dense lists or sparse {column: value} dicts, and
+    so may the right-hand sides; dense input is converted on the way in.
+    Inside, H and V are kept as sparse columns and transformed by the
+    same xgcd operations, in the same order, as a dense echelon would.
+    Solutions and kernel vectors come back sparse.
     """
 
     def __init__(self, A: list, n: int | None = None):
         m = len(A)
         if n is None:
+            if A and isinstance(A[0], dict):
+                raise ValueError("sparse rows need the column count n")
             n = len(A[0]) if A else 0
-        At = [[A[i][j] for i in range(m)] for j in range(n)]
-        Ht, Ut, pivots = _row_echelon(At)
+        At = [{} for _ in range(n)]
+        for i, row in enumerate(A):
+            for j, a in _sparse(row, n).items():
+                At[j][i] = a
+        Ht, Ut, pivots = _row_echelon(At, m)
         self.m, self.n = m, n
-        # A V = H with V = Ut^T, H = Ht^T column echelon
-        self.H = [[Ht[j][i] for j in range(n)] for i in range(m)]
-        self.V = [[Ut[j][i] for j in range(n)] for i in range(n)]
+        # A V = H with V = Ut^T and H = Ht^T column echelon, so column c
+        # of H (of V) is row c of Ht (of Ut)
         self.pivots = [(c, r) for r, c in pivots]  # (pivot row in H, column)
-        self.kernel_cols = list(range(len(pivots), n))
-        # only pivot columns are touched during solves; store them sparse
-        self._hcols = {}
-        self._vcols = {}
-        for r, c in self.pivots:
-            self._hcols[c] = [(i, self.H[i][c]) for i in range(m) if self.H[i][c]]
-            self._vcols[c] = [(i, self.V[i][c]) for i in range(n) if self.V[i][c]]
+        self._hcols = {c: Ht[c] for _, c in self.pivots}
+        self._vcols = {c: Ut[c] for _, c in self.pivots}
+        self._kernel = Ut[len(pivots):]
 
-    def solve(self, b) -> list | None:
-        b = list(b)
+    def solve(self, b) -> dict | None:
+        """The sparse x with A x = b, or None when there is none over Z."""
+        b = _sparse(b, self.m)
         hits = []
         for r, c in self.pivots:
-            q, rem = divmod(b[r], self.H[r][c])
+            br = b.get(r)
+            if not br:
+                continue
+            hcol = self._hcols[c]
+            q, rem = divmod(br, hcol[r])
             if rem:
                 return None
-            if q:
-                hits.append((c, q))
-                for i, h in self._hcols[c]:
-                    b[i] -= q * h
-        if any(b):
+            hits.append((c, q))
+            _sub_multiple(b, q, hcol)
+        if b:
             return None
-        x = [0] * self.n
+        x: dict = {}
         for c, q in hits:
-            for i, v in self._vcols[c]:
-                x[i] += q * v
+            _sub_multiple(x, -q, self._vcols[c])
         return x
 
     def kernel(self) -> list:
-        return [[self.V[i][j] for i in range(self.n)] for j in self.kernel_cols]
+        """A basis of the integer kernel, as sparse vectors."""
+        return [dict(v) for v in self._kernel]
 
 
 def kernel_basis(A: list, n: int | None = None) -> list:
-    """Basis of {x in Z^n : A x = 0} (the full integer kernel, which is
-    automatically saturated)."""
-    return ColumnSolver(A, n).kernel()
+    """Basis of {x in Z^n : A x = 0} as dense lists (the full integer
+    kernel, which is automatically saturated)."""
+    solver = ColumnSolver(A, n)
+    return [[v.get(i, 0) for i in range(solver.n)] for v in solver.kernel()]
 
 
 class ZSpan:
@@ -256,63 +304,60 @@ class ZSpan:
     Rows are stored with strictly increasing leading columns, leading
     entries positive.  Insertion gcd-combines with the stored row of the
     same leading column, so membership testing is a single left-to-right
-    reduction pass.
+    reduction pass.  Vectors may be dense lists or sparse {index: value}
+    dicts; rows are stored sparse, and the reductions are the same
+    divmod and xgcd steps a dense row would take.
     """
 
     __slots__ = ("n", "rows", "leads")
 
     def __init__(self, n: int):
         self.n = n
-        self.rows = []  # sorted by leading column
+        self.rows = []  # sparse, sorted by leading column
         self.leads = []  # cached leading column of each row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    @staticmethod
-    def _lead(v):
-        for i, a in enumerate(v):
-            if a:
-                return i
-        return None
-
     def contains(self, v) -> bool:
-        v = list(v)
-        for p, row in zip(self.leads, self.rows):
-            if v[p]:
-                q, rem = divmod(v[p], row[p])
-                if rem:
-                    return False
-                v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
-        return not any(v)
+        v = _sparse(v, self.n)
+        while v:
+            p = min(v)
+            pos = bisect_left(self.leads, p)
+            # rows led further right never reach column p
+            if pos == len(self.leads) or self.leads[pos] != p:
+                return False
+            row = self.rows[pos]
+            q, rem = divmod(v[p], row[p])
+            if rem:
+                return False
+            _sub_multiple(v, q, row)
+        return True
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the span grew."""
-        v = list(v)
+        v = _sparse(v, self.n)
         grew = False
-        while True:
-            p = self._lead(v)
-            if p is None:
-                return grew
+        while v:
+            p = min(v)
             pos = bisect_left(self.leads, p)
             if pos == len(self.leads) or self.leads[pos] != p:
                 if v[p] < 0:
-                    v = [-a for a in v]
+                    v = _negate(v)
                 self.rows.insert(pos, v)
                 self.leads.insert(pos, p)
                 return True
             match = self.rows[pos]
             q, rem = divmod(v[p], match[p])
             if rem == 0:
-                v = [a - q * b for a, b in zip(v, match)]
+                _sub_multiple(v, q, match)
             else:
                 g, x, y = xgcd(match[p], v[p])
                 a, b = match[p] // g, v[p] // g
-                new = [x * s + y * t for s, t in zip(match, v)]
-                v = [-b * s + a * t for s, t in zip(match, v)]
-                self.rows[pos] = new
+                self.rows[pos], v = _combine(match, v, x, y, -b, a)
                 grew = True
+        return grew
 
 
 def smith_diagonal_sparse(entries: dict) -> list:

@@ -109,15 +109,13 @@ def act_word(G: SmallGroup, g: int, w: ZGWord) -> ZGWord:
     return word(w.degree, ((c, G.mul(g, e), j) for c, e, j in w.terms))
 
 
-def word_to_vec(G: SmallGroup, rank: int, w: ZGWord) -> list:
-    v = [0] * (G.n * rank)
-    for c, e, j in w.terms:
-        v[j * G.n + e] = c
-    return v
+def word_to_vec(G: SmallGroup, w: ZGWord) -> dict:
+    """w as a sparse vector {j*|G| + e: coefficient} over Z."""
+    return {j * G.n + e: c for c, e, j in w.terms}
 
 
-def vec_to_word(G: SmallGroup, degree: int, v) -> ZGWord:
-    return word(degree, ((c, i % G.n, i // G.n) for i, c in enumerate(v) if c))
+def vec_to_word(G: SmallGroup, degree: int, v: dict) -> ZGWord:
+    return word(degree, ((c, i % G.n, i // G.n) for i, c in v.items()))
 
 
 class FreeResolution:
@@ -270,14 +268,15 @@ def bar_resolution(G, n: int) -> FreeResolution:
 
 def _select_generators(G: SmallGroup, rank: int, kb: list):
     """Greedy ZG-generators of the integer span of kb, smallest support first."""
+    size = G.n * rank
     cands = []
     for v in kb:
-        lead = next((a for a in v if a), 0)
-        if lead < 0:
-            v = [-a for a in v]
+        if v[min(v)] < 0:
+            v = {i: -a for i, a in v.items()}
         cands.append(v)
-    cands.sort(key=lambda v: (sum(1 for a in v if a), v))
-    span = ZSpan(G.n * rank)
+    # ties in support size go by the dense vectors' lexicographic order
+    cands.sort(key=lambda v: (len(v), [v.get(i, 0) for i in range(size)]))
+    span = ZSpan(size)
     chosen = []
     for v in cands:
         if span.contains(v):
@@ -285,7 +284,7 @@ def _select_generators(G: SmallGroup, rank: int, kb: list):
         w = vec_to_word(G, 0, v)
         chosen.append(w)
         for g in range(G.n):
-            span.insert(word_to_vec(G, rank, act_word(G, g, w)))
+            span.insert(word_to_vec(G, act_word(G, g, w)))
     for v in cands:
         if not span.contains(v):
             raise InvariantViolation("selected generators do not span the kernel")
@@ -320,7 +319,7 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
     solvers = []
     flat = [[1] * G.n]  # the augmentation, flattened
     for k in range(n):
-        solver = ColumnSolver(flat)
+        solver = ColumnSolver(flat, G.n * ranks[k])
         solvers.append(solver)
         kb = solver.kernel()
         chosen = _select_generators(G, ranks[k], kb)
@@ -328,12 +327,15 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
             raise InvariantViolation("kernel collapsed early; finite groups never do")
         d[k + 1] = tuple(ZGWord(k, w.terms) for w in chosen)
         ranks.append(len(chosen))
-        cols = []
+        # d_{k+1} flattened: one column per (generator, element), as sparse rows
+        flat = [{} for _ in range(G.n * ranks[k])]
+        col = 0
         for w in d[k + 1]:
             for e in range(G.n):
-                cols.append(word_to_vec(G, ranks[k], act_word(G, e, w)))
-        flat = [[cols[c][r] for c in range(len(cols))] for r in range(G.n * ranks[k])]
-    solvers.append(ColumnSolver(flat))
+                for i, c in word_to_vec(G, act_word(G, e, w)).items():
+                    flat[i][col] = c
+                col += 1
+    solvers.append(ColumnSolver(flat, G.n * ranks[n]))
 
     # homotopy, degree by degree: solve d_{k+1} y = x - h_{k-1}(d_k x)
     table: dict = {}
@@ -343,7 +345,6 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
 
     res = FreeResolution(G, ranks, d, (1,), homotopy, verify=False)
     for k in range(n):
-        rhs_rank = ranks[k]
         for j in range(ranks[k]):
             for e in range(G.n):
                 x = word(k, [(1, e, j)])
@@ -352,7 +353,7 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
                 else:
                     corr = res.apply_h(k - 1, res.apply_d(k, x))
                 target = word_add(x, word_scale(-1, corr))
-                y = solvers[k + 1].solve(word_to_vec(G, rhs_rank, target))
+                y = solvers[k + 1].solve(word_to_vec(G, target))
                 if y is None:
                     raise InvariantViolation("homotopy solve failed; kernel not spanned")
                 table[(k, e, j)] = vec_to_word(G, k + 1, y)
@@ -503,7 +504,7 @@ def _unimodular_inverse(U: list) -> list:
         if x is None:
             raise InvariantViolation("matrix is not unimodular")
         cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [[cols[j].get(i, 0) for j in range(n)] for i in range(n)]
 
 
 class _HomologyCoords:
@@ -527,7 +528,7 @@ class _HomologyCoords:
             if y is None:
                 raise InvariantViolation("boundary is not a cycle")
             Y.append(y)
-        Ym = [[Y[j][i] for j in range(len(Y))] for i in range(len(kb))]
+        Ym = [[Y[j].get(i, 0) for j in range(len(Y))] for i in range(len(kb))]
         diag, U, _ = smith_normal_form(Ym)
         self.U = U
         self.orders = [
@@ -540,7 +541,7 @@ class _HomologyCoords:
             raise InvariantViolation("vector is not a cycle")
         out = []
         for i, row in enumerate(self.U):
-            a = sum(r * x for r, x in zip(row, u))
+            a = sum(row[j] * x for j, x in u.items())
             m = self.orders[i]
             out.append(a % m if m else a)
         return out

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from permhomology.catalog import (
 )
 from permhomology.errors import CapExceeded
 from permhomology.homology import resolution_homology
-from permhomology.perm import inv, mul
-from permhomology.permgroup import fingerprint
+from permhomology.perm import identity, inv, mul
+from permhomology.permgroup import PermGroup, fingerprint
 from permhomology.resolution import (
     ChainMap,
     FreeResolution,
@@ -63,7 +64,8 @@ def test_word_vec_roundtrip():
                 for _ in range(6)
             ],
         )
-        v = word_to_vec(G, 3, w)
+        v = word_to_vec(G, w)
+        assert all(0 <= i < 3 * G.n and c for i, c in v.items())
         assert vec_to_word(G, 2, v) == w
 
 
@@ -230,6 +232,34 @@ def test_cache_wrong_group(tmp_path):
         load_resolution(str(path), SmallGroup(cyclic(4)))
     back = load_resolution(str(path), R.G)
     assert back.ranks == R.ranks
+
+
+def _stabilizer_in_s6(points):
+    """The setwise stabilizer of points in S6, generated by all of its
+    elements in sorted order, as the flags wall route builds it."""
+    e = identity(6)
+    return PermGroup(
+        [g for g in sorted(symmetric(6).elements())
+         if set(g[: len(points)]) == set(points) and g != e]
+    )
+
+
+# sha256 of the save_resolution JSON, recorded before the echelon engine
+# went sparse; the engine must reproduce every resolution bit for bit
+@pytest.mark.parametrize("make, depth, ranks, sha256", [
+    (lambda: symmetric(4), 3, (1, 3, 6, 10),
+     "dd6a9fef3bd86bb9cb550cceb9755644cc15977014c09654f0adfaf2f5667eb2"),
+    (lambda: _stabilizer_in_s6((0, 1)), 3, (1, 4, 10, 20),
+     "7ee719a57a46f3c40d3e4d0ae37a8a5c7dd3cecf995be4590dc4665f0fdc1c6b"),
+    (lambda: _stabilizer_in_s6((0, 1, 2, 3)), 3, (1, 4, 10, 21),
+     "c96c4ed8574951f82ea14e56e5deb3fb646495f93929793f322ba3a1053dd350"),
+], ids=["S4", "S6-stab-pair", "S6-stab-4set"])
+def test_small_resolutions_are_pinned(tmp_path, make, depth, ranks, sha256):
+    R = resolution_small(make(), depth)
+    assert R.ranks == ranks
+    path = tmp_path / "res.json"
+    save_resolution(R, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 # -- chain maps and induced maps on homology -----------------------------
