@@ -80,13 +80,17 @@ def _restrict(inv: AbelianInvariants, primes) -> list:
 # -- homology ------------------------------------------------------------
 
 
-def _sylow_invariants(G, p, n, seed):
+def _sylow_invariants(G, p, degrees, seed):
+    """{n: p-torsion of H_n(G)} over degrees, and the method used."""
     if G.order() % p:
-        return [], "sylow"
+        return {n: [] for n in degrees}, "sylow"
     if p_part(G.order(), p) == p:
-        return list(cyclic_sylow_ppart(G, p, n).torsion), "sylow"
+        return {
+            n: list(cyclic_sylow_ppart(G, p, n).torsion) for n in degrees
+        }, "sylow"
     P = sylow_ascent(G, p, seed=seed)
-    return list(ce_ppart_general(G, P, n).torsion), "sylow-ce"
+    parts = ce_ppart_general(G, P, degrees)
+    return {n: list(parts[n].torsion) for n in degrees}, "sylow-ce"
 
 
 def _polygon_complex(G: PermGroup):
@@ -169,13 +173,16 @@ def _cmd_homology(args):
         if restriction is None:
             raise ValueError("--method sylow needs -p or --p-min")
         primes = _prime_list(G.order(), args.prime, args.p_min)
+        parts: dict = {n: [] for n in degrees}
+        used = "sylow"
+        # one pass per prime covers every degree; each degree reports
+        # the method of the last prime
+        for p in primes:
+            tors, used = _sylow_invariants(G, p, degrees, args.seed)
+            for n in degrees:
+                parts[n] += [(min(factor(q)), q) for q in tors[n]]
         for n in degrees:
-            parts = []
-            used = "sylow"
-            for p in primes:
-                tor, used = _sylow_invariants(G, p, n, args.seed)
-                parts += [(min(factor(q)), q) for q in tor]
-            inv = [q for _, q in sorted(parts)]
+            inv = [q for _, q in sorted(parts[n])]
             results.append({"degree": n, "invariants": inv, "method": used})
     else:
         if method == "small":

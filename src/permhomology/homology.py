@@ -11,11 +11,14 @@ of prime order: Z_p exactly in degrees 2ek - 1 where e is the Weyl
 exponent.  ce_ppart_general quotients H_n(P) by the stable-element
 kernel: for each double coset PxP the two inclusions of K = P n xPx~
 into P are lifted to chain maps and the differences of their induced
-images are divided out.  Conjugating with x or with x~ both give
-well-defined inclusions (with K intersected on the matching side) and,
-over the full double-coset loop, the same quotient.  The route uses
-"intersect-right" and reports it alongside results; check_ce_convention
-compares it with the resolution oracle on small groups.
+images are divided out.  It takes a whole range of degrees at once,
+so the CLI calls it once per prime: the double cosets, the resolutions
+and the chain maps are built once, to the top degree, and each degree
+then costs only its induced maps and one Smith form.  Conjugating with x or with x~ both give well-defined
+inclusions (with K intersected on the matching side) and, over the full
+double-coset loop, the same quotient.  The route uses "intersect-right"
+and reports it alongside results; check_ce_convention compares it with
+the resolution oracle on small groups.
 """
 
 from __future__ import annotations
@@ -188,30 +191,36 @@ def _conjugator(convention: str, x):
 def ce_ppart_general(
     G: PermGroup,
     P: PermGroup,
-    n: int,
+    degrees,
     convention: str = CE_CONVENTION,
-) -> AbelianInvariants:
-    """p-part of H_n(G) as a quotient of H_n(P), P a Sylow p-subgroup.
+) -> dict:
+    """p-parts of H_n(G) as quotients of H_n(P), P a Sylow p-subgroup.
 
-    For every double coset rep x with nontrivial K, generators of
-    H_n(K) are pushed through the plain and the conjugated inclusion;
-    H_n(P) modulo the differences is the answer.  Needs |G| within the
-    double-coset cap and n >= 1.
+    degrees is one degree or an iterable of them, all >= 1; the answer
+    is {n: AbelianInvariants}.  For every double coset rep x with
+    nontrivial K, generators of H_n(K) are pushed through the plain and
+    the conjugated inclusion; H_n(P) modulo the differences is the
+    answer.  The double cosets, the resolutions of P and of each K and
+    the chain maps are built and checked once, to one past the top
+    degree; they grow degree by degree, so each degree reads a prefix
+    of them.  Needs |G| within the double-coset cap.
     """
-    if n < 1:
+    degrees = sorted({degrees} if isinstance(degrees, int) else set(degrees))
+    if not degrees or degrees[0] < 1:
         raise ValueError("stable-element reduction applies in degrees >= 1")
     if P.order() == 1:
-        return TRIVIAL
+        return {n: TRIVIAL for n in degrees}
     po = P.order()
     p = min(factor(po))
     if p_part(po, p) != po or p_part(G.order(), p) != po:
         raise ValueError("P must be a Sylow p-subgroup of G")
 
+    depth = degrees[-1] + 1
     pels = frozenset(P.elements())
     idn = identity(G.degree)
-    RP = resolution_small(P, n + 1)
-    orders = None
-    rel_cols = []
+    RP = resolution_small(P, depth)
+    orders: dict = {}
+    rel_cols: dict = {n: [] for n in degrees}
     for x in double_cosets(G, P, cap=DOUBLE_COSET_CAP):
         if x == idn:
             continue
@@ -223,20 +232,30 @@ def ce_ppart_general(
             RK = RP
         else:
             RK = resolution_small(
-                PermGroup([k for k in kels if k != idn], G.degree), n + 1
+                PermGroup([k for k in kels if k != idn], G.degree), depth
             )
         inc = chain_map(lambda k: k, RK, RP)
         con = chain_map(phi, RK, RP)
-        s1, t1, M1 = homology_action(inc, n)
-        s2, t2, M2 = homology_action(con, n)
-        if s1 != s2 or t1 != t2:
-            raise InvariantViolation("induced-map coordinates disagree")
-        orders = t1
-        for i in range(len(s1)):
-            rel_cols.append([M1[r][i] - M2[r][i] for r in range(len(t1))])
-    if orders is None:
-        orders = resolution_homology(RP, n).torsion
+        for n in degrees:
+            s1, t1, M1 = homology_action(inc, n)
+            s2, t2, M2 = homology_action(con, n)
+            if s1 != s2 or t1 != t2:
+                raise InvariantViolation("induced-map coordinates disagree")
+            orders[n] = t1
+            rel_cols[n].extend(
+                [M1[r][i] - M2[r][i] for r in range(len(t1))] for i in range(len(s1))
+            )
+    out = {}
+    for n in degrees:
+        tor = orders.get(n)
+        if tor is None:
+            tor = resolution_homology(RP, n).torsion
+        out[n] = _quotient(tor, rel_cols[n])
+    return out
 
+
+def _quotient(orders, rel_cols: list) -> AbelianInvariants:
+    """The group with Smith orders `orders` modulo the relation columns."""
     r = len(orders)
     ent: dict = {}
     for i, m in enumerate(orders):
@@ -262,15 +281,16 @@ def ce_convention() -> str:
 def check_ce_convention() -> None:
     """Compare the stable-element route with the resolution oracle.
 
-    S3 at p = 3 and A4 at p = 2 and 3, in degrees 1..3; any difference
-    raises InvariantViolation.
+    S3 at p = 3 and A4 at p = 2 and 3, in degrees 1..3 from one range
+    call each; any difference raises InvariantViolation.
     """
     for G, p in ((symmetric(3), 3), (alternating(4), 2), (alternating(4), 3)):
         P = sylow_ascent(G, p)
         R = resolution_small(G, 4)
+        got_all = ce_ppart_general(G, P, (1, 2, 3))
         for k in range(1, 4):
             want = resolution_homology(R, k).ppart(p)
-            got = ce_ppart_general(G, P, k)
+            got = got_all[k]
             if got != want:
                 raise InvariantViolation(
                     f"stable elements give {got} for the {p}-part of H_{k} "

@@ -140,9 +140,5 @@ def from_images_1based(images, n: int | None = None) -> tuple:
     return tuple(a - 1 for a in images)
 
 
-def to_images_1based(p: tuple) -> list:
-    return [a + 1 for a in p]
-
-
 def support(p: tuple) -> tuple:
     return tuple(i for i, j in enumerate(p) if i != j)

@@ -24,6 +24,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceeded, InvariantViolation
 from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
@@ -109,6 +110,23 @@ def act_word(G: SmallGroup, g: int, w: ZGWord) -> ZGWord:
     return word(w.degree, ((c, G.mul(g, e), j) for c, e, j in w.terms))
 
 
+def _word_sum(G: SmallGroup, degree: int, terms) -> ZGWord:
+    """The sum of c * (g . w) over the (c, g, w) in terms, as one word.
+
+    One dict accumulates every term through the rows of G's table and
+    is sorted once, into the canonical form word() gives.
+    """
+    acc: dict = {}
+    get = acc.get
+    for c, g, w in terms:
+        row = G._mul[g]
+        for a, e, j in w.terms:
+            k = (j, row[e])
+            acc[k] = get(k, 0) + c * a
+    terms = tuple((acc[k], k[1], k[0]) for k in sorted(acc) if acc[k])
+    return ZGWord(degree, terms)
+
+
 def word_to_vec(G: SmallGroup, w: ZGWord) -> dict:
     """w as a sparse vector {j*|G| + e: coefficient} over Z."""
     return {j * G.n + e: c for c, e, j in w.terms}
@@ -153,12 +171,15 @@ class FreeResolution:
         return sum(c * self.aug[j] for c, _, j in w.terms)
 
     def apply_d(self, k: int, w: ZGWord) -> ZGWord:
-        out = [word_scale(c, act_word(self.G, e, self._d[k][j])) for c, e, j in w.terms]
-        return word_add(ZGWord(k - 1, ()), *out)
+        d = self._d[k]
+        return _word_sum(self.G, k - 1, ((c, e, d[j]) for c, e, j in w.terms))
 
     def apply_h(self, k: int, w: ZGWord) -> ZGWord:
-        out = [word_scale(c, self._h(k, e, j)) for c, e, j in w.terms]
-        return word_add(ZGWord(k + 1, ()), *out)
+        # the homotopy is not equivariant: each term is its own image
+        one = self.G.id
+        return _word_sum(
+            self.G, k + 1, ((c, one, self._h(k, e, j)) for c, e, j in w.terms)
+        )
 
     def boundary_matrix_z(self, k: int) -> list:
         """d_k with the group collapsed to Z (coefficient sums)."""
@@ -429,12 +450,7 @@ class ChainMap:
 
     def push(self, w: ZGWord) -> ZGWord:
         """Image of a source word: phi on coefficients, maps on generators."""
-        T = self.target.G
-        out = [
-            word_scale(c, act_word(T, self.elem_map[e], self.maps[w.degree][j]))
-            for c, e, j in w.terms
-        ]
-        return word_add(ZGWord(w.degree, ()), *out)
+        return _push(self.target.G, self.elem_map, self.maps, w)
 
     def matrix_z(self, k: int) -> list:
         M = [[0] * self.source.ranks[k] for _ in range(self.target.ranks[k])]
@@ -442,6 +458,11 @@ class ChainMap:
             for c, _, i in self.maps[k][j].terms:
                 M[i][j] += c
         return M
+
+
+def _push(T: SmallGroup, emap, maps, w: ZGWord) -> ZGWord:
+    imgs = maps[w.degree]
+    return _word_sum(T, w.degree, ((c, emap[e], imgs[j]) for c, e, j in w.terms))
 
 
 def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainMap:
@@ -467,19 +488,11 @@ def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainM
 
     depth = min(R_source.length, R_target.length)
     maps = [tuple(word_scale(a, R_target.section()) for a in R_source.aug)]
-
-    def push(w):
-        out = [
-            word_scale(c, act_word(T, emap[e], maps[w.degree][j]))
-            for c, e, j in w.terms
-        ]
-        return word_add(ZGWord(w.degree, ()), *out)
-
     for k in range(1, depth + 1):
         imgs = []
         for j in range(R_source.ranks[k]):
-            pushed = push(R_source.apply_d(k, word(k, [(1, S.id, j)])))
-            imgs.append(R_target.apply_h(k - 1, pushed))
+            dx = R_source.apply_d(k, word(k, [(1, S.id, j)]))
+            imgs.append(R_target.apply_h(k - 1, _push(T, emap, maps, dx)))
         maps.append(tuple(imgs))
     cm = ChainMap(R_source, R_target, emap, tuple(maps))
 
@@ -546,8 +559,12 @@ class _HomologyCoords:
             out.append(a % m if m else a)
         return out
 
+    @cached_property
+    def _U_inverse(self) -> list:
+        return _unimodular_inverse(self.U)
+
     def representative(self, i: int) -> list:
-        Uinv = _unimodular_inverse(self.U)
+        Uinv = self._U_inverse
         col = [Uinv[r][i] for r in range(len(Uinv))]
         n = len(self.cycles[0]) if self.cycles else 0
         return [sum(self.cycles[j][r] * col[j] for j in range(len(col))) for r in range(n)]
@@ -576,14 +593,3 @@ def homology_action(cm: ChainMap, k: int):
         cols.append([co[t] for t in tgt_pos])
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt_pos))]
     return src.invariants(), tgt.invariants(), mat
-
-
-def power_map_homology_cyclic(p: int, m: int, k: int) -> int:
-    """Multiplier of the power map x -> x^m on H_{2k-1} of a cyclic p-group."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be prime")
-    if m % p == 0:
-        raise ValueError("m must be prime to p")
-    if k < 1:
-        raise ValueError("k must be positive")
-    return pow(m, k, p)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from permhomology import cli, polytope, sylow
+from permhomology import cli, homology, polytope, sylow
 from permhomology.catalog import group_from_cycles
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -259,16 +259,50 @@ def test_edge_degree_vertex_range(capsys):
 
 
 def test_edge_degree_matches_benchmark_record(capsys):
+    request = "edge-degree M11 --vector 1,1,1,0,0,0,0,0,0,0,0"
+    d = run_json(capsys, *request.split())
+    d.pop("seed")
+    assert d == _benchmark_record(request)
+
+
+def _benchmark_record(request):
     # bench/expected.json holds the benchmark's recorded answers, keyed
     # by request without --seed; it is only read here
-    request = "edge-degree M11 --vector 1,1,1,0,0,0,0,0,0,0,0"
     path = os.path.join(os.path.dirname(__file__), "..", "bench",
                         "expected.json")
     with open(path) as fh:
-        want = json.load(fh)[request]
-    d = run_json(capsys, *request.split())
+        return json.load(fh)[request]
+
+
+@pytest.mark.parametrize("request_", [
+    "homology M11 -n 1 --to 3 -p 2",
+    "homology M21 -n 1 --to 3 -p 3",
+])
+def test_stable_element_range_matches_benchmark_record(capsys, request_):
+    d = run_json(capsys, *request_.split())
     d.pop("seed")
-    assert d == want
+    assert d == _benchmark_record(request_)
+
+
+def test_sylow_route_builds_once_per_prime(capsys, monkeypatch):
+    calls = {"sylow_ascent": 0, "double_cosets": 0, "ce_ppart_general": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(cli, "sylow_ascent")
+    counted(cli, "ce_ppart_general")
+    counted(homology, "double_cosets")
+    d = run_json(capsys, "homology", "M11", "-n", "1", "--to", "6", "-p", "3")
+    assert [r["degree"] for r in d["results"]] == [1, 2, 3, 4, 5, 6]
+    assert {r["method"] for r in d["results"]} == {"sylow-ce"}
+    assert calls == {"sylow_ascent": 1, "double_cosets": 1, "ce_ppart_general": 1}
 
 
 def test_resolution_report(capsys):

@@ -7,7 +7,14 @@ import pytest
 
 import permhomology
 from permhomology import homology
-from permhomology.catalog import alternating, cyclic, klein_four, mathieu, symmetric
+from permhomology.catalog import (
+    alternating,
+    cyclic,
+    dihedral,
+    klein_four,
+    mathieu,
+    symmetric,
+)
 from permhomology.errors import InvariantViolation
 from permhomology.homology import (
     TRIVIAL,
@@ -157,7 +164,10 @@ def test_ce_convention_computes_nothing():
 
 def test_check_ce_convention_fails_hard(monkeypatch):
     wrong = AbelianInvariants(0, (5,))
-    monkeypatch.setattr(homology, "ce_ppart_general", lambda *a, **k: wrong)
+    monkeypatch.setattr(
+        homology, "ce_ppart_general",
+        lambda G, P, degrees, **k: {n: wrong for n in degrees},
+    )
     with pytest.raises(InvariantViolation, match="oracle"):
         check_ce_convention()
 
@@ -168,15 +178,15 @@ def test_ce_matches_oracle_small():
         R = resolution_small(grp, 4)
         for n in (1, 2, 3):
             want = resolution_homology(R, n).ppart(p)
-            assert ce_ppart_general(grp, P, n) == want
+            assert ce_ppart_general(grp, P, n)[n] == want
 
 
 def test_ce_both_conventions_agree():
     grp = alternating(4)
     P = sylow_ascent(grp, 2)
     for n in (1, 2, 3):
-        a = ce_ppart_general(grp, P, n, convention="intersect-right")
-        b = ce_ppart_general(grp, P, n, convention="intersect-left")
+        a = ce_ppart_general(grp, P, n, convention="intersect-right")[n]
+        b = ce_ppart_general(grp, P, n, convention="intersect-left")[n]
         assert a == b
 
 
@@ -185,7 +195,7 @@ def test_ce_matches_closed_form_mathieu():
         grp = mathieu(m)
         P = sylow_ascent(grp, p)
         for n in (1, 2, 3):
-            assert ce_ppart_general(grp, P, n) == cyclic_sylow_ppart(grp, p, n)
+            assert ce_ppart_general(grp, P, n)[n] == cyclic_sylow_ppart(grp, p, n)
 
 
 def test_ce_rejects():
@@ -196,4 +206,30 @@ def test_ce_rejects():
     P = sylow_ascent(symmetric(3), 3)
     with pytest.raises(ValueError):
         ce_ppart_general(symmetric(3), P, 0)
-    assert ce_ppart_general(symmetric(3), PermGroup([], 3), 2) == TRIVIAL
+    with pytest.raises(ValueError):
+        ce_ppart_general(symmetric(3), P, (1, 0, 2))
+    with pytest.raises(ValueError):
+        ce_ppart_general(symmetric(3), P, ())
+    assert ce_ppart_general(symmetric(3), PermGroup([], 3), 2) == {2: TRIVIAL}
+    assert ce_ppart_general(symmetric(3), PermGroup([], 3), (1, 3)) == {
+        1: TRIVIAL, 3: TRIVIAL,
+    }
+
+
+@pytest.mark.parametrize("grp, p, top", [
+    (symmetric(4), 2, 4), (symmetric(4), 3, 4),
+    (alternating(4), 2, 4), (alternating(4), 3, 4),
+    (symmetric(5), 2, 4), (symmetric(5), 3, 4),
+    (dihedral(8), 2, 4), (dihedral(8), 3, 4),  # D8 by the catalog, order 16
+    (mathieu(11), 3, 6),
+], ids=["S4-2", "S4-3", "A4-2", "A4-3", "S5-2", "S5-3", "D8-2", "D8-3",
+        "M11-3"])
+def test_ce_range_matches_single_degrees(grp, p, top):
+    P = sylow_ascent(grp, p)
+    degrees = range(1, top + 1)
+    got = ce_ppart_general(grp, P, degrees)
+    assert sorted(got) == list(degrees)
+    for n in degrees:
+        assert got[n] == ce_ppart_general(grp, P, n)[n]
+    # any iterable and any order give the same answer
+    assert ce_ppart_general(grp, P, reversed(degrees)) == got

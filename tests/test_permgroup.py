@@ -13,9 +13,13 @@ from permhomology.perm import (
     order,
     parse_cycles,
     power,
-    to_images_1based,
 )
 from permhomology.permgroup import PermGroup
+
+
+def to_images_1based(p: tuple) -> list:
+    """The JSON input form of p, the inverse of from_images_1based."""
+    return [a + 1 for a in p]
 
 
 def mulclose(gens, degree, maxsize=200000):

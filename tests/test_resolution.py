@@ -15,6 +15,7 @@ from permhomology.homology import resolution_homology
 from permhomology.perm import identity, inv, mul
 from permhomology.permgroup import PermGroup, fingerprint
 from permhomology.resolution import (
+    _word_sum,
     ChainMap,
     FreeResolution,
     SmallGroup,
@@ -24,7 +25,6 @@ from permhomology.resolution import (
     chain_map,
     homology_action,
     load_resolution,
-    power_map_homology_cyclic,
     resolution_small,
     save_resolution,
     vec_to_word,
@@ -33,6 +33,17 @@ from permhomology.resolution import (
     word_scale,
     word_to_vec,
 )
+
+
+def power_map_homology_cyclic(p: int, m: int, k: int) -> int:
+    """Multiplier of the power map x -> x^m on H_{2k-1} of a cyclic p-group."""
+    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        raise ValueError("p must be prime")
+    if m % p == 0:
+        raise ValueError("m must be prime to p")
+    if k < 1:
+        raise ValueError("k must be positive")
+    return pow(m, k, p)
 
 
 def invariants_through(R, kmax):
@@ -75,6 +86,66 @@ def test_act_word_inverse():
     for g in range(G.n):
         back = act_word(G, G.inverse[g], act_word(G, g, w))
         assert back == w
+
+
+# -- the one-dict merge against word_add/word_scale/act_word ---------------
+
+
+def word_sum_oracle(G, degree, terms):
+    """sum of c * (g . w), one sorted word per term, merged by word_add."""
+    out = [word_scale(c, act_word(G, g, w)) for c, g, w in terms]
+    return word_add(ZGWord(degree, ()), *out)
+
+
+def random_word(rng, G, degree, rank, size):
+    return word(degree, [
+        (rng.randrange(-3, 4), rng.randrange(G.n), rng.randrange(rank))
+        for _ in range(rng.randrange(size + 1))
+    ])
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric(4), lambda: dihedral(12)],
+                         ids=["S4", "D12"])
+def test_word_sum_matches_word_oracle(make):
+    G = SmallGroup(make())
+    rng = random.Random(5)
+    for _ in range(200):
+        terms = [
+            (rng.randrange(-3, 4), rng.randrange(G.n), random_word(rng, G, 2, 3, 6))
+            for _ in range(rng.randrange(6))
+        ]
+        assert _word_sum(G, 2, terms) == word_sum_oracle(G, 2, terms)
+    # terms that cancel leave the zero word
+    w = random_word(rng, G, 1, 2, 5)
+    assert _word_sum(G, 1, [(2, 3, w), (-1, 3, w), (-1, 3, w)]).terms == ()
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric(4), lambda: dihedral(12)],
+                         ids=["S4", "D12"])
+def test_apply_and_push_match_word_oracle(make):
+    grp = make()
+    R = resolution_small(grp, 3)
+    G = R.G
+    t = grp.generators[0]
+    cm = chain_map(lambda g: mul(t, mul(g, inv(t))), R, R)
+    rng = random.Random(7)
+    for k in range(R.length + 1):
+        for _ in range(40):
+            w = random_word(rng, G, k, R.ranks[k], 8)
+            if k >= 1:
+                want = word_sum_oracle(G, k - 1, [
+                    (c, e, R.boundary(k, j)) for c, e, j in w.terms
+                ])
+                assert R.apply_d(k, w) == want
+            if k < R.length:
+                want = word_add(ZGWord(k + 1, ()), *[
+                    word_scale(c, R.h(k, e, j)) for c, e, j in w.terms
+                ])
+                assert R.apply_h(k, w) == want
+            want = word_sum_oracle(G, k, [
+                (c, cm.elem_map[e], cm.maps[k][j]) for c, e, j in w.terms
+            ])
+            assert cm.push(w) == want
 
 
 def test_small_group_table():
