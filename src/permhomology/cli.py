@@ -85,12 +85,11 @@ def _sylow_invariants(G, p, degrees, seed):
     if G.order() % p:
         return {n: [] for n in degrees}, "sylow"
     if p_part(G.order(), p) == p:
-        return {
-            n: list(cyclic_sylow_ppart(G, p, n).torsion) for n in degrees
-        }, "sylow"
-    P = sylow_ascent(G, p, seed=seed)
-    parts = ce_ppart_general(G, P, degrees)
-    return {n: list(parts[n].torsion) for n in degrees}, "sylow-ce"
+        parts, method = cyclic_sylow_ppart(G, p, degrees), "sylow"
+    else:
+        P = sylow_ascent(G, p, seed=seed)
+        parts, method = ce_ppart_general(G, P, degrees), "sylow-ce"
+    return {n: list(parts[n].torsion) for n in degrees}, method
 
 
 def _polygon_complex(G: PermGroup):
@@ -130,6 +129,8 @@ def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
 
 
 def _cmd_homology(args):
+    if args.degree < 0:
+        raise ValueError("--degree must be at least 0")
     G = _group(args.group)
     top = args.to if args.to is not None else args.degree
     if top < args.degree:
@@ -315,6 +316,8 @@ def _cmd_edge_degree(args):
 
 
 def _cmd_resolution(args):
+    if args.length < 1:
+        raise ValueError("--length must be at least 1")
     G = _group(args.group)
     if args.method == "bar":
         R = bar_resolution(G, args.length)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-import json
 
 from .coxeter import DComplex, essential_poset, simplex_face_counts
 from .errors import CapExceeded, InvariantViolation
@@ -352,42 +351,6 @@ class EquivariantCellComplex:
 
     def chain_ranks(self) -> tuple:
         return tuple(len(layer) for layer in self.chain)
-
-    def to_json(self) -> str:
-        def orbit(o: CellOrbit):
-            return {
-                "dim": o.dim,
-                "rep": _json_cell(o.rep),
-                "stab": [list(g) for g in o.stab.generators],
-                "stab_order": o.stab_order,
-                "chi": list(o.chi),
-                "size": o.size,
-                "boundary": [[c, list(g), j] for c, g, j in o.boundary],
-                "kind": o.kind,
-                "source": o.source,
-            }
-
-        return json.dumps(
-            {
-                "degree": self.group.degree,
-                "group_order": self.group.order(),
-                "generators": [list(g) for g in self.group.generators],
-                "max_dim": self.max_dim,
-                "counts": list(self.counts),
-                "chain_counts": list(self.chain_counts),
-                "replaced": [list(t) for t in self.replaced],
-                "raw": [[orbit(o) for o in layer] for layer in self.raw],
-                "chain": [[orbit(o) for o in layer] for layer in self.chain],
-            }
-        )
-
-
-def _json_cell(rep):
-    if isinstance(rep, tuple) and rep and rep[0] in ("apex", "cone"):
-        return [rep[0]] + [_json_cell(r) for r in rep[1:]]
-    if rep and isinstance(rep[0], tuple):
-        return [list(p) for p in rep]
-    return list(rep)
 
 
 # -- the decomposition engine -------------------------------------------

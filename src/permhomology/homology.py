@@ -138,32 +138,27 @@ def resolution_homology(R, k: int) -> AbelianInvariants:
 
 # -- closed-form p-part for prime-order Sylow subgroups ------------------
 
-_weyl_cache: dict = {}
+def cyclic_sylow_ppart(G: PermGroup, p: int, degrees) -> dict:
+    """p-parts of H_n(G) when the Sylow p-subgroup has order p (or 1).
 
-
-def _weyl(G: PermGroup, p: int):
-    key = (G.degree, tuple(sorted(G.generators)), p)
-    hit = _weyl_cache.get(key)
-    if hit is None:
-        hit = _weyl_cache[key] = weyl_exponent(G, p)
-    return hit
-
-
-def cyclic_sylow_ppart(G: PermGroup, p: int, n: int) -> AbelianInvariants:
-    """p-part of H_n(G) when the Sylow p-subgroup has order p (or 1).
-
-    Z_p exactly at n = 2ek - 1 for the Weyl exponent e and k >= 1;
-    trivial otherwise.  Raises ValueError when p^2 divides |G|.
+    degrees is one degree or an iterable of them, all >= 0; the answer
+    is {n: AbelianInvariants}.  Z_p exactly at n = 2ek - 1 for the Weyl
+    exponent e and k >= 1; trivial otherwise.  e is computed once per
+    call.  Raises ValueError when p^2 divides |G|.
     """
+    degrees = sorted({degrees} if isinstance(degrees, int) else set(degrees))
+    if not degrees or degrees[0] < 0:
+        raise ValueError("homology degrees must be >= 0")
     order = G.order()
     if order % p:
-        return TRIVIAL
+        return {n: TRIVIAL for n in degrees}
     if p_part(order, p) != p:
         raise ValueError(f"Sylow {p}-subgroup is not of prime order")
-    e = _weyl(G, p).exponent
-    if n >= 1 and (n + 1) % (2 * e) == 0:
-        return AbelianInvariants(0, (p,))
-    return TRIVIAL
+    period = 2 * weyl_exponent(G, p).exponent
+    return {
+        n: AbelianInvariants(0, (p,)) if n >= 1 and (n + 1) % period == 0 else TRIVIAL
+        for n in degrees
+    }
 
 
 # -- the general stable-element route ------------------------------------

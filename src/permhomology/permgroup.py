@@ -75,15 +75,32 @@ class OrbitData:
 
     def transporter(self, state) -> tuple:
         """Group element g with g.seed == state, read off the tree."""
-        i = self.index[state]
-        word = []
-        while self.parent[i] >= 0:
-            word.append(self.genidx[i])
-            i = self.parent[i]
-        g = identity(self.degree)
-        for gi in reversed(word):
-            g = mul(self.gens[gi], g)
-        return g
+        return tree_transporter(
+            self.parent, self.genidx, self.gens, self.degree, self.index[state]
+        )
+
+
+def tree_transporter(parent, genidx, gens, degree: int, i: int) -> tuple:
+    """Element carrying the root of a Schreier tree to node i.
+
+    parent[i] is the node that gens[genidx[i]] carried to node i, and -1
+    at the root; the element is the product of those generators along
+    the path from the root.
+    """
+    word = []
+    while parent[i] >= 0:
+        word.append(genidx[i])
+        i = parent[i]
+    g = identity(degree)
+    for gi in reversed(word):
+        g = mul(gens[gi], g)
+    return g
+
+
+def schreier_generator(g: tuple, u: tuple, v: tuple) -> tuple:
+    """v~ g u for the transporters u and v of the two ends of an edge
+    that g walks: an element of the stabilizer of the root."""
+    return mul(inv(v), mul(g, u))
 
 
 class PermGroup:
@@ -348,7 +365,7 @@ def schreier_stabilizer(group: PermGroup, od: OrbitData) -> PermGroup:
         for s in od.states:
             u = od.transporter(s)
             for g in group.generators:
-                yield mul(inv(od.transporter(od.act(g, s))), mul(g, u))
+                yield schreier_generator(g, u, od.transporter(od.act(g, s)))
 
     return generate_to_order(schreier_generators(), group.degree, total // len(od))
 

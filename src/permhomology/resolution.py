@@ -323,6 +323,8 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
     JSON dump keyed by the fingerprint is reused across runs and
     reloads bit-identically.
     """
+    if n < 1:
+        raise ValueError(f"resolution length must be at least 1, not {n}")
     if isinstance(G, PermGroup):
         G = SmallGroup(G)
     memo_key = (G.fingerprint(), n)

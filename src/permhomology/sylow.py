@@ -39,7 +39,15 @@ from .errors import CapExceeded, InvariantViolation
 from .intlinalg import p_part
 from .perm import conj, identity, inv, mul, power
 from .perm import order as perm_order
-from .permgroup import ENUM_CAP, OrbitData, PermGroup, generate_to_order, schreier_stabilizer
+from .permgroup import (
+    ENUM_CAP,
+    OrbitData,
+    PermGroup,
+    generate_to_order,
+    schreier_generator,
+    schreier_stabilizer,
+    tree_transporter,
+)
 
 CYCLIC_ORBIT_CAP = 4 * 10**6
 SUBGROUP_ORBIT_CAP = 200000
@@ -261,20 +269,14 @@ class CyclicConjOrbit:
         return _unpack_rows(hi[tree], lo[tree], self.G.degree)
 
     def transporter(self, idx: int) -> tuple:
-        word = []
-        while self.parent[idx] >= 0:
-            word.append(self.genidx[idx])
-            idx = self.parent[idx]
-        g = identity(self.G.degree)
-        for gi in reversed(word):
-            g = mul(self.G.generators[gi], g)
-        return g
+        return tree_transporter(
+            self.parent, self.genidx, self.G.generators, self.G.degree, idx
+        )
 
     def schreier_element(self, edge) -> tuple:
         delta, gi, eps = edge
-        return mul(
-            inv(self.transporter(eps)),
-            mul(self.G.generators[gi], self.transporter(delta)),
+        return schreier_generator(
+            self.G.generators[gi], self.transporter(delta), self.transporter(eps)
         )
 
     def aut_image(self) -> set:
@@ -342,10 +344,6 @@ def weyl_exponent(G: PermGroup, p: int, seed: int = 0) -> WeylData:
         element=x,
         witnesses=orb.witnesses(),
     )
-
-
-def normalizer_of_cyclic(G: PermGroup, x: tuple) -> PermGroup:
-    return CyclicConjOrbit(G, x).normalizer()
 
 
 def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -429,7 +427,7 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0) -> PermGroup:
         return best
     for x in ranked:
         try:
-            N = normalizer_of_cyclic(G, x)
+            N = CyclicConjOrbit(G, x).normalizer()
         except CapExceeded:
             continue
         if N.order() > ENUM_CAP:

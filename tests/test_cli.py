@@ -39,9 +39,26 @@ def test_homology_m24_seven_part(capsys):
 
 
 def test_homology_m23_degree_five_large_primes(capsys):
-    d = run_json(capsys, "homology", "M23", "-n", "5", "--p-min", "5")
+    request = "homology M23 -n 5 --p-min 5"
+    d = run_json(capsys, *request.split())
     assert d["results"][0]["invariants"] == [7]
     assert d["p_restriction"] == ">=5"
+    d.pop("seed")
+    assert d == _benchmark_record(request)
+
+
+@pytest.mark.parametrize("argv", [
+    "homology S4 -n -1",
+    "homology D4 -n -1 --method wall",
+    "homology M23 -n -1 -p 23",
+    "resolution S4 --length 0",
+    "resolution S4 --length -1",
+])
+def test_out_of_range_degree_is_bad_input(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "bad-input"
 
 
 def test_homology_degree_range_with_restriction(capsys):
@@ -196,6 +213,8 @@ def test_wythoff_m24_report(capsys):
     assert eo["vertex_stabilizer_order"] == 48
     assert sorted(o["stabilizer_order"] for o in eo["orbits"]) == \
         [6, 32, 96, 96, 96, 96]
+    d.pop("seed")
+    assert d == _benchmark_record("wythoff M24 --rings 0,1,2,3,4")
 
 
 def test_wythoff_orbit_mode(capsys):

@@ -120,16 +120,15 @@ def test_cyclic_sylow_patterns():
         (mathieu(21), 5, 4),
         (mathieu(21), 7, 6),
     ):
-        got = [n for n in range(1, 20) if cyclic_sylow_ppart(grp, p, n).torsion]
+        parts = cyclic_sylow_ppart(grp, p, range(1, 20))
+        got = [n for n in range(1, 20) if parts[n].torsion]
         assert got == [period * k - 1 for k in range(1, 20) if period * k - 1 < 20]
-        assert all(
-            cyclic_sylow_ppart(grp, p, n).torsion in ((), (p,)) for n in range(1, 8)
-        )
+        assert all(parts[n].torsion in ((), (p,)) for n in range(1, 8))
 
 
 def test_cyclic_sylow_absent_prime():
-    assert cyclic_sylow_ppart(mathieu(11), 7, 5) == TRIVIAL
-    assert cyclic_sylow_ppart(mathieu(22), 23, 21) == TRIVIAL
+    assert cyclic_sylow_ppart(mathieu(11), 7, 5)[5] == TRIVIAL
+    assert cyclic_sylow_ppart(mathieu(22), 23, 21)[21] == TRIVIAL
 
 
 def test_cyclic_sylow_rejects_higher_power():
@@ -137,6 +136,14 @@ def test_cyclic_sylow_rejects_higher_power():
         cyclic_sylow_ppart(mathieu(11), 2, 1)
     with pytest.raises(ValueError):
         cyclic_sylow_ppart(alternating(4), 2, 1)
+
+
+def test_cyclic_sylow_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        cyclic_sylow_ppart(mathieu(23), 23, -1)
+    with pytest.raises(ValueError):
+        cyclic_sylow_ppart(mathieu(11), 7, (0, -1))
+    assert cyclic_sylow_ppart(symmetric(3), 3, 0)[0] == TRIVIAL
 
 
 def test_ce_convention_selected():
@@ -194,8 +201,9 @@ def test_ce_matches_closed_form_mathieu():
     for m, p in ((11, 5), (11, 11), (12, 5), (12, 11)):
         grp = mathieu(m)
         P = sylow_ascent(grp, p)
+        closed = cyclic_sylow_ppart(grp, p, (1, 2, 3))
         for n in (1, 2, 3):
-            assert ce_ppart_general(grp, P, n)[n] == cyclic_sylow_ppart(grp, p, n)
+            assert ce_ppart_general(grp, P, n)[n] == closed[n]
 
 
 def test_ce_rejects():

@@ -10,6 +10,7 @@ import pytest
 
 from permhomology.catalog import alternating, cyclic, lookup, symmetric
 from permhomology.cli import main
+from permhomology.equivariant import flag_edge_orbits
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.permgroup import schreier_stabilizer
 from permhomology import polytope as pt
@@ -170,6 +171,30 @@ def test_pruned_degree_m11_two_sets():
     assert sweep == 18
     for i in range(len(pts)):
         assert pt.vertex_degree(pts, i, stabilizer_gens(G, pts, i)) == sweep
+
+
+@pytest.mark.parametrize("name, k, want", [
+    ("S5", 0, (5, 4, 10)),
+    ("S5", 1, (20, 4, 40)),
+    ("S5", 2, (60, 4, 120)),
+    ("S6", 0, (6, 5, 15)),
+    ("S6", 1, (30, 5, 75)),
+    ("A6", 0, (6, 5, 15)),
+    ("A6", 1, (30, 5, 75)),
+    ("M11", 1, (110, 10, 550)),
+])
+def test_flag_edge_orbits_match_lp_sweep(name, k, want):
+    # G is transitive on ordered (k+1)-tuples, so the G-orbit of
+    # (k+1, k, ..., 1, 0, ..., 0) is its whole S_n-orbit, and star
+    # counting in the flag complex must agree with the exact LP sweep
+    G = lookup(name)
+    v = tuple(range(k + 1, 0, -1)) + (0,) * (G.degree - k - 1)
+    pts = pt.orbit_points(G, v)
+    i = pts.index(v)
+    deg = pt.vertex_degree(pts, i, stabilizer_gens(G, pts, i))
+    star = flag_edge_orbits(G, range(k + 1))
+    assert (len(pts), deg, pt.edge_count(pts, deg)) == want
+    assert (star["vertex_count"], star["vertex_degree"], star["edge_count"]) == want
 
 
 def test_one_program_per_stabilizer_orbit(capsys, edge_gap_calls):

@@ -214,6 +214,11 @@ def test_homology_degree_bound():
 # -- small resolutions ---------------------------------------------------
 
 
+def test_small_needs_positive_length():
+    with pytest.raises(ValueError):
+        resolution_small(symmetric(3), 0)
+
+
 def test_small_z4_minimal():
     R = resolution_small(cyclic(4), 6)
     assert R.ranks == (1, 1, 1, 1, 1, 1, 1)
