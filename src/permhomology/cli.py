@@ -32,6 +32,7 @@ from .equivariant import (
 )
 from .errors import CapExceeded, InvariantViolation
 from .homology import (
+    TRIVIAL,
     AbelianInvariants,
     ce_convention,
     ce_ppart_general,
@@ -85,10 +86,14 @@ def _sylow_invariants(G, p, degrees, seed):
     if G.order() % p:
         return {n: [] for n in degrees}, "sylow"
     if p_part(G.order(), p) == p:
-        parts, method = cyclic_sylow_ppart(G, p, degrees), "sylow"
+        parts, method = cyclic_sylow_ppart(G, p, degrees, seed=seed), "sylow"
     else:
-        P = sylow_ascent(G, p, seed=seed)
-        parts, method = ce_ppart_general(G, P, degrees), "sylow-ce"
+        # H_0 = Z has no torsion; stable elements start at degree 1
+        parts, method = {n: TRIVIAL for n in degrees}, "sylow-ce"
+        positive = [n for n in degrees if n >= 1]
+        if positive:
+            P = sylow_ascent(G, p, seed=seed)
+            parts.update(ce_ppart_general(G, P, positive))
     return {n: list(parts[n].torsion) for n in degrees}, method
 
 

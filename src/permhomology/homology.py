@@ -138,13 +138,14 @@ def resolution_homology(R, k: int) -> AbelianInvariants:
 
 # -- closed-form p-part for prime-order Sylow subgroups ------------------
 
-def cyclic_sylow_ppart(G: PermGroup, p: int, degrees) -> dict:
+def cyclic_sylow_ppart(G: PermGroup, p: int, degrees, seed: int = 0) -> dict:
     """p-parts of H_n(G) when the Sylow p-subgroup has order p (or 1).
 
     degrees is one degree or an iterable of them, all >= 0; the answer
     is {n: AbelianInvariants}.  Z_p exactly at n = 2ek - 1 for the Weyl
     exponent e and k >= 1; trivial otherwise.  e is computed once per
-    call.  Raises ValueError when p^2 divides |G|.
+    call, from the element of order p that seed picks.  Raises
+    ValueError when p^2 divides |G|.
     """
     degrees = sorted({degrees} if isinstance(degrees, int) else set(degrees))
     if not degrees or degrees[0] < 0:
@@ -154,7 +155,7 @@ def cyclic_sylow_ppart(G: PermGroup, p: int, degrees) -> dict:
         return {n: TRIVIAL for n in degrees}
     if p_part(order, p) != p:
         raise ValueError(f"Sylow {p}-subgroup is not of prime order")
-    period = 2 * weyl_exponent(G, p).exponent
+    period = 2 * weyl_exponent(G, p, seed=seed).exponent
     return {
         n: AbelianInvariants(0, (p,)) if n >= 1 and (n + 1) % period == 0 else TRIVIAL
         for n in degrees

@@ -151,6 +151,7 @@ class FreeResolution:
         self._d = d
         self.aug = tuple(aug)
         self._h = homotopy
+        self._coords: dict = {}  # degree -> _HomologyCoords, see homology_action
         if len(self.aug) != self.ranks[0]:
             raise ValueError("augmentation must cover the degree-0 generators")
         if verify:
@@ -575,6 +576,16 @@ class _HomologyCoords:
         return tuple(m for m in self.orders if m != 1)
 
 
+def _homology_coords(R: FreeResolution, k: int) -> _HomologyCoords:
+    """The Smith coordinates of R in degree k, built once per resolution;
+    a FreeResolution's ranks, boundaries and augmentation never change
+    after it is built."""
+    coords = R._coords.get(k)
+    if coords is None:
+        coords = R._coords[k] = _HomologyCoords(R, k)
+    return coords
+
+
 def homology_action(cm: ChainMap, k: int):
     """Matrix of the induced map on H_k, in Smith coordinates.
 
@@ -582,8 +593,8 @@ def homology_action(cm: ChainMap, k: int):
     means a free summand, m > 1 a Z/m summand, and matrix columns are
     target coordinates of the images of the source representatives.
     """
-    src = _HomologyCoords(cm.source, k)
-    tgt = _HomologyCoords(cm.target, k)
+    src = _homology_coords(cm.source, k)
+    tgt = _homology_coords(cm.target, k)
     F = cm.matrix_z(k)
     cols = []
     src_pos = [i for i, m in enumerate(src.orders) if m != 1]

@@ -20,12 +20,21 @@ reconstructing a single group element.  Elements are only rebuilt (by
 walking the tree) for the few witnesses we want to verify.
 
 The BFS runs one level per numpy batch: the conjugates of every frontier
-subgroup by every generator, their power tables and packed keys, one
-np.unique over the batch and one searchsorted against the sorted keys of
-the nodes already seen.  New nodes are numbered in order of first
+subgroup by every generator, their canonical generators and packed keys,
+one np.unique over the batch and one searchsorted against the sorted keys
+of the nodes already seen.  New nodes are numbered in order of first
 occurrence in (generator, frontier row) order, so every table equals
 the one a row-at-a-time walk builds.  Keys are exact: a 64-bit sort key
 is only trusted after its full packed row matches.
+
+The canonical generator of <z> is read off the first point i0 that z
+moves.  Every power of z fixes the points below i0, so the lex-least
+generator z**j is the one with the least z**j(i0) over the units j mod m.
+When i0 lies on an m-cycle (always, for prime m) the values z**j(i0) are
+distinct, so walking that one cycle fixes j, and z**j is then built by
+binary powering and packed once.  Only a row of composite order whose i0
+lies on a shorter cycle is settled by packing and comparing every unit
+power.  Both ways give the same generator and exponent.
 """
 
 from __future__ import annotations
@@ -104,7 +113,44 @@ def _mix(hi, lo):
 def _least_powers(Z, unit_inv):
     """For each row z of Z (a permutation of order m = len(unit_inv)), the
     packed lex-least generator z**j of <z> and its exponent j.  unit_inv
-    is nonzero exactly at the units mod m."""
+    is nonzero exactly at the units mod m.  j is read off the cycle of
+    the first moved point, as the module docstring explains; a row whose
+    first moved point lies on a cycle shorter than m goes to
+    _least_power_table instead."""
+    c, n = Z.shape
+    m = len(unit_inv)
+    base = np.arange(c, dtype=np.int32)[:, None] * n
+    # z(i) as the flat index r * n + z(i), so that z o w is np.take(step, w)
+    step = Z + base
+    # walk[j] = z**j(i0) as a flat index, for the first moved point i0
+    walk = np.empty((m, c), dtype=np.int32)
+    walk[0] = base[:, 0] + (Z != np.arange(n, dtype=Z.dtype)).argmax(axis=1)
+    for j in range(1, m):
+        np.take(step, walk[j - 1], out=walk[j])
+    units = np.flatnonzero(unit_inv).astype(np.int32)
+    # the unit j with the least z**j(i0): the least key m * z**j(i0) + j
+    best = (walk[units] * np.int32(m) + units[:, None]).min(axis=0) % np.int32(m)
+    # i0 back home before m steps: its cycle is shorter than m
+    divisors = [j for j in range(2, m) if m % j == 0]
+    short = (walk[divisors] == walk[0]).any(axis=0)
+    # z**best by binary powering
+    power = step.copy()
+    e = best - 1
+    while e.any():
+        odd = np.flatnonzero(e & 1)
+        power[odd] = np.take(step, power[odd])
+        e >>= 1
+        if e.any():
+            step = np.take(step, step)
+    hi, lo = _pack_rows((power - base).astype(np.uint8))
+    if short.any():
+        rows = np.flatnonzero(short)
+        hi[rows], lo[rows], best[rows] = _least_power_table(Z[rows], unit_inv)
+    return hi, lo, best
+
+
+def _least_power_table(Z, unit_inv):
+    """_least_powers by packing and comparing every unit power of each row."""
     c, n = Z.shape
     values = Z.ravel()
     # z(i) as a flat index into Z, so that z o w is one gather: step[w]

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from permhomology import cli, homology, polytope, sylow
+from permhomology import cli, homology, polytope, resolution, sylow
 from permhomology.catalog import group_from_cycles
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -322,6 +322,67 @@ def test_sylow_route_builds_once_per_prime(capsys, monkeypatch):
     assert [r["degree"] for r in d["results"]] == [1, 2, 3, 4, 5, 6]
     assert {r["method"] for r in d["results"]} == {"sylow-ce"}
     assert calls == {"sylow_ascent": 1, "double_cosets": 1, "ce_ppart_general": 1}
+
+
+def test_homology_action_builds_coordinates_once(capsys, monkeypatch):
+    # one set of Smith coordinates per (resolution, degree), however many
+    # double cosets and chain maps read it
+    built = []
+
+    class Counted(resolution._HomologyCoords):
+        def __init__(self, R, k):
+            built.append((id(R), k))
+            super().__init__(R, k)
+
+    monkeypatch.setattr(resolution, "_HomologyCoords", Counted)
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    request = "homology M11 -n 1 --to 6 -p 3"
+    d = run_json(capsys, *request.split())
+    d.pop("seed")
+    assert d == _benchmark_record(request)
+    assert len(built) == len(set(built)) == 6
+
+
+@pytest.mark.parametrize("group", ["S4", "M11"])
+def test_degree_zero_on_the_stable_element_route(capsys, group):
+    d = run_json(capsys, "homology", group, "-n", "0", "-p", "2")
+    assert d["results"] == [{"degree": 0, "invariants": [], "method": "sylow-ce"}]
+
+
+def test_degree_zero_range_matches_small_route(capsys):
+    base = ["homology", "S4", "-n", "0", "--to", "3", "-p", "2"]
+    sylow_ = run_json(capsys, *base)["results"]
+    small = run_json(capsys, *base, "--method", "small")["results"]
+    assert [r["invariants"] for r in sylow_] == [r["invariants"] for r in small]
+    assert [r["invariants"] for r in small] == [[], [2], [2], [2, 4]]
+
+
+def test_cyclic_route_passes_the_seed(capsys, monkeypatch):
+    seeds = []
+    original = homology.weyl_exponent
+
+    def recorded(G, p, seed=0):
+        seeds.append(seed)
+        return original(G, p, seed=seed)
+
+    monkeypatch.setattr(homology, "weyl_exponent", recorded)
+    outs = []
+    for seed in (0, 1, 2):
+        d = run_json(capsys, "homology", "M11", "-n", "1", "--to", "9",
+                     "-p", "11", "--seed", str(seed))
+        assert d.pop("seed") == seed
+        outs.append(d)
+    assert seeds == [0, 1, 2]
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0]["results"][8] == {"degree": 9, "invariants": [11], "method": "sylow"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ppart_table_matches_benchmark_record(capsys, seed):
+    request = "ppart-table --groups M11,M12,M21,M22,M23 --primes 5,7,11,23"
+    d = run_json(capsys, *request.split(), "--seed", str(seed))
+    assert d.pop("seed") == seed
+    assert d == _benchmark_record(request)
 
 
 def test_resolution_report(capsys):

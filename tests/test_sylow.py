@@ -139,6 +139,51 @@ def test_batched_orbit_matches_row_walk_composite_orders():
         assert orbit_tables(CyclicConjOrbit(M11, x)) == reference_orbit(M11, x)
 
 
+def least_unit_power(z):
+    """The lex-least generator z**j of <z> over the units j mod |z|, and j:
+    the pure-Python oracle for _least_powers."""
+    m = perm_order(z)
+    return min((power(z, j), j) for j in range(1, m) if gcd(j, m) == 1)
+
+
+def check_least_powers(rows):
+    m = perm_order(rows[0])
+    unit_inv = np.array([pow(j, -1, m) if gcd(j, m) == 1 else 0 for j in range(m)])
+    hi, lo, best = sylow._least_powers(np.array(rows, dtype=np.uint8), unit_inv)
+    got = [tuple(r) for r in sylow._unpack_rows(hi, lo, len(rows[0])).tolist()]
+    assert list(zip(got, best.tolist())) == [least_unit_power(z) for z in rows]
+
+
+def conjugates(G, x, count, seed):
+    stream = G.random_elements(seed)
+    return [x] + [conj(next(stream), x) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["M23", "M24"])
+@pytest.mark.parametrize("p", [5, 7, 11, 23])
+def test_least_powers_prime_order(name, p):
+    # degree 23 and 24 rows: the lo word of the packed key is in play
+    G = mathieu(int(name[1:]))
+    check_least_powers(conjugates(G, element_of_order(G, p, 0), 300, 1))
+
+
+def test_least_powers_composite_orders_in_s6():
+    # whole classes: in the first two the first moved point of some rows
+    # lies on a cycle shorter than the order, in the last two it never does
+    S6 = symmetric(6)
+    for cycles in ("(1,2)(3,4,5,6)", "(1,2)(3,4,5)", "(1,2,3,4)", "(1,2,3,4,5,6)"):
+        x = parse_cycles(cycles, 6)
+        rows = sorted({conj(g, x) for g in S6.elements()})
+        check_least_powers(rows)
+
+
+def test_least_powers_mathieu_11_order_eight():
+    M11 = mathieu(11)
+    stream = M11.random_elements(0)
+    x = next(g for g in stream if perm_order(g) == 8)
+    check_least_powers(conjugates(M11, x, 500, 2))
+
+
 def test_orbit_cap_reports_attained(monkeypatch):
     monkeypatch.setattr(sylow, "CYCLIC_ORBIT_CAP", 1000)
     G = mathieu(22)
