@@ -11,10 +11,17 @@ optimum is positive.
 The program has a handful of genuine variables and one constraint per
 point, so it is solved through its dual (one row per variable, one
 column per point); by strong duality the reported optimum is the
-exact value of the stated program.  The solver is a revised simplex
-over Fractions with Bland's rule, which keeps only the basis inverse
-dense: with thousands of degenerate pivots on these programs, pricing
-columns lazily is what makes the exhaustive edge sweeps affordable.
+exact value of the stated program.  The solver is a two-phase revised
+simplex with Bland's rule that runs in Python ints only: each row is
+scaled to integers once, and the basis inverse is held as the integer
+matrix det(B) * B^-1, updated by exact division (Bareiss).  It takes
+the same pivots as the same simplex over Fractions would and returns
+the same exact values.  The programs need few pivots (615 for the 119
+programs of the regular S5 orbit), so the cost lies in the arithmetic
+of each pivot and of pricing, not in their number.
+
+Every verdict is certified by exact witnesses from both sides, checked
+in integer arithmetic on the points brought to one common denominator.
 
 The edge sweep at a vertex uses the symmetry: the vertex's stabilizer
 permutes the other points and maps edges at the vertex to edges, so
@@ -27,6 +34,9 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import mul
 
 from .errors import CapExceeded, InvariantViolation
 from .permgroup import OrbitData, PermGroup
@@ -34,7 +44,6 @@ from .permgroup import OrbitData, PermGroup
 POINT_CAP = 100_000
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def act_vec(g: tuple, v: tuple) -> tuple:
@@ -60,7 +69,7 @@ def orbit_points(G: PermGroup, v, cap: int = POINT_CAP) -> tuple:
     return tuple(sorted(od.states))
 
 
-# -- exact revised simplex -----------------------------------------------
+# -- exact fraction-free simplex ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -70,88 +79,103 @@ class LPResult:
     y: tuple  # one dual price per input row, ub rows first
 
 
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
+def _integer_multiple(vals) -> tuple:
+    """(s, [s * x for x in vals]) for the least s > 0 making all whole."""
+    if set(map(type, vals)) <= {int}:
+        return 1, list(vals)
+    vals = [Fraction(x) for x in vals]
+    s = lcm(*(x.denominator for x in vals))
+    return s, [x.numerator * (s // x.denominator) for x in vals]
 
 
 class _Simplex:
-    """Minimize c . x over stored rows S x = b, b >= 0, x >= 0.
+    """Minimize c . x over integer columns S x = b, b >= 0, x >= 0.
 
-    Bland's rule: first negative reduced cost enters, leaving row
-    breaks ratio ties by smallest basic index.  The basis inverse is
-    the only dense state that changes per pivot.
+    The state is D = |det B| > 0, M = D * B^-1 and xB = D * B^-1 b, all
+    integer; the first basis is the identity.  A pivot on entry p of the
+    integer column M a makes |p| the new D, and each update divides
+    exactly by the old one.  Reduced costs and ratios are compared in
+    these integers, scaled by D, so their signs and order are those of
+    the exact rationals.  Bland's rule: first negative reduced cost
+    enters, leaving row breaks ratio ties by smallest basic index.
     """
 
-    def __init__(self, cols, b):
+    def __init__(self, cols, b, basis):
         self.cols = cols
         self.m = len(b)
+        self.D = 1
+        self.M = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
         self.xB = list(b)
-        self.Binv = [
-            [ONE if i == j else ZERO for j in range(self.m)] for i in range(self.m)
-        ]
-        self.basis = []
+        self.basis = basis
 
     def column(self, j):
-        B = self.Binv
         col = self.cols[j]
-        return [_dot(row, col) for row in B]
+        return [sum(map(mul, row, col)) for row in self.M]
+
+    def prices(self, c):
+        """D times the simplex multipliers c_B B^-1."""
+        y = [0] * self.m
+        for row, bj in zip(self.M, self.basis):
+            cb = c[bj]
+            if cb:
+                y = [a + cb * b for a, b in zip(y, row)]
+        return y
 
     def pivot(self, i, j, d):
-        piv = d[i]
-        B = self.Binv
-        if piv != 1:
-            B[i] = [x / piv for x in B[i]]
-            self.xB[i] /= piv
-        base = B[i]
-        xi = self.xB[i]
+        p, D = d[i], self.D
+        M, xB = self.M, self.xB
+        base, xi = M[i], xB[i]
         for k in range(self.m):
             if k == i:
                 continue
             f = d[k]
             if f:
-                B[k] = [a - f * c for a, c in zip(B[k], base)]
-                self.xB[k] -= f * xi
+                M[k] = [(p * a - f * b) // D for a, b in zip(M[k], base)]
+                xB[k] = (p * xB[k] - f * xi) // D
+            elif p != D:
+                M[k] = [p * a // D for a in M[k]]
+                xB[k] = p * xB[k] // D
+        if p < 0:
+            # a degenerate drive-out pivot may be negative: det B
+            # changed sign, so negate the state to keep D > 0
+            p = -p
+            self.M = [[-a for a in row] for row in M]
+            self.xB = [-a for a in xB]
+        self.D = p
         self.basis[i] = j
 
     def run(self, c, blocked):
         basic = set(self.basis)
+        cols = self.cols
         while True:
-            y = [ZERO] * self.m
-            for i, bj in enumerate(self.basis):
-                cb = c[bj]
-                if cb:
-                    col = self.Binv[i]
-                    for k in range(self.m):
-                        if col[k]:
-                            y[k] += cb * col[k]
+            y = self.prices(c)
+            D = self.D
             enter = None
-            for j in range(len(self.cols)):
+            for j, col in enumerate(cols):
                 if j in basic or j in blocked:
                     continue
-                if c[j] - _dot(y, self.cols[j]) < 0:
+                if D * c[j] < sum(map(mul, y, col)):
                     enter = j
                     break
             if enter is None:
                 return
             d = self.column(enter)
+            xB, basis = self.xB, self.basis
             leave = None
-            for i in range(self.m):
-                if d[i] > 0:
-                    ratio = self.xB[i] / d[i]
-                    if leave is None or ratio < leave[0] or (
-                        ratio == leave[0] and self.basis[i] < self.basis[leave[1]]
-                    ):
-                        leave = (ratio, i)
+            for i, di in enumerate(d):
+                if di > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    # xB[i] / di against xB[leave] / d[leave]
+                    lhs, rhs = xB[i] * d[leave], xB[leave] * di
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
             if leave is None:
                 raise InvariantViolation("linear program is unbounded")
-            i = leave[1]
-            basic.discard(self.basis[i])
+            basic.discard(basis[leave])
             basic.add(enter)
-            self.pivot(i, enter, d)
+            self.pivot(leave, enter, d)
 
 
 def lp_min(obj, A_ub, b_ub, A_eq, b_eq) -> LPResult:
@@ -160,25 +184,35 @@ def lp_min(obj, A_ub, b_ub, A_eq, b_eq) -> LPResult:
     Two-phase revised simplex, Bland's rule throughout.  Returns the
     value, the minimizer, and one dual price per row; raises if
     infeasible or unbounded.
+
+    Row k (right-hand side included, negated when that is negative) is
+    scaled by the least s_k > 0 that makes it integer, and its slack and
+    artificial keep the unit column, so they measure s_k times the
+    original.  Phase one charges artificial k in proportion to 1 / s_k,
+    and a positive rescaling of a variable or an objective changes no
+    reduced-cost sign and no ratio order: the pivots are those of the
+    unscaled program, and so are x, y and the value once unscaled.
     """
     nv = len(obj)
-    rows = [(list(a), Fraction(v), False) for a, v in zip(A_ub, b_ub)]
-    rows += [(list(a), Fraction(v), True) for a, v in zip(A_eq, b_eq)]
+    rows = [(a, v, False) for a, v in zip(A_ub, b_ub)]
+    rows += [(a, v, True) for a, v in zip(A_eq, b_eq)]
     m = len(rows)
     flipped = []
+    scale = []
     stored = []
     for a, v, eq in rows:
-        a = [Fraction(x) for x in a] + [ZERO] * (nv - len(a))
-        neg = v < 0
+        s, a = _integer_multiple(list(a) + [0] * (nv - len(a)) + [v])
+        neg = a[-1] < 0
         flipped.append(neg)
-        stored.append(([-x for x in a], -v, eq) if neg else (a, v, eq))
+        scale.append(s)
+        stored.append([-x for x in a] if neg else a)
 
-    cols = [[stored[k][0][j] for k in range(m)] for j in range(nv)]
+    cols = list(zip(*stored))[:nv] if m else [()] * nv
     slack_of = {}
-    for k, (_, _, eq) in enumerate(stored):
+    for k, (_, _, eq) in enumerate(rows):
         if not eq:
-            col = [ZERO] * m
-            col[k] = -ONE if flipped[k] else ONE
+            col = [0] * m
+            col[k] = -1 if flipped[k] else 1
             slack_of[k] = len(cols)
             cols.append(col)
     arts = {}
@@ -188,17 +222,19 @@ def lp_min(obj, A_ub, b_ub, A_eq, b_eq) -> LPResult:
         if j is not None and not flipped[k]:
             basis.append(j)
         else:
-            col = [ZERO] * m
-            col[k] = ONE
+            col = [0] * m
+            col[k] = 1
             arts[k] = len(cols)
             basis.append(len(cols))
             cols.append(col)
 
-    S = _Simplex(cols, [stored[k][1] for k in range(m)])
-    S.basis = basis
+    S = _Simplex(cols, [row[-1] for row in stored], basis)
     art_set = frozenset(arts.values())
     if arts:
-        c1 = [ONE if j in art_set else ZERO for j in range(len(cols))]
+        c1 = [0] * len(cols)
+        unit = lcm(*(scale[k] for k in arts))
+        for k, j in arts.items():
+            c1[j] = unit // scale[k]
         S.run(c1, frozenset())
         if sum(c1[bj] * v for bj, v in zip(S.basis, S.xB)):
             raise InvariantViolation("linear program is infeasible")
@@ -206,36 +242,50 @@ def lp_min(obj, A_ub, b_ub, A_eq, b_eq) -> LPResult:
             if S.basis[i] in art_set:
                 # degenerate pivot to a real column, or the row is
                 # redundant under this basis and can stay put
+                row = S.M[i]
                 for j in range(len(cols) - len(arts)):
                     if j in S.basis:
                         continue
-                    d = S.column(j)
-                    if d[i]:
-                        S.pivot(i, j, d)
+                    if sum(map(mul, row, cols[j])):
+                        S.pivot(i, j, S.column(j))
                         break
 
-    c2 = [ZERO] * len(cols)
-    for j in range(nv):
-        c2[j] = Fraction(obj[j])
+    s_obj, c2 = _integer_multiple(obj)
+    c2 += [0] * (len(cols) - nv)
     S.run(c2, art_set)
 
+    D = S.D
     x = [ZERO] * nv
     for bj, v in zip(S.basis, S.xB):
         if bj < nv:
-            x[bj] = v
-    y = [ZERO] * m
-    for i, bj in enumerate(S.basis):
-        cb = c2[bj]
-        if cb:
-            for k in range(m):
-                if S.Binv[i][k]:
-                    y[k] += cb * S.Binv[i][k]
-    yout = [-yk if neg else yk for yk, neg in zip(y, flipped)]
-    value = sum(c2[bj] * v for bj, v in zip(S.basis, S.xB))
-    return LPResult(value, tuple(x), tuple(yout))
+            x[bj] = Fraction(v, D)
+    den = D * s_obj
+    y = [
+        Fraction(-yk * s if neg else yk * s, den)
+        for yk, s, neg in zip(S.prices(c2), scale, flipped)
+    ]
+    value = Fraction(sum(c2[bj] * v for bj, v in zip(S.basis, S.xB)), den)
+    return LPResult(value, tuple(x), tuple(y))
 
 
 # -- edge tests ----------------------------------------------------------
+
+
+class _ScaledPoints(tuple):
+    """Points with their integer form: the least common denominator L of
+    every coordinate, and ints, the points times L.  A sweep builds it
+    once and passes it to every edge_gap call in place of the points."""
+
+    def __new__(cls, points):
+        self = super().__new__(cls, points)
+        self.scale, flat = _integer_multiple([x for p in self for x in p])
+        it = iter(flat)
+        self.ints = tuple(tuple(islice(it, len(p))) for p in self)
+        return self
+
+
+def _scaled(points) -> _ScaledPoints:
+    return points if isinstance(points, _ScaledPoints) else _ScaledPoints(points)
 
 
 def edge_gap(points, i: int, j: int) -> Fraction:
@@ -245,52 +295,62 @@ def edge_gap(points, i: int, j: int) -> Fraction:
     indexed by the coordinates.  Positive gap means [i, j] is an edge
     of the hull.
     """
-    u, v = points[i], points[j]
+    points = _scaled(points)
+    P = points.ints
+    u, v = P[i], P[j]
     if u == v:
         raise ValueError("edge test needs two distinct points")
     n = len(u)
-    others = [w for k, w in enumerate(points) if k != i and k != j]
+    others = [w for k, w in enumerate(P) if k != i and k != j]
     d0 = [a - b for a, b in zip(u, v)]
-    # dual: minimize z over mu >= 0 (one per other point) and a free
-    # lam split in two, subject to sum(mu) = 1 and, per coordinate,
-    # |sum_w mu_w (u - w) - lam (u - v)| <= z
+    # dual, on the points times L: minimize z over mu >= 0 (one per
+    # other point) and a free lam split in two, subject to sum(mu) = 1
+    # and, per coordinate, |sum_w mu_w (u - w) - lam (u - v)| <= z.
+    # Its optimum is L times the gap of the points as given.
     nw = len(others)
-    obj = [ZERO] * (nw + 2) + [ONE]
+    obj = [0] * (nw + 2) + [1]
     A_ub = []
-    b_ub = []
     for t in range(n):
-        pos = [u[t] - w[t] for w in others] + [-d0[t], d0[t], -ONE]
-        neg = [-x for x in pos[:-1]] + [-ONE]
+        ut = u[t]
+        pos = [ut - w[t] for w in others] + [-d0[t], d0[t], -1]
         A_ub.append(pos)
-        A_ub.append(neg)
-        b_ub += [ZERO, ZERO]
-    A_eq = [[ONE] * nw + [ZERO, ZERO, ZERO]]
-    res = lp_min(obj, A_ub, b_ub, A_eq, [ONE])
+        A_ub.append([-x for x in pos[:-1]] + [-1])
+    res = lp_min(obj, A_ub, [0] * (2 * n), [[1] * nw + [0, 0, 0]], [1])
     gap = res.value
     # Certify the verdict from both sides before trusting it.  The primal
     # solution is a convex combination meeting the line through u and v up
     # to residual gap (upper bound); for a positive gap the row prices
     # yield a supporting functional worth at least gap (lower bound).
-    # Both checks are plain rational arithmetic, so the answer does not
-    # rest on the simplex implementation being bug free.
-    mu = res.x[:nw]
+    # Both checks are plain integer arithmetic after clearing the
+    # witnesses' denominators, so the answer does not rest on the
+    # simplex implementation being bug free.
+    support = [k for k in range(nw) if res.x[k]]
     lam = res.x[nw] - res.x[nw + 1]
-    if any(m < 0 for m in mu) or sum(mu) != 1:
+    s, ints = _integer_multiple([res.x[k] for k in support] + [lam])
+    mu, lam = ints[:-1], ints[-1]
+    if any(a < 0 for a in mu) or sum(mu) != s:
         raise InvariantViolation("combination witness is not convex")
+    # s * residual = s * u - sum_w mu_w w - lam d0, against s * gap
+    bound = gap.numerator * s
     for t in range(n):
-        r = sum(m * (u[t] - w[t]) for m, w in zip(mu, others)) - lam * d0[t]
-        if abs(r) > gap:
+        r = s * u[t] - sum(a * others[k][t] for a, k in zip(mu, support))
+        if abs(r - lam * d0[t]) * gap.denominator > bound:
             raise InvariantViolation("combination witness exceeds the gap")
     if gap > 0:
-        c = [res.y[2 * t + 1] - res.y[2 * t] for t in range(n)]
-        if sum(abs(x) for x in c) > 1:
+        s, c = _integer_multiple(
+            [res.y[2 * t + 1] - res.y[2 * t] for t in range(n)]
+        )
+        if sum(map(abs, c)) > s:
             raise InvariantViolation("support witness is not normalized")
-        if sum(x * d for x, d in zip(c, d0)) != 0:
+        if sum(map(mul, c, d0)):
             raise InvariantViolation("support witness separates u from v")
+        # c . (u - w) >= gap at every other point w, times s
+        cu = sum(map(mul, c, u))
+        bound = gap.numerator * s
         for w in others:
-            if sum(x * (a - b) for x, a, b in zip(c, u, w)) < gap:
+            if (cu - sum(map(mul, c, w))) * gap.denominator < bound:
                 raise InvariantViolation("support witness fails a hull point")
-    return gap
+    return gap / points.scale
 
 
 def is_edge(points, i: int, j: int) -> bool:
@@ -326,6 +386,7 @@ def vertex_degree(points, i: int, gens=(), threads: int = 1) -> int:
             work.append((j, len(orbit)))
     if sum(size for _, size in work) != len(points) - 1:
         raise InvariantViolation("orbit sizes do not sum to the other points")
+    points = _scaled(points)
     if threads <= 1:
         return _degree_chunk((points, i, work))
     chunks = [work[k::threads] for k in range(threads)]

@@ -132,6 +132,17 @@ def word_to_vec(G: SmallGroup, w: ZGWord) -> dict:
     return {j * G.n + e: c for c, e, j in w.terms}
 
 
+def translate_vec(G: SmallGroup, g: int, w: ZGWord) -> dict:
+    """word_to_vec(G, act_word(G, g, w)), read off g's row of the table.
+
+    Left multiplication by g permutes the elements, so the terms of the
+    canonical word w stay distinct and nonzero and need no merge.
+    """
+    row = G._mul[g]
+    n = G.n
+    return {j * n + row[e]: c for c, e, j in w.terms}
+
+
 def vec_to_word(G: SmallGroup, degree: int, v: dict) -> ZGWord:
     return word(degree, ((c, i % G.n, i // G.n) for i, c in v.items()))
 
@@ -306,7 +317,7 @@ def _select_generators(G: SmallGroup, rank: int, kb: list):
         w = vec_to_word(G, 0, v)
         chosen.append(w)
         for g in range(G.n):
-            span.insert(word_to_vec(G, act_word(G, g, w)))
+            span.insert(translate_vec(G, g, w))
     for v in cands:
         if not span.contains(v):
             raise InvariantViolation("selected generators do not span the kernel")
@@ -356,7 +367,7 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
         col = 0
         for w in d[k + 1]:
             for e in range(G.n):
-                for i, c in word_to_vec(G, act_word(G, e, w)).items():
+                for i, c in translate_vec(G, e, w).items():
                     flat[i][col] = c
                 col += 1
     solvers.append(ColumnSolver(flat, G.n * ranks[n]))

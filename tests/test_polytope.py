@@ -4,10 +4,12 @@ import csv
 import io
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import lp_oracle
 from permhomology.catalog import alternating, cyclic, lookup, symmetric
 from permhomology.cli import main
 from permhomology.equivariant import flag_edge_orbits
@@ -238,3 +240,199 @@ def test_distinct_points_required():
     pts = pt.orbit_points(cyclic(4), (1, 0, -1, 0))
     with pytest.raises(ValueError):
         pt.edge_gap(pts, 2, 2)
+
+
+
+# -- the integer simplex against the Fraction oracle ---------------------
+
+
+def outcome(solve, *program):
+    """The LPResult, or the message of the InvariantViolation raised."""
+    try:
+        return solve(*program)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def lp_programs(monkeypatch):
+    programs = []
+    solve = pt.lp_min
+
+    def recorded(*program):
+        programs.append(program)
+        return solve(*program)
+
+    monkeypatch.setattr(pt, "lp_min", recorded)
+    return programs, solve
+
+
+@pytest.mark.parametrize("name, v, count", [
+    ("S5", (1, 2, 3, 4, 5), 119),
+    ("M11", (1, 1, 1) + (0,) * 8, 7),
+])
+def test_lp_min_matches_oracle_on_sweeps(lp_programs, name, v, count):
+    programs, solve = lp_programs
+    G = lookup(name)
+    pts = pt.orbit_points(G, v)
+    i = pts.index(v)
+    pt.vertex_degree(pts, i, stabilizer_gens(G, pts, i))
+    assert len(programs) == count
+    for program in programs:
+        assert solve(*program) == lp_oracle.lp_min(*program)
+
+
+def test_edge_gap_matches_fraction_program():
+    # the gap on the integer points, divided back, is the optimum of the
+    # program built from the points' Fractions
+    G = lookup("M11")
+    v = (1, 1, 1) + (0,) * 8
+    pts = pt.orbit_points(G, v)
+    i = pts.index(v)
+    for j in (k for k in (0, 1, 2, 5, 40, 100, 164) if k != i):
+        want = lp_oracle.lp_min(*lp_oracle.fraction_edge_program(pts, i, j))
+        assert pt.edge_gap(pts, i, j) == want.value
+
+
+def random_fraction(rng):
+    return Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lp_min_matches_oracle_on_random_programs(seed):
+    rng = random.Random(seed)
+    solved = 0
+    for _ in range(60):
+        nv = rng.randrange(1, 5)
+        nub, neq = rng.randrange(4), rng.randrange(3)
+        # a zero objective makes x the point phase one reaches
+        zero = rng.randrange(3) == 0
+        program = (
+            [0 if zero else random_fraction(rng) for _ in range(nv)],
+            [[random_fraction(rng) for _ in range(nv)] for _ in range(nub)],
+            [random_fraction(rng) for _ in range(nub)],
+            [[random_fraction(rng) for _ in range(nv)] for _ in range(neq)],
+            [random_fraction(rng) for _ in range(neq)],
+        )
+        got = outcome(pt.lp_min, *program)
+        assert got == outcome(lp_oracle.lp_min, *program), program
+        solved += isinstance(got, pt.LPResult)
+    assert solved > 10
+
+
+def test_lp_min_matches_oracle_on_flipped_rows():
+    # negative right-hand sides: the rows are stored negated, their
+    # artificials start the basis, and the prices come back negated
+    obj, A_ub, b_ub, A_eq, b_eq = program = (
+        [1, 2, Fraction(1, 3)],
+        [[-1, -1, 0], [Fraction(-1, 2), 1, -2], [1, 0, 1]],
+        [-2, Fraction(-3, 4), 5],
+        [[1, -1, Fraction(2, 3)]], [Fraction(-1, 5)],
+    )
+    got = pt.lp_min(*program)
+    assert got == lp_oracle.lp_min(*program)
+    # x is feasible and its value is met by the prices: b . y = obj . x
+    dot = lambda a, b: sum(p * q for p, q in zip(a, b))
+    assert all(dot(a, got.x) <= b for a, b in zip(A_ub, b_ub))
+    assert all(dot(a, got.x) == b for a, b in zip(A_eq, b_eq))
+    assert got.value == dot(obj, got.x) == dot(b_ub + b_eq, got.y) == Fraction(67, 18)
+
+
+def test_lp_min_phase_one_weighs_rows_as_given():
+    # two flipped rows scaled by 3 and by 1: a feasibility program, so
+    # x is wherever phase one stops, and that depends on the artificials
+    # being charged as in the unscaled program
+    program = ([0, 0, 0], [], [],
+               [[2, Fraction(2, 3), -1], [-1, -2, 0]], [-1, -3])
+    got = pt.lp_min(*program)
+    assert got == lp_oracle.lp_min(*program)
+    assert got.x == (0, Fraction(3, 2), 2)
+
+
+@pytest.fixture
+def oracle_bases(monkeypatch):
+    bases = []
+    run = lp_oracle._Simplex.run
+
+    def recorded(self, c, blocked):
+        run(self, c, blocked)
+        bases.append((list(self.basis), len(self.cols)))
+
+    monkeypatch.setattr(lp_oracle._Simplex, "run", recorded)
+    return bases
+
+
+def test_lp_min_keeps_a_redundant_row_artificial(oracle_bases):
+    program = ([1, 1], [], [], [[1, 2], [2, 4]], [1, 2])
+    got = pt.lp_min(*program)
+    assert got == lp_oracle.lp_min(*program)
+    assert got.value == Fraction(1, 2)
+    # columns 2 and 3 are the two artificials; one is still basic
+    basis, ncols = oracle_bases[-1]
+    assert ncols == 4 and max(basis) >= 2
+
+
+def test_lp_min_negative_drive_out_pivot(monkeypatch):
+    # phase one ends with the artificial basic at zero and the first
+    # real column has -2 in its row, so the drive-out pivot is negative
+    seen = []
+    pivot = pt._Simplex.pivot
+
+    def recorded(self, i, j, d):
+        seen.append(d[i])
+        pivot(self, i, j, d)
+
+    monkeypatch.setattr(pt._Simplex, "pivot", recorded)
+    program = ([0, -2], [], [], [[-2, -2]], [0])
+    got = pt.lp_min(*program)
+    assert got == lp_oracle.lp_min(*program)
+    assert seen[0] < 0
+    assert got == pt.LPResult(Fraction(0), (Fraction(0), Fraction(0)),
+                              (Fraction(1),))
+
+
+# -- each certificate check fires on a doctored solution -----------------
+
+
+def square_gap_with(monkeypatch, value, x, y=(0,) * 9):
+    # u = (-1, 0, 1, 0), v = (0, -1, 0, 1): the other points are
+    # (0, 1, 0, -1) and (1, 0, -1, 0), and x is (mu, mu, lam+, lam-, z)
+    pts = pt.orbit_points(cyclic(4), (1, 0, -1, 0))
+    result = pt.LPResult(Fraction(value), tuple(map(Fraction, x)),
+                         tuple(map(Fraction, y)))
+    monkeypatch.setattr(pt, "lp_min", lambda *program: result)
+    return pt.edge_gap(pts, 0, 1)
+
+
+@pytest.mark.parametrize("value, x, y, message", [
+    (0, (Fraction(1, 2), 0, 0, 0, 0), (0,) * 9, "is not convex"),
+    (0, (2, -1, 0, 0, 0), (0,) * 9, "is not convex"),
+    (0, (1, 0, 0, 0, 1), (0,) * 9, "exceeds the gap"),
+    (10, (1, 0, 0, 0, 10), (0, 1, 0, 1, 0, 0, 0, 0, 0), "is not normalized"),
+    (10, (1, 0, 0, 0, 10), (0, 1, 0, 0, 0, 0, 0, 0, 0), "separates u from v"),
+    (10, (1, 0, 0, 0, 10), (0, Fraction(1, 2), 0, Fraction(1, 2), 0, 0, 0, 0, 0),
+     "fails a hull point"),
+])
+def test_certificate_checks_fire(monkeypatch, value, x, y, message):
+    with pytest.raises(InvariantViolation, match=message):
+        square_gap_with(monkeypatch, value, x, y)
+
+
+# -- rational points -----------------------------------------------------
+
+
+def test_rational_points_scale_out():
+    G = symmetric(4)
+    rat = pt.orbit_points(G, (Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6)))
+    whole = pt.orbit_points(G, (3, 2, 0, -5))
+    assert [tuple(6 * x for x in p) for p in rat] == list(whole)
+    for i, j in [(0, k) for k in range(1, 24)] + [(5, 17), (23, 11)]:
+        gap = pt.edge_gap(rat, i, j)
+        assert gap == pt.edge_gap(whole, i, j) / 6
+        want = lp_oracle.lp_min(*lp_oracle.fraction_edge_program(rat, i, j))
+        assert gap == want.value
+    i = 7
+    gens = stabilizer_gens(G, rat, i)
+    deg = pt.vertex_degree(rat, i, gens)
+    assert deg == pt.vertex_degree(whole, i, stabilizer_gens(G, whole, i)) == 3
+    assert pt.vertex_degree(rat, i, gens, threads=2) == deg

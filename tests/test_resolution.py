@@ -27,6 +27,7 @@ from permhomology.resolution import (
     load_resolution,
     resolution_small,
     save_resolution,
+    translate_vec,
     vec_to_word,
     word,
     word_add,
@@ -86,6 +87,15 @@ def test_act_word_inverse():
     for g in range(G.n):
         back = act_word(G, G.inverse[g], act_word(G, g, w))
         assert back == w
+
+
+def test_translate_vec_matches_act_word():
+    G = SmallGroup(symmetric(4))
+    rng = random.Random(5)
+    for _ in range(20):
+        w = random_word(rng, G, 1, 3, 8)
+        for g in range(G.n):
+            assert translate_vec(G, g, w) == word_to_vec(G, act_word(G, g, w))
 
 
 # -- the one-dict merge against word_add/word_scale/act_word ---------------
