@@ -220,6 +220,13 @@ class PermGroup:
         self._ensure_chain()
         return self._chain[0]
 
+    def chain(self) -> tuple:
+        """(base, S, trans): S[i] generates the pointwise stabilizer of
+        base[:i], and trans[i] maps each point of that stabilizer's orbit
+        of base[i] to an element of it carrying base[i] there."""
+        self._ensure_chain()
+        return self._chain
+
     def sift(self, g: tuple) -> tuple:
         """Residue of g after stripping through the chain (identity iff g in G)."""
         self._ensure_chain()

@@ -106,10 +106,6 @@ def word_scale(c: int, w: ZGWord) -> ZGWord:
     return ZGWord(w.degree, tuple((c * a, e, g) for a, e, g in w.terms))
 
 
-def act_word(G: SmallGroup, g: int, w: ZGWord) -> ZGWord:
-    return word(w.degree, ((c, G.mul(g, e), j) for c, e, j in w.terms))
-
-
 def _word_sum(G: SmallGroup, degree: int, terms) -> ZGWord:
     """The sum of c * (g . w) over the (c, g, w) in terms, as one word.
 
@@ -133,7 +129,7 @@ def word_to_vec(G: SmallGroup, w: ZGWord) -> dict:
 
 
 def translate_vec(G: SmallGroup, g: int, w: ZGWord) -> dict:
-    """word_to_vec(G, act_word(G, g, w)), read off g's row of the table.
+    """word_to_vec(G, g . w), read off g's row of the table.
 
     Left multiplication by g permutes the elements, so the terms of the
     canonical word w stay distinct and nonzero and need no merge.
@@ -214,9 +210,12 @@ class FreeResolution:
     def _verify(self):
         rng = random.Random(0)
         for k in range(2, self.length + 1):
+            d = self._d[k - 1]
             for e, j in self._basis_sample(k, rng):
-                w = act_word(self.G, e, self._d[k][j])
-                if self.apply_d(k - 1, w):
+                # d_{k-1}(e . d_k(j)): each term c f i of d_k(j) adds c ef . d_{k-1}(i)
+                row = self.G._mul[e]
+                terms = ((c, row[f], d[i]) for c, f, i in self._d[k][j].terms)
+                if _word_sum(self.G, k - 2, terms):
                     raise InvariantViolation(f"d.d != 0 at degree {k}")
         for k in range(1, self.length):
             # h_{k-1} d_k + d_{k+1} h_k = 1 on R_k

@@ -2,68 +2,57 @@
 normalizer's image in the automorphisms of Z/m, p-subgroup ascent,
 double cosets.
 
-The workhorse is a conjugation-orbit BFS over cyclic subgroups.  A
-subgroup is identified by the lexicographically least image tuple among
-its generators, and each orbit node delta carries a unit c(delta) mod m
-defined by
+The workhorse is a backtrack search for N = N_G(<x>) over the images of
+a base (Sims' method; Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, section 4.6).  The base of G is re-chosen to start with
+the cycles of x, longest first, each listed in x-order, so that its
+first L base points are the points x moves.  An element g lies in N,
+with g x g^-1 = x^a, exactly when
 
-    t_delta x t_delta^{-1} = y_delta ** c(delta)
+    g(x(b)) = x^a(g(b))   for every point b.
 
-with t_delta the Schreier-tree transporter and y_delta the canonical
-generator.  A non-tree edge delta -> epsilon via generator g then gives
-the automorphism induced by one Schreier generator of the normalizer as
+So the image of a cycle's first point fixes g on the whole cycle once
+a is known, and the image of its second point fixes a modulo the cycle
+length.  For an x of composite order a shorter cycle fixes a only
+modulo its length; a is kept as a residue class modulo the lcm of the
+cycle lengths seen so far, which is m after the last cycle.  Every
+partial image is pruned by the stabilizer-chain transversals: the
+image of base[j] must lie in h(Delta_j), for h the product of the
+transversal elements chosen above it and Delta_j the basic orbit.
+Once every moved point has its image, h itself conjugates x to x^a
+(it maps the fixed points of x among themselves), and that relation
+is checked on each element found.
 
-    a * c(delta) * c(epsilon)^{-1}  mod m,   where  g y_delta g^{-1} = y_epsilon ** a,
-
-so the image of the whole normalizer in (Z/m)^* is assembled without
-reconstructing a single group element.  Elements are only rebuilt (by
-walking the tree) for the few witnesses we want to verify.
-
-The BFS runs one level per numpy batch: the conjugates of every frontier
-subgroup by every generator, their canonical generators and packed keys,
-one np.unique over the batch and one searchsorted against the sorted keys
-of the nodes already seen.  New nodes are numbered in order of first
-occurrence in (generator, frontier row) order, so every table equals
-the one a row-at-a-time walk builds.  Keys are exact: a 64-bit sort key
-is only trusted after its full packed row matches.
-
-The canonical generator of <z> is read off the first point i0 that z
-moves.  Every power of z fixes the points below i0, so the lex-least
-generator z**j is the one with the least z**j(i0) over the units j mod m.
-When i0 lies on an m-cycle (always, for prime m) the values z**j(i0) are
-distinct, so walking that one cycle fixes j, and z**j is then built by
-binary powering and packed once.  Only a row of composite order whose i0
-lies on a shorter cycle is settled by packing and comparing every unit
-power.  Both ways give the same generator and exponent.
+The pointwise stabilizer of the moved points centralizes x, so the
+search starts from it and works up the chain: at level l it knows
+K = N meet G^(l+1) and looks for elements of N meet G^(l) that carry
+base[l] outside its K-orbit, trying one image per orbit of the K built
+so far.  An image that fails rules out its whole K-orbit, and one that
+succeeds adds a generator to K.  |N| is the product of the orbit sizes,
+and the orbit of <x> under conjugation has |G| / |N| members.  The
+search costs one step per base image tried, however large N is; a
+budget on those steps is its cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-
-import numpy as np
+from math import gcd, lcm
 
 from .errors import CapExceeded, InvariantViolation
 from .intlinalg import p_part
-from .perm import conj, identity, inv, mul, power
+from .perm import conj, cycles, identity, mul, power
 from .perm import order as perm_order
 from .permgroup import (
     ENUM_CAP,
     OrbitData,
     PermGroup,
-    generate_to_order,
-    schreier_generator,
     schreier_stabilizer,
-    tree_transporter,
 )
 
-CYCLIC_ORBIT_CAP = 4 * 10**6
+# base images one normalizer search may try
+NORMALIZER_SEARCH_CAP = 10**6
 SUBGROUP_ORBIT_CAP = 200000
-# closed orbit edges kept for normalizer()'s Schreier generators
-CLOSED_EDGE_BUDGET = 2048
-# frontier rows conjugated and powered per numpy block, bounding memory
-_BLOCK_ROWS = 1 << 12
 
 
 def element_of_order(G: PermGroup, p: int, seed: int = 0) -> tuple:
@@ -77,172 +66,12 @@ def element_of_order(G: PermGroup, p: int, seed: int = 0) -> tuple:
     raise InvariantViolation(f"no element of order {p} found; is p | |G|?")
 
 
-def _pack_rows(R):
-    """Pack each row (up to 24 values < 32) into a (hi, lo) uint64 pair
-    whose pairwise order equals row lex order."""
-    n = R.shape[1]
-    if n > 24:
-        raise ValueError("degree > 24 not supported")
-    hi = np.zeros(len(R), dtype=np.uint64)
-    lo = np.zeros(len(R), dtype=np.uint64)
-    for t in range(min(n, 12)):
-        hi |= R[:, t].astype(np.uint64) << np.uint64(5 * (11 - t))
-    for t in range(12, n):
-        lo |= R[:, t].astype(np.uint64) << np.uint64(5 * (23 - t))
-    return hi, lo
-
-
-def _unpack_rows(hi, lo, n: int):
-    """Inverse of _pack_rows: the uint8 rows of degree n."""
-    R = np.empty((len(hi), n), dtype=np.uint8)
-    mask = np.uint64(31)
-    for t in range(min(n, 12)):
-        R[:, t] = (hi >> np.uint64(5 * (11 - t))) & mask
-    for t in range(12, n):
-        R[:, t] = (lo >> np.uint64(5 * (23 - t))) & mask
-    return R
-
-
-def _mix(hi, lo):
-    """64-bit sort key of packed rows.  It equals hi below degree 13, where
-    lo is 0; above, distinct rows may share it, so every match on it is
-    checked against the full (hi, lo) pair."""
-    return hi ^ (lo * np.uint64(0x9E3779B97F4A7C15))
-
-
-def _least_powers(Z, unit_inv):
-    """For each row z of Z (a permutation of order m = len(unit_inv)), the
-    packed lex-least generator z**j of <z> and its exponent j.  unit_inv
-    is nonzero exactly at the units mod m.  j is read off the cycle of
-    the first moved point, as the module docstring explains; a row whose
-    first moved point lies on a cycle shorter than m goes to
-    _least_power_table instead."""
-    c, n = Z.shape
-    m = len(unit_inv)
-    base = np.arange(c, dtype=np.int32)[:, None] * n
-    # z(i) as the flat index r * n + z(i), so that z o w is np.take(step, w)
-    step = Z + base
-    # walk[j] = z**j(i0) as a flat index, for the first moved point i0
-    walk = np.empty((m, c), dtype=np.int32)
-    walk[0] = base[:, 0] + (Z != np.arange(n, dtype=Z.dtype)).argmax(axis=1)
-    for j in range(1, m):
-        np.take(step, walk[j - 1], out=walk[j])
-    units = np.flatnonzero(unit_inv).astype(np.int32)
-    # the unit j with the least z**j(i0): the least key m * z**j(i0) + j
-    best = (walk[units] * np.int32(m) + units[:, None]).min(axis=0) % np.int32(m)
-    # i0 back home before m steps: its cycle is shorter than m
-    divisors = [j for j in range(2, m) if m % j == 0]
-    short = (walk[divisors] == walk[0]).any(axis=0)
-    # z**best by binary powering
-    power = step.copy()
-    e = best - 1
-    while e.any():
-        odd = np.flatnonzero(e & 1)
-        power[odd] = np.take(step, power[odd])
-        e >>= 1
-        if e.any():
-            step = np.take(step, step)
-    hi, lo = _pack_rows((power - base).astype(np.uint8))
-    if short.any():
-        rows = np.flatnonzero(short)
-        hi[rows], lo[rows], best[rows] = _least_power_table(Z[rows], unit_inv)
-    return hi, lo, best
-
-
-def _least_power_table(Z, unit_inv):
-    """_least_powers by packing and comparing every unit power of each row."""
-    c, n = Z.shape
-    values = Z.ravel()
-    # z(i) as a flat index into Z, so that z o w is one gather: step[w]
-    step = (Z + np.arange(c, dtype=np.intp)[:, None] * n).ravel()
-    hi, lo = _pack_rows(Z)
-    best = np.ones(c, dtype=np.int32)
-    cur = step  # z**(j-1) as flat indices
-    for j in range(2, len(unit_inv)):
-        if unit_inv[j]:
-            h, l = _pack_rows(values[cur].reshape(c, n))
-            better = (h < hi) | ((h == hi) & (l < lo))
-            np.copyto(hi, h, where=better)
-            np.copyto(lo, l, where=better)
-            best[better] = j
-        if j + 1 < len(unit_inv):
-            cur = step[cur]
-    return hi, lo, best
-
-
-def _conjugates(rows, gens, unit_inv):
-    """Packed canonical generators of g <y> g^-1 for every generator g and
-    every row y, candidate gi * len(rows) + r for gens[gi] and rows[r],
-    with the exponent j such that y_eps = (g y g^-1) ** j."""
-    k = len(rows)
-    hi = np.empty(len(gens) * k, dtype=np.uint64)
-    lo = np.empty_like(hi)
-    j = np.empty(len(hi), dtype=np.int32)
-    for gi, g in enumerate(gens):
-        garr = np.array(g, dtype=np.uint8)
-        ginv = np.array(inv(g), dtype=np.uint8)
-        for s in range(0, k, _BLOCK_ROWS):
-            Z = garr[rows[s:s + _BLOCK_ROWS][:, ginv]]
-            o = slice(gi * k + s, gi * k + s + len(Z))
-            hi[o], lo[o], j[o] = _least_powers(Z, unit_inv)
-    return hi, lo, j
-
-
-class _RowIndex:
-    """Ids of the packed rows seen so far, looked up a batch at a time.
-
-    Sorted by the 64-bit _mix key; a key match counts only when the full
-    (hi, lo) pair matches too, and any mismatch raises InvariantViolation,
-    so two distinct rows never share an id."""
-
-    def __init__(self):
-        self.key = np.empty(0, dtype=np.uint64)
-        self.hi = np.empty(0, dtype=np.uint64)
-        self.lo = np.empty(0, dtype=np.uint64)
-        self.id = np.empty(0, dtype=np.int32)
-        self.size = 0
-
-    def add(self, hi, lo):
-        """The id of every row of the batch, in batch order, and the batch
-        positions of the rows not seen before.  Those get the next ids in
-        order of first occurrence."""
-        key = _mix(hi, lo)
-        ukey, first, back = np.unique(key, return_index=True, return_inverse=True)
-        if (hi[first][back] != hi).any() or (lo[first][back] != lo).any():
-            raise InvariantViolation("packed-row sort keys collide within a batch")
-        pos = np.searchsorted(self.key, ukey)
-        old = pos < len(self.key)
-        old[old] = self.key[pos[old]] == ukey[old]
-        op, of = pos[old], first[old]
-        if (self.hi[op] != hi[of]).any() or (self.lo[op] != lo[of]).any():
-            raise InvariantViolation("packed-row sort keys collide with a seen row")
-        fresh = np.flatnonzero(~old)  # in key order
-        new = np.sort(first[fresh])
-        uid = np.empty(len(ukey), dtype=np.int32)
-        uid[old] = self.id[op]
-        uid[fresh] = self.size + np.searchsorted(new, first[fresh])
-        ins = pos[fresh]
-        self.key = np.insert(self.key, ins, ukey[fresh])
-        self.hi = np.insert(self.hi, ins, hi[first[fresh]])
-        self.lo = np.insert(self.lo, ins, lo[first[fresh]])
-        self.id = np.insert(self.id, ins, uid[fresh])
-        self.size += len(new)
-        return uid[back], new
-
-
 class CyclicConjOrbit:
-    """Conjugation orbit of the cyclic subgroup <x> under G.
+    """N = N_G(<x>) by a base-image backtrack, and the size of the
+    conjugation orbit of <x>, |G| / |N|.
 
-    Breadth first, one level at a time: every generator conjugates every
-    frontier subgroup in one numpy batch, and the batch is deduplicated
-    at once against itself and against the sorted keys of the nodes seen.
-    Node ids follow first occurrence in (generator, frontier row) order,
-    which is the order a row-at-a-time walk discovers them in.  Keys are
-    exact: a shared sort key whose (hi, lo) rows differ raises
-    InvariantViolation rather than merge two subgroups.
-
-    parent, genidx and cval are int32 arrays indexed by node id; node 0
-    is <x> itself, generated by root_gen.
+    generators generate N, and residues[i] is the unit a mod m with
+    generators[i] x generators[i]^-1 = x^a.
     """
 
     def __init__(self, G: PermGroup, x: tuple):
@@ -251,107 +80,138 @@ class CyclicConjOrbit:
         self.m = perm_order(self.x)
         if self.m < 2:
             raise ValueError("need a nontrivial cyclic subgroup")
-        self._run()
+        cycs = sorted(cycles(self.x), key=len, reverse=True)
+        prefix = tuple(pt for c in cycs for pt in c)
+        base, S, trans = PermGroup(G.generators, G.degree, base_prefix=prefix).chain()
+        if base[: len(prefix)] != prefix:
+            raise InvariantViolation("prefixed chain lost its prefix")
+        self._base, self._trans = base, trans
+        # the x-cycle through each point (a 1-tuple at a fixed point) and
+        # the point's place on it
+        self._cycle = [(pt,) for pt in range(G.degree)]
+        self._place = [0] * G.degree
+        for c in cycs:
+            for i, pt in enumerate(c):
+                self._cycle[pt], self._place[pt] = c, i
+        # (cycle length, offset in the cycle) of each base point moved by x
+        self._levels = [(len(c), i) for c in cycs for i in range(len(c))]
+        self._steps = 0
+        self._search(S)
+        if G.order() % self.normalizer_order:
+            raise InvariantViolation("normalizer order does not divide group order")
+        self.size = G.order() // self.normalizer_order
 
-    def _run(self):
-        G, m = self.G, self.m
-        # inverse mod m of each unit; 0 at the non-units
-        unit_inv = np.zeros(m, dtype=np.int64)
-        for j in range(1, m):
-            if gcd(j, m) == 1:
-                unit_inv[j] = pow(j, -1, m)
-        self.root_gen = min(power(self.x, j) for j in range(1, m) if unit_inv[j])
-        rows = np.array([self.root_gen], dtype=np.uint8)
-        index = _RowIndex()
-        index.add(*_pack_rows(rows))
-        self.parent = np.array([-1], dtype=np.int32)
-        self.genidx = np.array([-1], dtype=np.int32)
-        self.cval = np.array([1], dtype=np.int32)
-        # residue -> first closed edge realizing it, for witness rebuilds
-        self.residue_edges: dict = {}
-        self.closed_edges: list = []
-        while len(rows):
-            rows = self._level(rows, index, unit_inv)
-        self.size = len(self.parent)
-        if G.order() % self.size:
-            raise InvariantViolation("orbit size does not divide group order")
-        self.normalizer_order = G.order() // self.size
+    def _search(self, S):
+        L, trans = len(self._levels), self._trans
+        # G^(L) fixes every point x moves, so it centralizes x
+        self.generators = list(S[L]) if L < len(S) else []
+        self.residues = [1] * len(self.generators)
+        # the generators found by the search: the others fix every moved
+        # point, so these alone give the orbits of moved points
+        found: list = []
+        order = 1
+        for t in trans[L:]:
+            order *= len(t)
+        # on G^(l), a = 1 mod M for M the lcm of the lengths of the cycles
+        # whose first two points lie in base[:l]
+        moduli = [1]
+        for length, offset in self._levels:
+            moduli.append(lcm(moduli[-1], length) if offset == 1 else moduli[-1])
+        idn = identity(self.G.degree)
+        for l in reversed(range(L)):
+            b = self._base[l]
+            reached, failed = {b}, set()
+            for image, a, M in self._images(l, idn, 1, moduli[l]):
+                if image in reached or image in failed:
+                    continue
+                # the order of the part of N found so far
+                self._attained = order * len(reached)
+                self._step()
+                u = trans[l].get(image)
+                hit = None if u is None else self._extend(l + 1, u, a, M)
+                if hit is None:
+                    failed.update(PermGroup(found, self.G.degree).orbit(image))
+                else:
+                    found.append(hit[0])
+                    self.generators.append(hit[0])
+                    self.residues.append(hit[1])
+                    reached = set(PermGroup(found, self.G.degree).orbit(b))
+            order *= len(reached)
+        self.normalizer_order = order
 
-    def _level(self, rows, index, unit_inv):
-        """Walk every edge out of the frontier, the last len(rows) nodes,
-        whose canonical generators are rows; return the new nodes' rows."""
-        m, k = self.m, len(rows)
-        start = len(self.parent) - k
-        hi, lo, j = _conjugates(rows, self.G.generators, unit_inv)
-        eps, tree = index.add(hi, lo)
-        if index.size > CYCLIC_ORBIT_CAP:
+    def _step(self):
+        self._steps += 1
+        if self._steps > NORMALIZER_SEARCH_CAP:
             raise CapExceeded(
-                f"cyclic conjugation orbit exceeded cap {CYCLIC_ORBIT_CAP}",
-                attained=CYCLIC_ORBIT_CAP,
+                f"normalizer search exceeded cap {NORMALIZER_SEARCH_CAP} base images",
+                attained=self._attained,
             )
-        delta = start + tree % k
-        self.parent = np.concatenate([self.parent, delta.astype(np.int32)])
-        self.genidx = np.concatenate([self.genidx, (tree // k).astype(np.int32)])
-        # g y_delta g^-1 = y_eps ** a with a the inverse of j mod m
-        self.cval = np.concatenate(
-            [self.cval, (unit_inv[j[tree]] * self.cval[delta] % m).astype(np.int32)]
-        )
-        closed = np.ones(len(hi), dtype=bool)
-        closed[tree] = False
-        cpos = np.flatnonzero(closed)
-        cdelta, ceps = start + cpos % k, eps[cpos]
-        res = unit_inv[j[cpos]] * self.cval[cdelta] % m * unit_inv[self.cval[ceps]] % m
-        # first closed edge of each residue, and the first closed edges
-        for f in np.sort(np.unique(res, return_index=True)[1]):
-            self.residue_edges.setdefault(
-                int(res[f]), (int(cdelta[f]), int(cpos[f] // k), int(ceps[f]))
-            )
-        room = CLOSED_EDGE_BUDGET - len(self.closed_edges)
-        if room > 0:
-            self.closed_edges += list(zip(
-                cdelta[:room].tolist(), (cpos[:room] // k).tolist(),
-                ceps[:room].tolist(),
-            ))
-        return _unpack_rows(hi[tree], lo[tree], self.G.degree)
 
-    def transporter(self, idx: int) -> tuple:
-        return tree_transporter(
-            self.parent, self.genidx, self.G.generators, self.G.degree, idx
-        )
+    def _images(self, j, h, a, M):
+        """(image, a, M) for each image of base[j] that keeps the relation
+        with x, given h on base[:j] and a fixed modulo M."""
+        length, offset = self._levels[j]
+        if offset == 0:
+            for pt in self._trans[j]:
+                if len(self._cycle[h[pt]]) == length:
+                    yield h[pt], a, M
+            return
+        first = h[self._base[j - offset]]
+        cycle, place = self._cycle[first], self._place[first]
+        if offset == 1 and M % length:
+            # each lift of a to the lcm that is a unit mod the cycle length
+            M2 = lcm(M, length)
+            for a2 in range(a % M, M2, M):
+                if gcd(a2, length) == 1:
+                    yield cycle[(place + a2) % length], a2, M2
+        else:
+            yield cycle[(place + a * offset) % length], a, M
 
-    def schreier_element(self, edge) -> tuple:
-        delta, gi, eps = edge
-        return schreier_generator(
-            self.G.generators[gi], self.transporter(delta), self.transporter(eps)
-        )
+    def _extend(self, j, h, a, M):
+        """An element of N that agrees with h on base[:j], with its unit
+        a, or None."""
+        if j == len(self._levels):
+            if conj(h, self.x) != power(self.x, a):
+                raise InvariantViolation("search found an element outside the normalizer")
+            return h, a
+        t = self._trans[j]
+        for image, a2, M2 in self._images(j, h, a, M):
+            self._step()
+            u = t.get(h.index(image))
+            if u is None:
+                continue
+            hit = self._extend(j + 1, h if len(t) == 1 else mul(h, u), a2, M2)
+            if hit is not None:
+                return hit
+        return None
 
     def aut_image(self) -> set:
         """Image of the normalizer of <x> in (Z/m)^*, as a set of units."""
-        E = {1}
-        while True:
-            new = {a * b % self.m for a in E for b in self.residue_edges} | E
-            if new == E:
-                return E
-            E = new
+        return {a for a, _ in self.witnesses()}
 
     def witnesses(self) -> list:
-        """(residue, group element) pairs, one per distinct closed-edge
-        residue, each verified to conjugate x to the stated power."""
-        out = []
-        for res in sorted(self.residue_edges):
-            s = self.schreier_element(self.residue_edges[res])
-            if conj(s, self.x) != power(self.x, res):
+        """(a, g) for each unit a of the normalizer's image, with g a
+        product of the generators and g x g^-1 = x^a checked, in
+        increasing order of a."""
+        found = {1: identity(self.G.degree)}
+        queue = [1]
+        for r in queue:
+            for g, a in zip(self.generators, self.residues):
+                t = r * a % self.m
+                if t not in found:
+                    found[t] = mul(g, found[r])
+                    queue.append(t)
+        for a, g in found.items():
+            if conj(g, self.x) != power(self.x, a):
                 raise InvariantViolation("witness fails its conjugation relation")
-            out.append((res, s))
-        return out
+        return sorted(found.items())
 
     def normalizer(self) -> PermGroup:
-        """N_G(<x>) from Schreier generators of the orbit stabilizer; an
-        InvariantViolation here means the closed-edge budget was too small."""
-        return generate_to_order(
-            map(self.schreier_element, self.closed_edges),
-            self.G.degree, self.normalizer_order,
-        )
+        """N_G(<x>) on the generators the search found."""
+        N = PermGroup(self.generators, self.G.degree)
+        if N.order() != self.normalizer_order:
+            raise InvariantViolation("normalizer generators miss the searched order")
+        return N
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import permhomology
 from permhomology import cli, homology, polytope, resolution, sylow
 from permhomology.catalog import group_from_cycles
 from permhomology.cli import main
@@ -144,13 +147,14 @@ def test_wall_options_need_the_wall_route(capsys):
 
 
 def test_cap_error_reports_attained_count(capsys, monkeypatch):
-    monkeypatch.setattr(sylow, "CYCLIC_ORBIT_CAP", 1000)
+    monkeypatch.setattr(sylow, "NORMALIZER_SEARCH_CAP", 50)
     assert main(["ppart-table", "--groups", "M22", "--primes", "7"]) == 2
     err = json.loads(capsys.readouterr().err)
+    # attained: the order of the part of the normalizer found
     assert err == {
         "error": "cap-exceeded",
-        "detail": "cyclic conjugation orbit exceeded cap 1000",
-        "attained": 1000,
+        "detail": "normalizer search exceeded cap 50 base images",
+        "attained": 3,
     }
 
 
@@ -383,6 +387,24 @@ def test_ppart_table_matches_benchmark_record(capsys, seed):
     d = run_json(capsys, *request.split(), "--seed", str(seed))
     assert d.pop("seed") == seed
     assert d == _benchmark_record(request)
+
+
+def test_ppart_table_m24(capsys):
+    d = run_json(capsys, "ppart-table", "--groups", "M24", "--primes", "5,7,11,23")
+    (row,) = d["rows"]
+    assert row["patterns"] == {"5": "8k-1", "7": "6k-1", "11": "20k-1", "23": "22k-1"}
+
+
+def test_cli_import_leaves_numpy_out():
+    # a fresh interpreter: the test suite itself imports numpy
+    code = "import sys, permhomology.cli\nprint('numpy' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(permhomology.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_resolution_report(capsys):

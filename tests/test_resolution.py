@@ -10,7 +10,7 @@ from permhomology.catalog import (
     klein_four,
     symmetric,
 )
-from permhomology.errors import CapExceeded
+from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.homology import resolution_homology
 from permhomology.perm import identity, inv, mul
 from permhomology.permgroup import PermGroup, fingerprint
@@ -20,7 +20,6 @@ from permhomology.resolution import (
     FreeResolution,
     SmallGroup,
     ZGWord,
-    act_word,
     bar_resolution,
     chain_map,
     homology_action,
@@ -79,6 +78,11 @@ def test_word_vec_roundtrip():
         v = word_to_vec(G, w)
         assert all(0 <= i < 3 * G.n and c for i, c in v.items())
         assert vec_to_word(G, 2, v) == w
+
+
+def act_word(G, g, w):
+    """g . w as one sorted word: the oracle for translate_vec and _word_sum."""
+    return word(w.degree, ((c, G.mul(g, e), j) for c, e, j in w.terms))
 
 
 def test_act_word_inverse():
@@ -346,6 +350,17 @@ def test_small_resolutions_are_pinned(tmp_path, make, depth, ranks, sha256):
     path = tmp_path / "res.json"
     save_resolution(R, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_verify_catches_a_broken_boundary():
+    R = resolution_small(symmetric(3), 3)
+    # d_2 of generator 0 replaced by a degree-1 generator, which is no cycle
+    d = dict(R._d)
+    d[2] = (word(1, [(1, R.G.id, 0)]),) + d[2][1:]
+    with pytest.raises(InvariantViolation, match="d.d != 0 at degree 2"):
+        FreeResolution(R.G, R.ranks, d, R.aug, R.h)
+    # the resolution itself passes the same check
+    FreeResolution(R.G, R.ranks, R._d, R.aug, R.h)
 
 
 # -- chain maps and induced maps on homology -----------------------------

@@ -1,7 +1,6 @@
 import random
 from math import gcd
 
-import numpy as np
 import pytest
 
 from permhomology.catalog import (
@@ -13,13 +12,11 @@ from permhomology.catalog import (
 from permhomology import sylow
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.intlinalg import factor, p_part
-from permhomology.perm import conj, inv, parse_cycles, power
+from permhomology.perm import conj, mul, parse_cycles, power
 from permhomology.perm import order as perm_order
 from permhomology.permgroup import PermGroup
 from permhomology.sylow import (
-    CLOSED_EDGE_BUDGET,
     CyclicConjOrbit,
-    _pack_rows,
     double_cosets,
     element_of_order,
     subgroup_normalizer,
@@ -44,159 +41,141 @@ def brute_normalizer_image(G, x):
 
 
 def reference_orbit(G, x):
-    """The orbit tables of CyclicConjOrbit, walked one candidate row at a
-    time with a dict of exact keys: the oracle for the batched walk."""
+    """The conjugation orbit of <x> walked one subgroup at a time, each
+    keyed by its lex-least generator: the oracle for the search.
+
+    Returns (orbit size, |N_G(<x>)|, image of N_G(<x>) in (Z/m)^*).  A node
+    y with tree transporter t carries the unit c(y) with t x t^-1 = y**c(y);
+    a closed edge y -> y' by g gives the Schreier generator
+    t'^-1 g t, which conjugates x to x ** (c(y) c(y')^-1 / j) for
+    g y g^-1 = y' ** (1/j), and those units generate the image.
+    """
     m = perm_order(x)
-    n = G.degree
-    gens = G.generators
-    garr = [np.array(g, dtype=np.uint8) for g in gens]
-    ginv = [np.array(inv(g), dtype=np.uint8) for g in gens]
     units = [j for j in range(1, m) if gcd(j, m) == 1]
-    y0 = min(power(x, j) for j in units)
-    r0 = np.array([y0], dtype=np.uint8)
-    h0, l0 = _pack_rows(r0)
-    index = {(int(h0[0]), int(l0[0])): 0}
-    parent, genidx, cval = [-1], [-1], [1]
-    residue_edges, closed_edges = {}, []
-    frontier_rows, frontier_idx = r0, [0]
-    while frontier_idx:
-        next_rows, next_idx = [], []
-        for gi in range(len(gens)):
-            Z = garr[gi][frontier_rows[:, ginv[gi]]]
-            P = [Z]
-            for _ in range(m - 2):
-                P.append(np.take_along_axis(Z, P[-1].astype(np.int64), axis=1))
-            packed = [_pack_rows(P[j - 1]) for j in units]
-            new_rows = []
-            for r in range(len(Z)):
-                key, uj = min(
-                    ((int(h[r]), int(l[r])), uj) for uj, (h, l) in enumerate(packed)
-                )
-                delta = frontier_idx[r]
-                a = pow(units[uj], -1, m)
-                eps = index.get(key)
-                if eps is None:
-                    eps = len(parent)
-                    index[key] = eps
-                    parent.append(delta)
-                    genidx.append(gi)
-                    cval.append(a * cval[delta] % m)
-                    new_rows.append(P[units[uj] - 1][r])
-                    next_idx.append(eps)
-                else:
-                    res = a * cval[delta] * pow(cval[eps], -1, m) % m
-                    residue_edges.setdefault(res, (delta, gi, eps))
-                    if len(closed_edges) < CLOSED_EDGE_BUDGET:
-                        closed_edges.append((delta, gi, eps))
-            next_rows += new_rows
-        frontier_rows = np.array(next_rows, dtype=np.uint8).reshape(-1, n)
-        frontier_idx = next_idx
-    return {
-        "size": len(parent),
-        "root_gen": y0,
-        "parent": parent,
-        "genidx": genidx,
-        "cval": cval,
-        "residue_edges": list(residue_edges.items()),
-        "closed_edges": closed_edges,
-    }
+
+    def canonical(z):
+        # (y, j): y = z**j is the lex-least generator of <z>
+        powers = [z]
+        for _ in range(m - 2):
+            powers.append(mul(z, powers[-1]))
+        return min((powers[j - 1], j) for j in units)
+
+    y0, j0 = canonical(x)
+    cval = {y0: pow(j0, -1, m)}
+    queue = [y0]
+    residues = {1}
+    for y in queue:
+        for g in G.generators:
+            z, j = canonical(conj(g, y))
+            c = cval[y] * pow(j, -1, m) % m
+            if z not in cval:
+                cval[z] = c
+                queue.append(z)
+            else:
+                residues.add(c * pow(cval[z], -1, m) % m)
+    image = {1}
+    while True:
+        grown = image | {a * b % m for a in image for b in residues}
+        if grown == image:
+            break
+        image = grown
+    return len(queue), G.order() // len(queue), image
 
 
-def orbit_tables(orb):
-    return {
-        "size": orb.size,
-        "root_gen": orb.root_gen,
-        "parent": orb.parent.tolist(),
-        "genidx": orb.genidx.tolist(),
-        "cval": orb.cval.tolist(),
-        "residue_edges": list(orb.residue_edges.items()),
-        "closed_edges": orb.closed_edges,
-    }
+def check_search(G, x, want=None):
+    """The search against the orbit walk, or against want = (size, |N|,
+    image or None), and its normalizer generators against x."""
+    orb = CyclicConjOrbit(G, x)
+    want = want or reference_orbit(G, x)
+    assert (orb.size, orb.normalizer_order) == want[:2]
+    if want[2] is not None:
+        assert orb.aut_image() == want[2]
+    sub = {power(x, j) for j in range(orb.m)}
+    N = orb.normalizer()
+    assert all(conj(g, x) in sub for g in N.generators)
+    assert N.order() == orb.normalizer_order
+    return orb
 
 
 @pytest.mark.parametrize("name", ["M11", "M12", "M21", "M22"])
-def test_batched_orbit_matches_row_walk(name):
+def test_search_matches_orbit_walk(name):
     G = mathieu(int(name[1:]))
     for p in factor(G.order()):
         for seed in range(3):
-            x = element_of_order(G, p, seed)
-            assert orbit_tables(CyclicConjOrbit(G, x)) == reference_orbit(G, x), (p, seed)
+            check_search(G, element_of_order(G, p, seed))
 
 
-def test_batched_orbit_matches_row_walk_composite_orders():
-    x = parse_cycles("(1,2,3,4)", 4)
-    G = symmetric(4)
-    assert orbit_tables(CyclicConjOrbit(G, x)) == reference_orbit(G, x)
-    # orders 4 and 8 in M11: the cyclic normalizers sylow_ascent takes
-    M11 = mathieu(11)
-    stream = M11.random_elements(0)
+def mathieu_11_elements(orders, seed=0):
+    stream = mathieu(11).random_elements(seed)
     found = {}
-    while len(found) < 2:
+    while len(found) < len(orders):
         g = next(stream)
-        if perm_order(g) in (4, 8):
+        if perm_order(g) in orders:
             found.setdefault(perm_order(g), g)
-    for x in found.values():
-        assert orbit_tables(CyclicConjOrbit(M11, x)) == reference_orbit(M11, x)
+    return [found[o] for o in orders]
 
 
-def least_unit_power(z):
-    """The lex-least generator z**j of <z> over the units j mod |z|, and j:
-    the pure-Python oracle for _least_powers."""
-    m = perm_order(z)
-    return min((power(z, j), j) for j in range(1, m) if gcd(j, m) == 1)
+def test_search_matches_orbit_walk_composite_orders():
+    check_search(symmetric(4), parse_cycles("(1,2,3,4)", 4))
+    # orders 4 and 8 in M11: the cyclic normalizers sylow_ascent takes
+    for x in mathieu_11_elements((4, 8)):
+        check_search(mathieu(11), x)
+    # the base starts with the 3-cycle, so a is fixed mod 3 before the
+    # 2-cycle is reached
+    check_search(symmetric(6), parse_cycles("(1,2)(3,4,5)", 6))
 
 
-def check_least_powers(rows):
-    m = perm_order(rows[0])
-    unit_inv = np.array([pow(j, -1, m) if gcd(j, m) == 1 else 0 for j in range(m)])
-    hi, lo, best = sylow._least_powers(np.array(rows, dtype=np.uint8), unit_inv)
-    got = [tuple(r) for r in sylow._unpack_rows(hi, lo, len(rows[0])).tolist()]
-    assert list(zip(got, best.tolist())) == [least_unit_power(z) for z in rows]
-
-
-def conjugates(G, x, count, seed):
-    stream = G.random_elements(seed)
-    return [x] + [conj(next(stream), x) for _ in range(count)]
+# |N_G(<x>)| and the size of its image in (Z/p)^*, for x of order p
+PINNED = {
+    "M23": {5: (60, 4), 7: (42, 3), 11: (55, 5), 23: (253, 11)},
+    "M24": {5: (240, 4), 7: (126, 3), 11: (110, 10), 23: (253, 11)},
+}
 
 
 @pytest.mark.parametrize("name", ["M23", "M24"])
 @pytest.mark.parametrize("p", [5, 7, 11, 23])
-def test_least_powers_prime_order(name, p):
-    # degree 23 and 24 rows: the lo word of the packed key is in play
+def test_normalizer_order_pinned(name, p):
     G = mathieu(int(name[1:]))
-    check_least_powers(conjugates(G, element_of_order(G, p, 0), 300, 1))
+    order, exponent = PINNED[name][p]
+    orb = check_search(G, element_of_order(G, p, 0), (G.order() // order, order, None))
+    assert len(orb.aut_image()) == exponent
 
 
-def test_least_powers_composite_orders_in_s6():
-    # whole classes: in the first two the first moved point of some rows
-    # lies on a cycle shorter than the order, in the last two it never does
+def test_search_composite_orders_in_s6():
+    # every member of each class: the first moved point lies on a cycle
+    # shorter than the order for some, and the base starts elsewhere
     S6 = symmetric(6)
     for cycles in ("(1,2)(3,4,5,6)", "(1,2)(3,4,5)", "(1,2,3,4)", "(1,2,3,4,5,6)"):
         x = parse_cycles(cycles, 6)
-        rows = sorted({conj(g, x) for g in S6.elements()})
-        check_least_powers(rows)
+        norm, residues = brute_normalizer_image(S6, x)
+        for y in sorted({conj(g, x) for g in S6.elements()}):
+            check_search(S6, y, (720 // norm, norm, residues))
 
 
-def test_least_powers_mathieu_11_order_eight():
+def test_search_mathieu_11_order_eight_conjugates():
     M11 = mathieu(11)
-    stream = M11.random_elements(0)
-    x = next(g for g in stream if perm_order(g) == 8)
-    check_least_powers(conjugates(M11, x, 500, 2))
+    x = mathieu_11_elements((8,))[0]
+    want = reference_orbit(M11, x)
+    stream = M11.random_elements(2)
+    for _ in range(40):
+        check_search(M11, conj(next(stream), x), want)
+
+
+def test_search_verifies_each_element(monkeypatch):
+    # an element that fails g x g^-1 = x^a is never taken into N
+    monkeypatch.setattr(sylow, "conj", lambda g, x: g)
+    with pytest.raises(InvariantViolation):
+        CyclicConjOrbit(symmetric(5), parse_cycles("(1,2,3)", 5))
 
 
 def test_orbit_cap_reports_attained(monkeypatch):
-    monkeypatch.setattr(sylow, "CYCLIC_ORBIT_CAP", 1000)
+    monkeypatch.setattr(sylow, "NORMALIZER_SEARCH_CAP", 50)
     G = mathieu(22)
     with pytest.raises(CapExceeded) as info:
         CyclicConjOrbit(G, element_of_order(G, 7))
-    assert info.value.attained == 1000
-    assert str(info.value) == "cyclic conjugation orbit exceeded cap 1000"
-
-
-def test_colliding_sort_keys_are_never_merged(monkeypatch):
-    monkeypatch.setattr(sylow, "_mix", lambda hi, lo: np.zeros_like(hi))
-    with pytest.raises(InvariantViolation):
-        CyclicConjOrbit(symmetric(5), parse_cycles("(1,2,3)", 5))
+    # the part of N_G(<x>) (order 21) found before the cap
+    assert info.value.attained == 3
+    assert str(info.value) == "normalizer search exceeded cap 50 base images"
 
 
 def test_p_part_helpers():
