@@ -40,6 +40,15 @@ def brute_normalizer_image(G, x):
     return norm, residues
 
 
+def least_unit_power(z):
+    """The lex-least generator z**j of <z> over the units j mod |z|, and j."""
+    m = perm_order(z)
+    powers = [z]
+    for _ in range(m - 2):
+        powers.append(mul(z, powers[-1]))
+    return min((powers[j - 1], j) for j in range(1, m) if gcd(j, m) == 1)
+
+
 def reference_orbit(G, x):
     """The conjugation orbit of <x> walked one subgroup at a time, each
     keyed by its lex-least generator: the oracle for the search.
@@ -51,22 +60,13 @@ def reference_orbit(G, x):
     g y g^-1 = y' ** (1/j), and those units generate the image.
     """
     m = perm_order(x)
-    units = [j for j in range(1, m) if gcd(j, m) == 1]
-
-    def canonical(z):
-        # (y, j): y = z**j is the lex-least generator of <z>
-        powers = [z]
-        for _ in range(m - 2):
-            powers.append(mul(z, powers[-1]))
-        return min((powers[j - 1], j) for j in units)
-
-    y0, j0 = canonical(x)
+    y0, j0 = least_unit_power(x)
     cval = {y0: pow(j0, -1, m)}
     queue = [y0]
     residues = {1}
     for y in queue:
         for g in G.generators:
-            z, j = canonical(conj(g, y))
+            z, j = least_unit_power(conj(g, y))
             c = cval[y] * pow(j, -1, m) % m
             if z not in cval:
                 cval[z] = c
@@ -98,7 +98,8 @@ def check_search(G, x, want=None):
 
 
 @pytest.mark.parametrize("name", ["M11", "M12", "M21", "M22"])
-def test_search_matches_orbit_walk(name):
+def test_batched_orbit_matches_row_walk(name):
+    # size, |N| and image of CyclicConjOrbit against the orbit walked row by row
     G = mathieu(int(name[1:]))
     for p in factor(G.order()):
         for seed in range(3):
@@ -115,7 +116,7 @@ def mathieu_11_elements(orders, seed=0):
     return [found[o] for o in orders]
 
 
-def test_search_matches_orbit_walk_composite_orders():
+def test_batched_orbit_matches_row_walk_composite_orders():
     check_search(symmetric(4), parse_cycles("(1,2,3,4)", 4))
     # orders 4 and 8 in M11: the cyclic normalizers sylow_ascent takes
     for x in mathieu_11_elements((4, 8)):
@@ -141,24 +142,31 @@ def test_normalizer_order_pinned(name, p):
     assert len(orb.aut_image()) == exponent
 
 
-def test_search_composite_orders_in_s6():
+def test_least_powers_composite_orders_in_s6():
     # every member of each class: the first moved point lies on a cycle
-    # shorter than the order for some, and the base starts elsewhere
+    # shorter than the order for some, and the base starts elsewhere; a
+    # class holds every generator of each <y>, its least power among them
     S6 = symmetric(6)
     for cycles in ("(1,2)(3,4,5,6)", "(1,2)(3,4,5)", "(1,2,3,4)", "(1,2,3,4,5,6)"):
         x = parse_cycles(cycles, 6)
         norm, residues = brute_normalizer_image(S6, x)
-        for y in sorted({conj(g, x) for g in S6.elements()}):
+        members = {conj(g, x) for g in S6.elements()}
+        for y in sorted(members):
+            assert least_unit_power(y)[0] in members
             check_search(S6, y, (720 // norm, norm, residues))
 
 
-def test_search_mathieu_11_order_eight_conjugates():
+def test_least_powers_mathieu_11_order_eight():
+    # each conjugate y and the least power of y generate one subgroup, and
+    # list the 8-cycle in different orders at the head of the base
     M11 = mathieu(11)
     x = mathieu_11_elements((8,))[0]
     want = reference_orbit(M11, x)
     stream = M11.random_elements(2)
     for _ in range(40):
-        check_search(M11, conj(next(stream), x), want)
+        y = conj(next(stream), x)
+        check_search(M11, y, want)
+        check_search(M11, least_unit_power(y)[0], want)
 
 
 def test_search_verifies_each_element(monkeypatch):
