@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .catalog import alternating, symmetric
 from .errors import InvariantViolation
-from .perm import identity, inv, mul
+from .perm import identity, inv, mul, precompose
 from .permgroup import PermGroup
 from .resolution import (
     chain_map,
@@ -177,11 +177,13 @@ def _conjugator(convention: str, x):
     xi = inv(x)
     if convention == "intersect-right":
         # K = P n xPx~, included by k -> x~ k x
-        return lambda k: mul(xi, mul(k, x))
-    if convention == "intersect-left":
+        left, right = xi, precompose(x)
+    elif convention == "intersect-left":
         # K = P n x~Px, included by k -> x k x~
-        return lambda k: mul(x, mul(k, xi))
-    raise ValueError(f"unknown convention {convention!r}")
+        left, right = x, precompose(xi)
+    else:
+        raise ValueError(f"unknown convention {convention!r}")
+    return lambda k: mul(left, right(k))
 
 
 def ce_ppart_general(

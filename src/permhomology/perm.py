@@ -4,9 +4,17 @@ A permutation on n points is a tuple p of length n with p[i] = image of i.
 Composition is (p * q)(i) = p(q(i)), i.e. q acts first.  All public
 constructors and formatters speak 1-based cycle notation, matching the
 usual printed form; everything internal stays 0-based.
+
+Composition is one C-level call: mul(p, q) is itemgetter(*q)(p), which
+reads p at each entry of q.  Below degree 2 itemgetter would return a
+scalar (or raise), so those degrees keep the tuple comprehension.  A
+loop that multiplies many elements by the same right factor q builds
+that getter once with precompose(q).
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 def identity(n: int) -> tuple:
@@ -15,7 +23,16 @@ def identity(n: int) -> tuple:
 
 def mul(p: tuple, q: tuple) -> tuple:
     """Compose: apply q first, then p."""
-    return tuple(p[i] for i in q)
+    if len(q) < 2:
+        return tuple(p[i] for i in q)
+    return itemgetter(*q)(p)
+
+
+def precompose(q: tuple):
+    """The map p -> mul(p, q), built once for many left factors p."""
+    if len(q) < 2:
+        return lambda p: tuple(p[i] for i in q)
+    return itemgetter(*q)
 
 
 def inv(p: tuple) -> tuple:

@@ -16,7 +16,7 @@ import json
 from math import lcm
 
 from .errors import CapExceeded, InvariantViolation
-from .perm import identity, inv, mul
+from .perm import identity, inv, mul, precompose
 
 ENUM_CAP = 10**6
 ORBIT_CAP = 2 * 10**7
@@ -154,6 +154,8 @@ class PermGroup:
             for i in range(len(base))
         ]
         trans: list = [None] * len(base)
+        # the inverse of each transversal element, so no sift inverts
+        itrans: list = [None] * len(base)
 
         def orbit(i):
             t = {base[i]: idn}
@@ -166,14 +168,14 @@ class PermGroup:
                         t[im] = mul(g, u)
                         queue.append(im)
             trans[i] = t
+            itrans[i] = {pt: inv(u) for pt, u in t.items()}
 
         def strip(g, start):
             for l in range(start, len(base)):
-                im = g[base[l]]
-                u = trans[l].get(im)
-                if u is None:
+                ui = itrans[l].get(g[base[l]])
+                if ui is None:
                     return g, l
-                g = mul(inv(u), g)
+                g = mul(ui, g)
             return g, len(base)
 
         for i in range(len(base)):
@@ -184,7 +186,7 @@ class PermGroup:
             for pt in list(trans[i]):
                 u = trans[i][pt]
                 for g in S[i]:
-                    h0 = mul(inv(trans[i][g[pt]]), mul(g, u))
+                    h0 = mul(itrans[i][g[pt]], mul(g, u))
                     if h0 == idn:
                         continue
                     h, j = strip(h0, i + 1)
@@ -194,6 +196,7 @@ class PermGroup:
                         base.append(min(x for x in range(n) if h[x] != x))
                         S.append([])
                         trans.append(None)
+                        itrans.append(None)
                     for l in range(i + 1, j + 1):
                         S[l].append(h)
                         orbit(l)
@@ -209,6 +212,7 @@ class PermGroup:
         for t in trans:
             order *= len(t)
         self._chain = (tuple(base), S, trans)
+        self._itrans = itrans
         self._order = order
 
     def order(self) -> int:
@@ -230,12 +234,11 @@ class PermGroup:
     def sift(self, g: tuple) -> tuple:
         """Residue of g after stripping through the chain (identity iff g in G)."""
         self._ensure_chain()
-        base, _, trans = self._chain
-        for l in range(len(base)):
-            u = trans[l].get(g[base[l]])
-            if u is None:
+        for b, itr in zip(self._chain[0], self._itrans):
+            ui = itr.get(g[b])
+            if ui is None:
                 return g
-            g = mul(inv(u), g)
+            g = mul(ui, g)
         return g
 
     def contains(self, g) -> bool:
@@ -259,7 +262,9 @@ class PermGroup:
         out = [identity(self.degree)]
         for i in reversed(range(len(base))):
             us = [trans[i][pt] for pt in sorted(trans[i])]
-            out = [mul(u, x) for u in us for x in out]
+            # mul(u, x) for u in us for x in out, one getter per x
+            gets = [precompose(x) for x in out]
+            out = [f(u) for u in us for f in gets]
         return out
 
     def random_elements(self, seed: int = 0):

@@ -31,7 +31,6 @@ one program per stabilizer orbit decides every point of that orbit.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -389,6 +388,9 @@ def vertex_degree(points, i: int, gens=(), threads: int = 1) -> int:
     points = _scaled(points)
     if threads <= 1:
         return _degree_chunk((points, i, work))
+    # imported here: it costs every CLI start about 20 ms otherwise
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [work[k::threads] for k in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as ex:
         parts = ex.map(_degree_chunk, [(points, i, c) for c in chunks])

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, InvariantViolation
 from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
-from .perm import identity, inv, mul
+from .perm import identity, inv, precompose
 from .permgroup import PermGroup, fingerprint
 
 SMALL_GROUP_CAP = 128
@@ -50,9 +50,10 @@ class SmallGroup:
         self.n = n
         self.id = self.index[identity(group.degree)]
         self.inverse = tuple(self.index[inv(g)] for g in self.elements)
-        self._mul = [
-            [self.index[mul(a, b)] for b in self.elements] for a in self.elements
-        ]
+        index = self.index
+        # row a, column b holds the index of mul(a, b)
+        gets = [precompose(b) for b in self.elements]
+        self._mul = [[index[f(a)] for f in gets] for a in self.elements]
 
     def mul(self, i: int, j: int) -> int:
         return self._mul[i][j]

@@ -41,7 +41,7 @@ from math import gcd, lcm
 
 from .errors import CapExceeded, InvariantViolation
 from .intlinalg import p_part
-from .perm import conj, cycles, identity, mul, power
+from .perm import conj, cycles, identity, mul, power, precompose
 from .perm import order as perm_order
 from .permgroup import (
     ENUM_CAP,
@@ -366,14 +366,17 @@ def double_cosets(G: PermGroup, H: PermGroup, cap: int = ENUM_CAP) -> list:
     each double coset, in increasing order."""
     els = sorted(G.elements(cap))
     hels = H.elements(cap)
-    marked = set()
+    # x -> x b for each b in H
+    gets = [precompose(b) for b in hels]
+    left = set(els)
     reps = []
     for g in els:
-        if g in marked:
+        if g not in left:
             continue
         reps.append(g)
+        # HgH is the union of the cosets agH; once ag is gone, so is agH
         for a in hels:
             ag = mul(a, g)
-            for b in hels:
-                marked.add(mul(ag, b))
+            if ag in left:
+                left.difference_update([f(ag) for f in gets])
     return reps

@@ -407,6 +407,22 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout == "False\n"
 
 
+def test_cli_import_leaves_process_pools_out():
+    # only vertex_degree with threads >= 2 needs a process pool
+    code = (
+        "import sys, permhomology.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(permhomology.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_resolution_report(capsys):
     d = run_json(capsys, "resolution", "Z6", "--length", "3")
     assert d["ranks"] == [1, 1, 1, 1]

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from permhomology.catalog import mathieu
 from permhomology.errors import CapExceeded
 from permhomology.perm import (
     conj,
@@ -15,6 +17,7 @@ from permhomology.perm import (
     power,
 )
 from permhomology.permgroup import PermGroup
+from permhomology.sylow import sylow_ascent
 
 
 def to_images_1based(p: tuple) -> list:
@@ -128,6 +131,34 @@ def test_elements_enumeration_matches_closure():
     assert set(els) == mulclose(G.generators, 4)
     # deterministic order
     assert els == sym(4).elements()
+
+
+def chain_order_elements(G):
+    """G's elements in the chain order, by the per-product comprehension
+    that element indices and saved resolutions were pinned with."""
+    base, _, trans = G.chain()
+    out = [identity(G.degree)]
+    for i in reversed(range(len(base))):
+        us = [trans[i][pt] for pt in sorted(trans[i])]
+        out = [tuple(u[j] for j in x) for u in us for x in out]
+    return out
+
+
+@pytest.mark.parametrize("which", ["S5", "M11", "M11-sylow-2", "M11-sylow-3"])
+def test_elements_order_pinned(which):
+    if which == "S5":
+        G = sym(5)
+    else:
+        G = mathieu(11)
+        if which != "M11":
+            G = sylow_ascent(G, int(which[-1]))
+    els = G.elements()
+    assert len(els) == G.order()
+    assert els == chain_order_elements(G)
+    if which == "M11":
+        # the chain itself is pinned too: M11's list as first recorded
+        digest = hashlib.sha256(repr(els).encode()).hexdigest()
+        assert digest[:12] == "3d87d2e820da"
 
 
 def test_elements_cap():

@@ -330,11 +330,37 @@ def test_double_cosets_partition():
             from permhomology.perm import mul
 
             dc = {mul(a, mul(r, b)) for a in hels for b in hels}
+            assert r == min(dc)
             assert not (dc & seen)
             seen |= dc
         assert seen == els
         # reps are minimal in their cosets and sorted
         assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("name", ["A6", "M11"])
+def test_double_coset_reps_are_least(name):
+    G = alternating(6) if name == "A6" else mathieu(11)
+    P = sylow_ascent(G, 3)
+    pels = P.elements()
+    pset = set(pels)
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    reps = double_cosets(G, P)
+    assert reps == sorted(reps)
+    total = 0
+    for x in reps:
+        dc = {compose(a, compose(x, b)) for a in pels for b in pels}
+        assert x == min(dc)
+        xi = tuple(sorted(range(G.degree), key=x.__getitem__))
+        meet = sum(1 for k in pels if compose(xi, compose(k, x)) in pset)
+        # |PxP| = |P|^2 / |P n xPx^-1|, and these sizes sum to |G|
+        size = len(pels) ** 2 // meet
+        assert len(dc) == size
+        total += size
+    assert total == G.order()
 
 
 def test_double_cosets_example():
