@@ -14,7 +14,11 @@ into P are lifted to chain maps and the differences of their induced
 images are divided out.  It takes a whole range of degrees at once,
 so the CLI calls it once per prime: the double cosets, the resolutions
 and the chain maps are built once, to the top degree, and each degree
-then costs only its induced maps and one Smith form.  Conjugating with x or with x~ both give well-defined
+then costs only its induced maps and one Smith form.  The plain
+inclusion depends on K alone, so RK, that inclusion and its induced
+maps are built once per distinct K.  The double cosets come from a
+walk over the |G:P| left cosets of P, so DOUBLE_COSET_CAP bounds that
+index, not |G|.  Conjugating with x or with x~ both give well-defined
 inclusions (with K intersected on the matching side) and, over the full
 double-coset loop, the same quotient.  The route uses "intersect-right"
 and reports it alongside results; check_ce_convention compares it with
@@ -201,7 +205,7 @@ def ce_ppart_general(
     answer.  The double cosets, the resolutions of P and of each K and
     the chain maps are built and checked once, to one past the top
     degree; they grow degree by degree, so each degree reads a prefix
-    of them.  Needs |G| within the double-coset cap.
+    of them.  Needs the index |G:P| within the double-coset cap.
     """
     degrees = sorted({degrees} if isinstance(degrees, int) else set(degrees))
     if not degrees or degrees[0] < 1:
@@ -219,23 +223,28 @@ def ce_ppart_general(
     RP = resolution_small(P, depth)
     orders: dict = {}
     rel_cols: dict = {n: [] for n in degrees}
+    # K -> (RK, {n: induced map of the plain inclusion of K into P})
+    plain: dict = {}
     for x in double_cosets(G, P, cap=DOUBLE_COSET_CAP):
         if x == idn:
             continue
         phi = _conjugator(convention, x)
-        kels = sorted(k for k in pels if phi(k) in pels)
+        kels = tuple(sorted(k for k in pels if phi(k) in pels))
         if len(kels) == 1:
             continue
-        if len(kels) == len(pels):
-            RK = RP
-        else:
-            RK = resolution_small(
-                PermGroup([k for k in kels if k != idn], G.degree), depth
-            )
-        inc = chain_map(lambda k: k, RK, RP)
+        if kels not in plain:
+            if len(kels) == len(pels):
+                RK = RP
+            else:
+                RK = resolution_small(
+                    PermGroup([k for k in kels if k != idn], G.degree), depth
+                )
+            inc = chain_map(lambda k: k, RK, RP)
+            plain[kels] = (RK, {n: homology_action(inc, n) for n in degrees})
+        RK, induced = plain[kels]
         con = chain_map(phi, RK, RP)
         for n in degrees:
-            s1, t1, M1 = homology_action(inc, n)
+            s1, t1, M1 = induced[n]
             s2, t2, M2 = homology_action(con, n)
             if s1 != s2 or t1 != t2:
                 raise InvariantViolation("induced-map coordinates disagree")

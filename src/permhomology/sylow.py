@@ -32,6 +32,14 @@ succeeds adds a generator to K.  |N| is the product of the orbit sizes,
 and the orbit of <x> under conjugation has |G| / |N| members.  The
 search costs one step per base image tried, however large N is; a
 budget on those steps is its cap.
+
+Double cosets H\\G/H are the H-orbits on the left cosets G/H (Handbook,
+section 4.6).  Each coset xH is kept as its least element, the minimum
+of its |H| right translates; a walk from H by left multiplication with
+the generators of G reaches every coset, and the cosets are then taken
+in increasing order, each not yet covered starting a new orbit whose
+first coset holds the least element of its double coset.  Memory grows
+with |G:H|, never with |G|, and the cap bounds that index.
 """
 
 from __future__ import annotations
@@ -363,20 +371,54 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0) -> PermGroup:
 
 def double_cosets(G: PermGroup, H: PermGroup, cap: int = ENUM_CAP) -> list:
     """Representatives of H\\G/H, the lexicographically least element of
-    each double coset, in increasing order."""
-    els = sorted(G.elements(cap))
+    each double coset, in increasing order.
+
+    Walks the left cosets xH, each kept as its least element, and never
+    lists G: memory grows with the index |G:H|, which cap bounds.
+    """
     hels = H.elements(cap)
+    order = G.order()
+    index = order // len(hels)
+    if index > cap:
+        raise CapExceeded(f"subgroup index {index} exceeds double-coset cap {cap}")
     # x -> x b for each b in H
     gets = [precompose(b) for b in hels]
-    left = set(els)
+
+    def least(x):
+        return min([f(x) for f in gets])
+
+    # the least element of H is the identity, the least permutation
+    frontier = [identity(G.degree)]
+    cosets = set(frontier)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for g in G.generators:
+                d = least(mul(g, c))
+                if d not in cosets:
+                    cosets.add(d)
+                    nxt.append(d)
+        frontier = nxt
+    if len(cosets) * len(hels) != order:
+        raise InvariantViolation(
+            f"{len(cosets)} cosets of a subgroup of order {len(hels)} "
+            f"in a group of order {order}"
+        )
+    # HxH is the H-orbit of xH; the first coset of an orbit met in
+    # increasing order holds the least element of its double coset
+    left = set(cosets)
     reps = []
-    for g in els:
-        if g not in left:
+    covered = 0
+    for c in sorted(cosets):
+        if c not in left:
             continue
-        reps.append(g)
-        # HgH is the union of the cosets agH; once ag is gone, so is agH
-        for a in hels:
-            ag = mul(a, g)
-            if ag in left:
-                left.difference_update([f(ag) for f in gets])
+        reps.append(c)
+        times_c = precompose(c)
+        orbit = {least(times_c(a)) for a in hels}
+        left.difference_update(orbit)
+        covered += len(orbit)
+    if covered != index:
+        raise InvariantViolation(
+            f"double-coset orbits cover {covered} of {index} cosets"
+        )
     return reps

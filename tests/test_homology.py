@@ -29,7 +29,7 @@ from permhomology.homology import (
 )
 from permhomology.permgroup import PermGroup
 from permhomology.resolution import bar_resolution, resolution_small
-from permhomology.sylow import sylow_ascent
+from permhomology.sylow import double_cosets, sylow_ascent
 
 
 def test_abelian_invariants_canonical():
@@ -241,3 +241,33 @@ def test_ce_range_matches_single_degrees(grp, p, top):
         assert got[n] == ce_ppart_general(grp, P, n)[n]
     # any iterable and any order give the same answer
     assert ce_ppart_general(grp, P, reversed(degrees)) == got
+
+
+@pytest.mark.parametrize("m, top, want", [
+    (11, 6, {n: TRIVIAL for n in range(1, 7)}),
+    (21, 3, {1: TRIVIAL, 2: AbelianInvariants(0, (3,)), 3: TRIVIAL}),
+])
+def test_ce_builds_each_plain_inclusion_once(monkeypatch, m, top, want):
+    grp = mathieu(m)
+    P = sylow_ascent(grp, 3)
+    pels = set(P.elements())
+    # one conjugated inclusion per rep with K > 1, one plain one per K
+    kernels = []
+    for x in double_cosets(grp, P):
+        phi = homology._conjugator(homology.CE_CONVENTION, x)
+        K = frozenset(k for k in pels if phi(k) in pels)
+        if len(K) > 1 and x != tuple(range(grp.degree)):
+            kernels.append(K)
+    calls = []
+    built = homology.chain_map
+
+    def counted(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(homology, "chain_map", counted)
+    assert ce_ppart_general(grp, P, range(1, top + 1)) == want
+    assert len(calls) == len(kernels) + len(set(kernels))
+    if m == 11:
+        # all 15 nontrivial intersections are P itself
+        assert (len(kernels), len(set(kernels))) == (15, 1)

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from double_coset_oracle import listing_double_cosets
 from permhomology.catalog import (
     alternating,
     group_from_cycles,
@@ -336,6 +337,7 @@ def test_double_cosets_partition():
         assert seen == els
         # reps are minimal in their cosets and sorted
         assert reps == sorted(reps)
+        assert reps == listing_double_cosets(G, H)
 
 
 @pytest.mark.parametrize("name", ["A6", "M11"])
@@ -361,6 +363,45 @@ def test_double_coset_reps_are_least(name):
         assert len(dc) == size
         total += size
     assert total == G.order()
+
+
+@pytest.mark.parametrize("m, p", [(11, 2), (11, 3), (12, 3), (21, 3)])
+def test_double_cosets_match_listing_oracle(m, p):
+    G = mathieu(m)
+    P = sylow_ascent(G, p)
+    assert double_cosets(G, P) == listing_double_cosets(G, P)
+
+
+def test_double_cosets_never_list_the_group(monkeypatch):
+    G = mathieu(12)
+    P = sylow_ascent(G, 3)
+    listed = PermGroup.elements
+
+    def guarded(self, *args, **kwargs):
+        if self.order() > P.order():
+            raise AssertionError(f"listed a group of order {self.order()}")
+        return listed(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "elements", guarded)
+    assert len(double_cosets(G, P)) == 152
+
+
+def test_double_cosets_cap_bounds_the_index():
+    G = mathieu(11)
+    P = sylow_ascent(G, 3)  # index 880
+    assert len(double_cosets(G, P, cap=880)) == 112
+    with pytest.raises(CapExceeded, match="index 880"):
+        double_cosets(G, P, cap=879)
+
+
+def test_double_cosets_check_the_coset_count():
+    # a copy, so that the cached M11 keeps its order
+    G = PermGroup(mathieu(11).generators, 11)
+    P = sylow_ascent(G, 3)
+    true_order = G.order()
+    G.order = lambda: 2 * true_order
+    with pytest.raises(InvariantViolation, match="cosets"):
+        double_cosets(G, P)
 
 
 def test_double_cosets_example():
