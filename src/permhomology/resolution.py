@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, InvariantViolation
 from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
-from .perm import identity, inv, precompose
+from .perm import conj, identity, inv, precompose
 from .permgroup import PermGroup, fingerprint
 
 SMALL_GROUP_CAP = 128
@@ -167,6 +167,24 @@ class FreeResolution:
 
     def boundary(self, k: int, j: int) -> ZGWord:
         return self._d[k][j]
+
+    def conjugate(self, q) -> FreeResolution:
+        """This resolution carried over to q G q^-1 by renaming elements.
+
+        Element e of G becomes conj(q, e) at the same index.  Conjugation
+        is an isomorphism and every word speaks element indices, so the
+        table, inverses, identity, ranks, boundaries, augmentation and
+        homotopy are shared as they are.  _verify reads only that index
+        data, already verified when this resolution was built, so it is
+        not run again.
+        """
+        G = self.G
+        Gq = object.__new__(SmallGroup)
+        Gq.group = PermGroup([conj(q, g) for g in G.group.generators], G.group.degree)
+        Gq.elements = tuple(conj(q, e) for e in G.elements)
+        Gq.index = {g: i for i, g in enumerate(Gq.elements)}
+        Gq.n, Gq.id, Gq.inverse, Gq._mul = G.n, G.id, G.inverse, G._mul
+        return FreeResolution(Gq, self.ranks, self._d, self.aug, self._h, verify=False)
 
     def h(self, k: int, elem: int, gen: int) -> ZGWord:
         return self._h(k, elem, gen)

@@ -20,6 +20,15 @@ d.d = 0 is then checked literally on every generator before anything
 is returned, and a failure aborts: it means an orientation or
 homotopy fault upstream, never something to paper over.
 
+Any ZH-resolution will do for a column, and a resolution of H serves
+every conjugate gHg^-1 once its elements are renamed.  So one
+wall_assemble call resolves one stabilizer per standard form (the
+stabilizer relabelled so its orbits fill consecutive blocks, longest
+first) and depth, and carries that resolution over by conjugation to
+every other stabilizer with the same key; it never resolves a
+relabelled group itself, whose element enumeration, and so its cost,
+can differ wildly.
+
 Solid complexes with a rank-one top module splice into a periodic
 complex (the top cell's boundary re-enters below degree zero), and a
 group extension feeds in as the quotient's resolution viewed as a
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, InvariantViolation
 from .homology import chain_homology
-from .perm import identity, inv, mul
+from .perm import conj, identity, inv, mul, precompose
 from .permgroup import PermGroup
 from .resolution import FreeResolution, resolution_small
 
@@ -161,36 +170,46 @@ class _Column:
 
     Wraps the stabilizer resolution with coset bookkeeping; a trivial
     stabilizer needs no resolution at all (rank 1 in degree 0, zero
-    homotopy).
+    homotopy).  R comes from resolve, which hands every stabilizer with
+    the same standard form one shared resolution, carried over by
+    conjugation (see _shared_resolver).
     """
 
-    def __init__(self, degree: int, stab: tuple, depth: int, resolver):
+    def __init__(self, stab: tuple, depth: int, resolve):
         self.stab = stab
         self.trivial = len(stab) == 1
-        self._reps: dict = {}
+        self._cosets: dict = {}
         if self.trivial:
             self.R = None
         else:
             # depth 0 would leave the stabilizer resolution without a
             # homotopy level; one extra degree is cheap and memoized
-            self.R = resolver(PermGroup(list(stab[1:]), degree), max(depth, 1))
+            self.R = resolve(stab, max(depth, 1))
             if self.R.ranks[0] != 1 or self.R.aug != (1,):
                 raise InvariantViolation("column resolution must augment Z[G/H]")
+            # g -> mul(g, h) for each h, in the resolution's element order
+            self._right = [precompose(h) for h in self.R.G.elements]
 
     def rank(self, q: int) -> int:
         if self.trivial:
             return 1 if q == 0 else 0
         return self.R.ranks[q] if q < len(self.R.ranks) else 0
 
-    def rep(self, g):
-        r = self._reps.get(g)
-        if r is None:
+    def _coset(self, g):
+        """(r, e): r the least element of gH, e the index of r^-1 g."""
+        hit = self._cosets.get(g)
+        if hit is None:
             if self.trivial:
-                r = g
+                hit = (g, None)
             else:
-                r = min(mul(g, h) for h in self.stab)
-            self._reps[g] = r
-        return r
+                # r = g h for exactly one h, so r^-1 g is h^-1
+                r, i = min((f(g), i) for i, f in enumerate(self._right))
+                hit = (r, self.R.G.inverse[i])
+            self._cosets[g] = hit
+        return hit
+
+    def rep(self, g):
+        return self._coset(g)[0]
 
     def d0(self, q: int, t: int):
         """Stabilizer boundary of generator t at height q, as (c, g, t')."""
@@ -203,12 +222,53 @@ class _Column:
         """Homotopy applied to one term at height q, as (c, g, t')."""
         if self.trivial:
             return ()
-        r = self.rep(g)
-        e = self.R.G.index[mul(inv(r), g)]
-        els = self.R.G.elements
+        r, e = self._coset(g)
+        right = self._right
         return tuple(
-            (c * c2, mul(r, els[e2]), t2) for c2, e2, t2 in self.R.h(q, e, t).terms
+            (c * c2, right[e2](r), t2) for c2, e2, t2 in self.R.h(q, e, t).terms
         )
+
+
+def _standard_labels(stab: tuple, degree: int) -> tuple:
+    """The relabelling pi that sends the orbits of stab, longest first
+    and ties by least point, onto consecutive blocks of 0..degree-1,
+    each orbit's points in increasing order."""
+    orbits = {tuple(sorted({h[x] for h in stab})) for x in range(degree)}
+    pi = [0] * degree
+    label = 0
+    for orbit in sorted(orbits, key=lambda o: (-len(o), o[0])):
+        for x in orbit:
+            pi[x] = label
+            label += 1
+    return tuple(pi)
+
+
+def _shared_resolver(degree: int, resolver):
+    """resolve(stab, depth) for the columns of one assembly.
+
+    The first stabilizer with a given key (its standard form under
+    _standard_labels, and the depth) goes to resolver exactly as it
+    comes; each later one with that key gets the first one's resolution
+    carried over by conjugation.
+    """
+    seen: dict = {}  # key -> (labels, resolution) of the first stabilizer
+
+    def resolve(stab: tuple, depth: int) -> FreeResolution:
+        pi = _standard_labels(stab, degree)
+        key = (tuple(sorted(conj(pi, h) for h in stab)), depth)
+        hit = seen.get(key)
+        if hit is None:
+            R = resolver(PermGroup(list(stab[1:]), degree), depth)
+            seen[key] = (pi, R)
+            return R
+        pi0, R0 = hit
+        # pi H pi^-1 = pi0 H0 pi0^-1, so q H0 q^-1 = H
+        R = R0.conjugate(mul(inv(pi), pi0))
+        if tuple(sorted(R.G.elements)) != stab:
+            raise InvariantViolation("conjugated resolution is not over the stabilizer")
+        return R
+
+    return resolve
 
 
 def _merge(items):
@@ -236,14 +296,13 @@ def wall_assemble(
     """
     G = C.group
     top = n + 1
+    resolve = _shared_resolver(G.degree, resolver)
     cols = []
     for p in range(top + 1):
         if not C.available(p):
             break
         depth = top - p
-        cols.append(
-            [_Column(G.degree, s.stab, depth, resolver) for s in C.layer(p)]
-        )
+        cols.append([_Column(s.stab, depth, resolve) for s in C.layer(p)])
 
     gens: list = [[] for _ in range(top + 1)]
     for p in range(len(cols)):

@@ -12,7 +12,7 @@ from permhomology.catalog import (
 )
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.homology import resolution_homology
-from permhomology.perm import identity, inv, mul
+from permhomology.perm import conj, identity, inv, mul
 from permhomology.permgroup import PermGroup, fingerprint
 from permhomology.resolution import (
     _word_sum,
@@ -433,3 +433,26 @@ def test_chain_map_rejects_bad_phi():
     Rz = resolution_small(cyclic(3), 2)
     with pytest.raises(ValueError):
         chain_map(lambda g: g, R3, Rz)
+
+
+def test_conjugate_renames_elements_and_shares_the_rest():
+    G = dihedral(4)
+    R = resolution_small(G, 4)
+    q = (2, 0, 3, 1)
+    Rq = R.conjugate(q)
+    assert Rq.G.elements == tuple(conj(q, e) for e in R.G.elements)
+    assert sorted(Rq.G.elements) == sorted(
+        PermGroup([conj(q, g) for g in G.generators], 4).elements()
+    )
+    assert Rq.G._mul is R.G._mul and Rq.G.inverse is R.G.inverse
+    assert Rq.ranks == R.ranks and Rq._d is R._d and Rq._h is R._h
+    els = Rq.G.elements
+    assert all(
+        mul(a, b) == els[Rq.G.mul(i, j)]
+        for i, a in enumerate(els)
+        for j, b in enumerate(els)
+    )
+    Rq._verify()
+    assert [resolution_homology(Rq, k) for k in range(1, 4)] == [
+        resolution_homology(R, k) for k in range(1, 4)
+    ]

@@ -8,13 +8,15 @@ terms, splice periodicity) is exercised end to end.
 import pytest
 
 from permhomology import coxeter as cx
+from permhomology import wall
 from permhomology.catalog import alternating, cyclic, dihedral, klein_four, mathieu, symmetric
-from permhomology.equivariant import orbit_decompose
+from permhomology.equivariant import SimplexFlags, orbit_decompose
 from permhomology.errors import CapExceeded, InvariantViolation
-from permhomology.homology import resolution_homology
+from permhomology.homology import ce_ppart_general, cyclic_sylow_ppart, resolution_homology
+from permhomology.intlinalg import p_part
 from permhomology.perm import mul
 from permhomology.permgroup import PermGroup
-from permhomology.resolution import resolution_small
+from permhomology.resolution import FreeResolution, resolution_small
 from permhomology.sylow import sylow_ascent
 from permhomology.wall import (
     NonFreeComplex,
@@ -183,3 +185,76 @@ def test_twisted_sylow3_m12():
     tors = [resolution_homology(R, k).torsion for k in range(1, 6)]
     assert tors == [(3, 3), (3, 3), (3, 3, 3, 3), (3, 3, 3), (3, 3, 3, 3, 9)]
     assert all(resolution_homology(R, k).free == 0 for k in range(1, 6))
+
+
+def flags_complex(m, n):
+    """The Sym(m) flags complex of the CLI's default wall route (dims
+    0,1) with the cells homology through degree n needs."""
+    ecc = orbit_decompose(SimplexFlags(m, (0, 1)), symmetric(m), n + 1)
+    return from_cells(ecc)
+
+
+def test_conjugate_stabilizers_share_one_resolution(monkeypatch):
+    # S6 flags: 27 distinct stabilizer resolutions (38 resolver calls)
+    # fall into 12 standard forms; the rest are carried over
+    C = flags_complex(6, 2)
+    stabs = {s.stab for layer in C.layers for s in layer}
+    calls = []
+    built = []
+
+    def counting(H, depth):
+        R = resolution_small(H, depth)
+        calls.append(tuple(sorted(H.elements())))
+        built.append(R)
+        return R
+
+    columns = []
+
+    class Recorded(wall._Column):
+        def __init__(self, *args):
+            super().__init__(*args)
+            columns.append(self)
+
+    monkeypatch.setattr(wall, "_Column", Recorded)
+    wall_assemble(C, 2, resolver=counting)
+    assert len(calls) == 12
+    # only the layer's own stabilizers are resolved, never a relabelling
+    assert all(els in stabs for els in calls)
+    carried = 0
+    for col in columns:
+        if col.trivial:
+            continue
+        els = col.R.G.elements
+        assert tuple(sorted(els)) == col.stab
+        if any(col.R is R for R in built):
+            continue
+        carried += 1
+        table = col.R.G._mul
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                assert mul(a, b) == els[table[i][j]]
+    assert carried > 0
+
+
+def test_carried_resolution_must_cover_the_stabilizer(monkeypatch):
+    # a transport that forgets to rename the elements is caught
+    monkeypatch.setattr(FreeResolution, "conjugate", lambda R, q: R)
+    with pytest.raises(InvariantViolation, match="conjugated"):
+        wall_assemble(flags_complex(5, 1), 1)
+
+
+def sylow_part(G, p, degrees):
+    if p_part(G.order(), p) == p:
+        return cyclic_sylow_ppart(G, p, degrees)
+    return ce_ppart_general(G, sylow_ascent(G, p), degrees)
+
+
+def test_flags_route_matches_sylow_route():
+    # degrees below G.degree - 2, where the flags complex is exact
+    for m in (5, 6):
+        R = wall_assemble(flags_complex(m, 2), 2)
+        got = [resolution_homology(R, k) for k in (1, 2)]
+        assert [h.as_list() for h in got] == [[2], [2]]
+        for p in (2, 3):
+            parts = sylow_part(symmetric(m), p, [1, 2])
+            assert [h.ppart(p) for h in got] == [parts[1], parts[2]]
