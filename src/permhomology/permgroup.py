@@ -126,6 +126,7 @@ class PermGroup:
         self._base_prefix = tuple(base_prefix)
         self._chain = None
         self._order = None
+        self._orbits = None
 
     def __repr__(self):
         label = self.name or f"{len(self.generators)} gens, degree {self.degree}"
@@ -307,15 +308,19 @@ class PermGroup:
         return tuple(sorted(od.states))
 
     def orbits(self) -> list:
-        seen = set()
-        out = []
-        for x in range(self.degree):
-            if x in seen:
-                continue
-            o = self.orbit(x)
-            seen.update(o)
-            out.append(o)
-        return out
+        """The orbits in order of least point, each sorted; worked out
+        once per group."""
+        if self._orbits is None:
+            seen = set()
+            out = []
+            for x in range(self.degree):
+                if x in seen:
+                    continue
+                o = self.orbit(x)
+                seen.update(o)
+                out.append(o)
+            self._orbits = tuple(out)
+        return list(self._orbits)
 
     def orbit_data(self, seed, act, cap: int = ORBIT_CAP) -> OrbitData:
         return OrbitData(seed, self.generators, act, self.degree, cap)

@@ -24,10 +24,15 @@ Any ZH-resolution will do for a column, and a resolution of H serves
 every conjugate gHg^-1 once its elements are renamed.  So one
 wall_assemble call resolves one stabilizer per standard form (the
 stabilizer relabelled so its orbits fill consecutive blocks, longest
-first) and depth, and carries that resolution over by conjugation to
-every other stabilizer with the same key; it never resolves a
-relabelled group itself, whose element enumeration, and so its cost,
-can differ wildly.
+first), at the depth of its first and deepest column, and carries that
+resolution over by conjugation to every other stabilizer with the same
+form; it never resolves a relabelled group itself, whose element
+enumeration, and so its cost, can differ wildly.  The default resolver
+splits a stabilizer that is the direct product of its restrictions to
+one orbit and to the other points, as the Young-type stabilizers of
+the flags complexes are, and takes the tensor product of the factors'
+resolutions (Ellis 2004); any other stabilizer goes to
+resolution_small.
 
 Solid complexes with a rank-one top module splice into a periodic
 complex (the top cell's boundary re-enters below degree zero), and a
@@ -44,7 +49,7 @@ from .errors import CapExceeded, InvariantViolation
 from .homology import chain_homology
 from .perm import conj, identity, inv, mul, precompose
 from .permgroup import PermGroup
-from .resolution import FreeResolution, resolution_small
+from .resolution import FreeResolution, resolution_small, tensor_resolution
 
 WALL_RANK_CAP = 50_000
 
@@ -229,14 +234,18 @@ class _Column:
         )
 
 
-def _standard_labels(stab: tuple, degree: int) -> tuple:
-    """The relabelling pi that sends the orbits of stab, longest first
-    and ties by least point, onto consecutive blocks of 0..degree-1,
-    each orbit's points in increasing order."""
-    orbits = {tuple(sorted({h[x] for h in stab})) for x in range(degree)}
-    pi = [0] * degree
+def _orbits(H: PermGroup) -> list:
+    """H's orbits, longest first and ties by least point, each sorted."""
+    return sorted(H.orbits(), key=lambda o: (-len(o), o[0]))
+
+
+def _standard_labels(H: PermGroup) -> tuple:
+    """The relabelling pi that sends the orbits of H, in _orbits order,
+    onto consecutive blocks of 0..degree-1, each orbit's points in
+    increasing order."""
+    pi = [0] * H.degree
     label = 0
-    for orbit in sorted(orbits, key=lambda o: (-len(o), o[0])):
+    for orbit in _orbits(H):
         for x in orbit:
             pi[x] = label
             label += 1
@@ -246,26 +255,34 @@ def _standard_labels(stab: tuple, degree: int) -> tuple:
 def _shared_resolver(degree: int, resolver):
     """resolve(stab, depth) for the columns of one assembly.
 
-    The first stabilizer with a given key (its standard form under
-    _standard_labels, and the depth) goes to resolver exactly as it
-    comes; each later one with that key gets the first one's resolution
-    carried over by conjugation.
+    The first stabilizer with a given standard form (under
+    _standard_labels) goes to resolver exactly as it comes; each later
+    one with that form gets the first one's resolution carried over by
+    conjugation.  Columns are built from p = 0 with depth top - p, so
+    the first request for a form is its deepest, and a shallower column
+    reads only the heights up to its own depth.
     """
-    seen: dict = {}  # key -> (labels, resolution) of the first stabilizer
+    seen: dict = {}  # standard form -> (labels, resolution) of the first stabilizer
 
     def resolve(stab: tuple, depth: int) -> FreeResolution:
-        pi = _standard_labels(stab, degree)
-        key = (tuple(sorted(conj(pi, h) for h in stab)), depth)
+        H = PermGroup(list(stab[1:]), degree)
+        pi = _standard_labels(H)
+        key = tuple(sorted(conj(pi, h) for h in stab))
         hit = seen.get(key)
         if hit is None:
-            R = resolver(PermGroup(list(stab[1:]), degree), depth)
+            R = resolver(H, depth)
             seen[key] = (pi, R)
-            return R
-        pi0, R0 = hit
-        # pi H pi^-1 = pi0 H0 pi0^-1, so q H0 q^-1 = H
-        R = R0.conjugate(mul(inv(pi), pi0))
+        else:
+            pi0, R0 = hit
+            # pi H pi^-1 = pi0 H0 pi0^-1, so q H0 q^-1 = H
+            R = R0.conjugate(mul(inv(pi), pi0))
+        if R.length < depth:
+            raise InvariantViolation(
+                f"column needs depth {depth}, its resolution has {R.length}"
+            )
         if tuple(sorted(R.G.elements)) != stab:
-            raise InvariantViolation("conjugated resolution is not over the stabilizer")
+            how = "conjugated" if hit else "resolver's"
+            raise InvariantViolation(f"{how} resolution is not over the stabilizer")
         return R
 
     return resolve
@@ -279,8 +296,36 @@ def _merge(items):
     return tuple((v, g, key) for (key, g), v in sorted(acc.items()) if v)
 
 
+def _restrict(g: tuple, points) -> tuple:
+    """g on points, the identity elsewhere."""
+    return tuple(g[x] if x in points else x for x in range(len(g)))
+
+
+def _orbit_split(H: PermGroup):
+    """(H on O, H off O) for the first orbit O, in _orbits order, with
+    |H| = |H on O| * |H off O|, so that H is the direct product of the
+    two restrictions; None when no orbit splits H so."""
+    orbits = [o for o in _orbits(H) if len(o) > 1]
+    if len(orbits) < 2:
+        return None
+    for orbit in orbits:
+        on = set(orbit)
+        off = set(range(H.degree)) - on
+        A = PermGroup([_restrict(g, on) for g in H.generators], H.degree)
+        B = PermGroup([_restrict(g, off) for g in H.generators], H.degree)
+        if A.order() * B.order() == H.order():
+            return A, B
+    return None
+
+
 def _default_resolver(H: PermGroup, depth: int) -> FreeResolution:
-    return resolution_small(H, depth)
+    """The tensor product of the resolutions of H's two restrictions
+    when H splits over an orbit (_orbit_split), each resolved the same
+    way; resolution_small(H, depth) otherwise."""
+    split = _orbit_split(H)
+    if split is None:
+        return resolution_small(H, depth)
+    return tensor_resolution(*(_default_resolver(K, depth) for K in split))
 
 
 def wall_assemble(

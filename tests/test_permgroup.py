@@ -220,6 +220,16 @@ def test_orbits():
     assert sym(5).orbit(3) == (0, 1, 2, 3, 4)
 
 
+def test_orbits_are_worked_out_once(monkeypatch):
+    G = PermGroup([parse_cycles("(1,2)(3,4)", 5)], 5)
+    walks = []
+    monkeypatch.setattr(G, "orbit", lambda x: walks.append(x) or PermGroup.orbit(G, x))
+    first = G.orbits()
+    first.append(None)  # a caller's list is its own
+    assert G.orbits() == [(0, 1), (2, 3), (4,)]
+    assert walks == [0, 2, 4]
+
+
 def test_random_elements_deterministic_and_members():
     G = sym(5)
     it1 = G.random_elements(seed=3)

@@ -26,6 +26,7 @@ from permhomology.resolution import (
     load_resolution,
     resolution_small,
     save_resolution,
+    tensor_resolution,
     translate_vec,
     vec_to_word,
     word,
@@ -456,3 +457,69 @@ def test_conjugate_renames_elements_and_shares_the_rest():
     assert [resolution_homology(Rq, k) for k in range(1, 4)] == [
         resolution_homology(R, k) for k in range(1, 4)
     ]
+
+
+# -- tensor products -----------------------------------------------------
+
+
+def s2_and_s3():
+    """Sym{0,1} and Sym{2,3,4}, resolved to depth 3."""
+    A = PermGroup([(1, 0, 2, 3, 4)], 5)
+    B = PermGroup([(0, 1, 3, 4, 2), (0, 1, 3, 2, 4)], 5)
+    return resolution_small(A, 3), resolution_small(B, 3)
+
+
+def product_boundaries(F, E, P, koszul=True):
+    """d(x (x) y) = dx (x) y + (-1)^k1 x (x) dy, written out over P's
+    group with P's generators (k1, i, j) in lexicographic order."""
+    A, B = F.G, E.G
+    at = lambda a, b: P.G.index[mul(A.elements[a], B.elements[b])]
+    gens = [
+        [(k1, i, j) for k1 in range(k + 1)
+         for i in range(F.ranks[k1]) for j in range(E.ranks[k - k1])]
+        for k in range(P.length + 1)
+    ]
+    d = {}
+    for k in range(1, P.length + 1):
+        low = gens[k - 1].index
+        imgs = []
+        for k1, i, j in gens[k]:
+            items = []
+            if k1:
+                items += [(c, at(a, B.id), low((k1 - 1, i2, j)))
+                          for c, a, i2 in F.boundary(k1, i).terms]
+            if k1 < k:
+                s = (-1) ** k1 if koszul else 1
+                items += [(s * c, at(A.id, b), low((k1, i, j2)))
+                          for c, b, j2 in E.boundary(k - k1, j).terms]
+            imgs.append(word(k - 1, items))
+        d[k] = tuple(imgs)
+    return d
+
+
+def test_tensor_boundary_carries_the_koszul_sign():
+    F, E = s2_and_s3()
+    P = tensor_resolution(F, E)
+    assert P.ranks == (1, 3, 6, 10) and P.aug == (1,)
+    assert sorted(P.G.elements) == sorted(
+        PermGroup(F.G.group.generators + E.G.group.generators, 5).elements()
+    )
+    assert P._d == product_boundaries(F, E, P)
+    with pytest.raises(InvariantViolation, match="d.d != 0"):
+        FreeResolution(P.G, P.ranks, product_boundaries(F, E, P, koszul=False),
+                       P.aug, P.h)
+
+
+def test_tensor_homotopy_needs_the_section_term():
+    # h_E = 0 leaves h = h_F (x) 1, without section.aug_F (x) h_E
+    F, E = s2_and_s3()
+    flat = FreeResolution(E.G, E.ranks, E._d, E.aug,
+                          lambda k, e, j: ZGWord(k + 1, ()), verify=False)
+    with pytest.raises(InvariantViolation, match="homotopy identity|d_1 h_0"):
+        tensor_resolution(F, flat)
+
+
+def test_tensor_factors_must_be_disjoint():
+    F, _ = s2_and_s3()
+    with pytest.raises(ValueError, match="disjoint"):
+        tensor_resolution(F, F)

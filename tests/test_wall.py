@@ -16,7 +16,7 @@ from permhomology.homology import ce_ppart_general, cyclic_sylow_ppart, resoluti
 from permhomology.intlinalg import p_part
 from permhomology.perm import mul
 from permhomology.permgroup import PermGroup
-from permhomology.resolution import FreeResolution, resolution_small
+from permhomology.resolution import FreeResolution, bar_resolution, resolution_small
 from permhomology.sylow import sylow_ascent
 from permhomology.wall import (
     NonFreeComplex,
@@ -196,7 +196,8 @@ def flags_complex(m, n):
 
 def test_conjugate_stabilizers_share_one_resolution(monkeypatch):
     # S6 flags: 27 distinct stabilizer resolutions (38 resolver calls)
-    # fall into 12 standard forms; the rest are carried over
+    # fall into 8 standard forms, each resolved once at its deepest
+    # column; the rest are carried over
     C = flags_complex(6, 2)
     stabs = {s.stab for layer in C.layers for s in layer}
     calls = []
@@ -217,7 +218,7 @@ def test_conjugate_stabilizers_share_one_resolution(monkeypatch):
 
     monkeypatch.setattr(wall, "_Column", Recorded)
     wall_assemble(C, 2, resolver=counting)
-    assert len(calls) == 12
+    assert len(calls) == 8
     # only the layer's own stabilizers are resolved, never a relabelling
     assert all(els in stabs for els in calls)
     carried = 0
@@ -243,6 +244,29 @@ def test_carried_resolution_must_cover_the_stabilizer(monkeypatch):
         wall_assemble(flags_complex(5, 1), 1)
 
 
+def test_resolver_must_resolve_the_stabilizer():
+    # a resolver that drops all but the first orbit is caught
+    def first_orbit(H, depth):
+        on = set(wall._orbits(H)[0])
+        K = PermGroup([wall._restrict(g, on) for g in H.generators], H.degree)
+        return resolution_small(K, depth)
+
+    with pytest.raises(InvariantViolation, match="resolver's"):
+        wall_assemble(flags_complex(5, 1), 1, resolver=first_orbit)
+
+
+def test_shallower_column_reads_the_deeper_resolution():
+    # the deepest column comes first; a deeper request later is a fault
+    resolve = wall._shared_resolver(4, resolution_small)
+    pair = ((0, 1, 2, 3), (1, 0, 2, 3))
+    other = ((0, 1, 2, 3), (0, 1, 3, 2))
+    R = resolve(pair, 3)
+    assert resolve(pair, 2).ranks == R.ranks
+    assert resolve(other, 3).length == 3
+    with pytest.raises(InvariantViolation, match="depth 4"):
+        resolve(other, 4)
+
+
 def sylow_part(G, p, degrees):
     if p_part(G.order(), p) == p:
         return cyclic_sylow_ppart(G, p, degrees)
@@ -258,3 +282,77 @@ def test_flags_route_matches_sylow_route():
         for p in (2, 3):
             parts = sylow_part(symmetric(m), p, [1, 2])
             assert [h.ppart(p) for h in got] == [parts[1], parts[2]]
+
+
+def on_blocks(*groups):
+    """The direct product of the groups, each acting on its own block of
+    consecutive points."""
+    degree = sum(K.degree for K in groups)
+    gens, off = [], 0
+    for K in groups:
+        rest = tuple(range(off + K.degree, degree))
+        gens += [tuple(range(off)) + tuple(x + off for x in g) + rest
+                 for g in K.generators]
+        off += K.degree
+    return PermGroup(gens, degree)
+
+
+def splits_over_an_orbit(H):
+    """Whether |H| = |H on O| * |H off O| for some orbit O, with H's
+    elements restricted by brute force."""
+    els = H.elements()
+    for orbit in H.orbits():
+        if len(orbit) == 1:
+            continue
+        on = {tuple(g[x] if x in orbit else x for x in range(H.degree)) for g in els}
+        off = {tuple(x if x in orbit else g[x] for x in range(H.degree)) for g in els}
+        if 1 < len(on) < len(els) and len(on) * len(off) == len(els):
+            return True
+    return False
+
+
+def convolve(a, b):
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
+
+
+@pytest.mark.parametrize("factors, depth, bar_depth", [
+    ((symmetric(2), symmetric(3)), 4, 3),
+    ((symmetric(3), symmetric(3)), 3, 2),
+    ((symmetric(2), symmetric(4)), 3, 2),
+    ((cyclic(2), cyclic(2), cyclic(2)), 4, 4),
+], ids=["S2xS3", "S3xS3", "S2xS4", "C2xC2xC2"])
+def test_default_resolver_tensors_orbit_factors(factors, depth, bar_depth):
+    H = on_blocks(*factors)
+    A, B = wall._orbit_split(H)
+    R = wall._default_resolver(H, depth)
+    assert sorted(R.G.elements) == sorted(H.elements())
+    # ranks convolve down the recursion, and match the twisted tensor
+    # of H over its second factor
+    FA, FB = (wall._default_resolver(K, depth) for K in (A, B))
+    assert R.ranks == convolve(FA.ranks, FB.ranks)
+    assert R.ranks == twisted_tensor(H, B, depth - 1).ranks
+    # three factors: the second one splits again
+    assert (wall._orbit_split(B) is not None) == (len(factors) == 3)
+    got = [resolution_homology(R, k) for k in range(depth)]
+    small = resolution_small(H, depth)
+    assert got == [resolution_homology(small, k) for k in range(depth)]
+    bar = bar_resolution(H, bar_depth)
+    assert got[:bar_depth] == [resolution_homology(bar, k) for k in range(bar_depth)]
+
+
+def test_default_route_never_resolves_a_product_directly(monkeypatch):
+    # the S6 and S5 flags requests of the benchmark: every group that
+    # splits over its orbits goes to tensor_resolution instead
+    seen = []
+
+    def recording(H, depth):
+        seen.append(H)
+        return resolution_small(H, depth)
+
+    monkeypatch.setattr(wall, "resolution_small", recording)
+    for m, n in ((6, 2), (5, 3)):
+        R = wall_assemble(flags_complex(m, n), n)
+        assert resolution_homology(R, 1).as_list() == [2]
+    assert seen
+    assert not any(splits_over_an_orbit(H) for H in seen)
+    assert splits_over_an_orbit(on_blocks(symmetric(2), symmetric(4)))
