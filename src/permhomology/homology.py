@@ -8,21 +8,33 @@ after checking consecutive products vanish.
 Two reductions compute the p-part of H_n(G) without resolving G
 itself.  cyclic_sylow_ppart is the closed form for a Sylow subgroup
 of prime order: Z_p exactly in degrees 2ek - 1 where e is the Weyl
-exponent.  ce_ppart_general quotients H_n(P) by the stable-element
-kernel: for each double coset PxP the two inclusions of K = P n xPx~
-into P are lifted to chain maps and the differences of their induced
-images are divided out.  It takes a whole range of degrees at once,
-so the CLI calls it once per prime: the double cosets, the resolutions
-and the chain maps are built once, to the top degree, and each degree
-then costs only its induced maps and one Smith form.  The plain
-inclusion depends on K alone, so RK, that inclusion and its induced
-maps are built once per distinct K.  The double cosets come from a
-walk over the |G:P| left cosets of P, so DOUBLE_COSET_CAP bounds that
-index, not |G|.  Conjugating with x or with x~ both give well-defined
-inclusions (with K intersected on the matching side) and, over the full
-double-coset loop, the same quotient.  The route uses "intersect-right"
-and reports it alongside results; check_ce_convention compares it with
-the resolution oracle on small groups.
+exponent.  ce_ppart_general quotients H_n(P) by relations: a pair of
+homomorphisms into P is lifted to chain maps and the differences of
+their induced images are divided out.  It takes a whole range of
+degrees at once, so the CLI calls it once per prime: the relations,
+the resolutions and the chain maps are built once, to the top degree,
+and each degree then costs only its induced maps and one Smith form.
+
+Which relations depends on P.  For abelian P, N_G(P) controls fusion,
+so the p-part is the N_G(P)-coinvariants of H_n(P) (Swan 1960, "The
+p-period of a finite group"): one chain map of the identity of P and
+one of conjugation by each generator of N_G(P) that enlarges the group
+generated by P and the generators kept before it.  The normalizer is
+the stabilizer of P in its conjugation orbit, so SUBGROUP_ORBIT_CAP
+bounds |G:N_G(P)|.  For nonabelian P the relations are the stable
+elements: for each double coset PxP the two inclusions of
+K = P n xPx~ into P.  The plain inclusion depends on K alone, so RK,
+that inclusion and its induced maps are built once per distinct K.
+The double cosets come from a walk over the |G:P| left cosets of P,
+so DOUBLE_COSET_CAP bounds that index, not |G|.
+
+Conjugating with x or with x~ both give well-defined inclusions (with
+K intersected on the matching side) and, over the full double-coset
+loop, the same quotient.  On the abelian route the convention cannot
+change the quotient at all: im(1 - c_x) = im(1 - c_x~).  The route
+uses "intersect-right" and reports it alongside results;
+check_ce_convention compares it with the resolution oracle on small
+groups, S4 at p = 2 among them, whose Sylow subgroup D8 is nonabelian.
 """
 
 from __future__ import annotations
@@ -39,7 +51,12 @@ from .resolution import (
     resolution_small,
 )
 from .intlinalg import factor, p_part, smith_diagonal_sparse
-from .sylow import double_cosets, sylow_ascent, weyl_exponent
+from .sylow import (
+    double_cosets,
+    subgroup_normalizer,
+    sylow_ascent,
+    weyl_exponent,
+)
 
 
 @dataclass(frozen=True)
@@ -173,7 +190,8 @@ CE_CONVENTION = "intersect-right"
 
 
 def _conjugator(convention: str, x):
-    """Conjugated inclusion into P for the double coset rep x.
+    """Conjugated inclusion into P for a double coset rep x, or the
+    conjugation of P by an element x of N_G(P).
 
     The same map doubles as the membership test for K: k lies in K
     exactly when its image lands back in P.
@@ -199,13 +217,16 @@ def ce_ppart_general(
     """p-parts of H_n(G) as quotients of H_n(P), P a Sylow p-subgroup.
 
     degrees is one degree or an iterable of them, all >= 1; the answer
-    is {n: AbelianInvariants}.  For every double coset rep x with
-    nontrivial K, generators of H_n(K) are pushed through the plain and
-    the conjugated inclusion; H_n(P) modulo the differences is the
-    answer.  The double cosets, the resolutions of P and of each K and
-    the chain maps are built and checked once, to one past the top
-    degree; they grow degree by degree, so each degree reads a prefix
-    of them.  Needs the index |G:P| within the double-coset cap.
+    is {n: AbelianInvariants}.  Generators of H_n(P) are pushed through
+    pairs of inclusions and H_n(P) modulo the differences is the answer.
+    For abelian P the pairs are the identity of P and conjugation by
+    each kept generator of N_G(P), which needs |G:N_G(P)| within the
+    subgroup-orbit cap.  Otherwise they are the plain and the conjugated
+    inclusion of K into P for every double coset rep x with nontrivial
+    K, which needs the index |G:P| within the double-coset cap.  The
+    resolutions and the chain maps are built and checked once, to one
+    past the top degree; they grow degree by degree, so each degree
+    reads a prefix of them.
     """
     degrees = sorted({degrees} if isinstance(degrees, int) else set(degrees))
     if not degrees or degrees[0] < 1:
@@ -217,10 +238,58 @@ def ce_ppart_general(
     if p_part(po, p) != po or p_part(G.order(), p) != po:
         raise ValueError("P must be a Sylow p-subgroup of G")
 
+    RP = resolution_small(P, degrees[-1] + 1)
+    relations = _normalizer_relations if P.is_abelian() else _double_coset_relations
+    return _quotients(RP, degrees, *relations(G, P, RP, degrees, convention))
+
+
+def _add_differences(induced, con, degrees, orders, rel_cols) -> None:
+    """Append the columns induced[n] - H_n(con) to rel_cols[n]."""
+    for n in degrees:
+        s1, t1, M1 = induced[n]
+        s2, t2, M2 = homology_action(con, n)
+        if s1 != s2 or t1 != t2:
+            raise InvariantViolation("induced-map coordinates disagree")
+        orders[n] = t1
+        rel_cols[n].extend(
+            [M1[r][i] - M2[r][i] for r in range(len(t1))] for i in range(len(s1))
+        )
+
+
+def _normalizer_relations(G, P, RP, degrees, convention):
+    """Relations of H_n(P)_(N_G(P)) for abelian P (Swan).
+
+    Only the generators of N that enlarge <P, the ones kept so far> get
+    a chain map; P itself acts trivially.  The two conventions conjugate
+    by x~ and by x, and 1 - c_x~ = -(1 - c_x) c_x~ with c_x~ onto, so
+    both give the same image and the same quotient.
+    """
+    N = subgroup_normalizer(G, P)
+    plain = chain_map(lambda k: k, RP, RP)
+    induced = {n: homology_action(plain, n) for n in degrees}
+    orders: dict = {}
+    rel_cols: dict = {n: [] for n in degrees}
+    gens = list(P.generators)
+    reached = P.order()
+    for x in N.generators:
+        if reached == N.order():
+            break
+        grown = PermGroup(gens + [x], G.degree).order()
+        if grown == reached:
+            continue
+        gens.append(x)
+        reached = grown
+        con = chain_map(_conjugator(convention, x), RP, RP)
+        _add_differences(induced, con, degrees, orders, rel_cols)
+    return orders, rel_cols
+
+
+def _double_coset_relations(G, P, RP, degrees, convention):
+    """Stable-element relations over the double cosets PxP; RK, the
+    plain inclusion of K and its induced maps are built once per K."""
     depth = degrees[-1] + 1
     pels = frozenset(P.elements())
     idn = identity(G.degree)
-    RP = resolution_small(P, depth)
     orders: dict = {}
     rel_cols: dict = {n: [] for n in degrees}
     # K -> (RK, {n: induced map of the plain inclusion of K into P})
@@ -242,16 +311,13 @@ def ce_ppart_general(
             inc = chain_map(lambda k: k, RK, RP)
             plain[kels] = (RK, {n: homology_action(inc, n) for n in degrees})
         RK, induced = plain[kels]
-        con = chain_map(phi, RK, RP)
-        for n in degrees:
-            s1, t1, M1 = induced[n]
-            s2, t2, M2 = homology_action(con, n)
-            if s1 != s2 or t1 != t2:
-                raise InvariantViolation("induced-map coordinates disagree")
-            orders[n] = t1
-            rel_cols[n].extend(
-                [M1[r][i] - M2[r][i] for r in range(len(t1))] for i in range(len(s1))
-            )
+        _add_differences(induced, chain_map(phi, RK, RP), degrees, orders, rel_cols)
+    return orders, rel_cols
+
+
+def _quotients(RP, degrees, orders: dict, rel_cols: dict) -> dict:
+    """{n: H_n(P) modulo rel_cols[n]}; a degree no relation reached
+    reads its orders off RP."""
     out = {}
     for n in degrees:
         tor = orders.get(n)
@@ -288,10 +354,17 @@ def ce_convention() -> str:
 def check_ce_convention() -> None:
     """Compare the stable-element route with the resolution oracle.
 
-    S3 at p = 3 and A4 at p = 2 and 3, in degrees 1..3 from one range
-    call each; any difference raises InvariantViolation.
+    S3 at p = 3, A4 at p = 2 and 3 and S4 at p = 2, in degrees 1..3
+    from one range call each; any difference raises InvariantViolation.
+    The first three have abelian Sylow subgroups; only S4 at p = 2
+    (P = D8) reaches the double cosets, where the convention matters.
     """
-    for G, p in ((symmetric(3), 3), (alternating(4), 2), (alternating(4), 3)):
+    for G, p in (
+        (symmetric(3), 3),
+        (alternating(4), 2),
+        (alternating(4), 3),
+        (symmetric(4), 2),
+    ):
         P = sylow_ascent(G, p)
         R = resolution_small(G, 4)
         got_all = ce_ppart_general(G, P, (1, 2, 3))

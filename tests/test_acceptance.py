@@ -1,15 +1,20 @@
 """Known values of Mathieu group homology, end to end through the CLI.
 
 H_2(M22) = Z/12 is the ATLAS Schur multiplier, so its 3-part is Z/3.
-H_3(M11) = Z/8 and H_5(M23) = Z/7 are named in the paper.  The 3-part
-of H_2(M23) needs the double cosets of a Sylow 3-subgroup of index
-1,133,440, past the double-coset cap, so it must stop with exit 2.
+H_3(M11) = Z/8 and H_5(M23) = Z/7 are named in the paper.  With the
+ATLAS multiplier H_2(M23) = 1 they make the 3-part of H_n(M23) trivial
+for n = 1..5; the Sylow 3-subgroup 3^2 is abelian, so that is read off
+N_G(P), of index 70,840.  The Sylow 3-subgroup 3^{1+2} of M24 is not
+abelian: its double cosets need the index 9,067,520, past the
+double-coset cap, so that request must stop with exit 2.  So must the
+normalizer route when its conjugation orbit outgrows its cap.
 """
 
 import json
 
 import pytest
 
+from permhomology import sylow
 from permhomology.cli import main
 
 
@@ -25,10 +30,32 @@ def test_known_value(capsys, request_, degree, want):
     assert got == {degree: want}
 
 
-def test_m23_three_part_stops_at_the_index_cap(capsys):
-    assert main("homology M23 -n 2 -p 3".split()) == 2
+def test_m23_three_part_is_trivial_to_degree_five(capsys):
+    assert main("homology M23 -n 1 --to 5 -p 3".split()) == 0
+    out = json.loads(capsys.readouterr().out)
+    got = {r["degree"]: r["invariants"] for r in out["results"]}
+    assert got == {n: [] for n in range(1, 6)}
+    assert {r["method"] for r in out["results"]} == {"sylow-ce"}
+
+
+def test_m24_three_part_stops_at_the_index_cap(capsys):
+    assert main("homology M24 -n 3 -p 3".split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "cap-exceeded"
-    assert "index 1133440" in err["detail"]
+    assert "index 9067520" in err["detail"]
+
+
+def test_normalizer_route_stops_at_the_orbit_cap(capsys, monkeypatch):
+    # the Sylow 3-subgroup of M11 has 55 conjugates
+    monkeypatch.setattr(sylow, "SUBGROUP_ORBIT_CAP", 54)
+    assert main("homology M11 -n 2 -p 3".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "cap-exceeded"
+    assert err["detail"] == "orbit exceeded cap 54"
+    assert err["attained"] == 54
+    monkeypatch.setattr(sylow, "SUBGROUP_ORBIT_CAP", 55)
+    assert main("homology M11 -n 2 -p 3".split()) == 0

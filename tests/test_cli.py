@@ -307,8 +307,11 @@ def test_stable_element_range_matches_benchmark_record(capsys, request_):
     assert d == _benchmark_record(request_)
 
 
-def test_sylow_route_builds_once_per_prime(capsys, monkeypatch):
-    calls = {"sylow_ascent": 0, "double_cosets": 0, "ce_ppart_general": 0}
+def _count_sylow_route(monkeypatch) -> dict:
+    """Calls of each stage of the Sylow route, counted as they happen."""
+    calls = dict.fromkeys(
+        ("sylow_ascent", "double_cosets", "subgroup_normalizer", "ce_ppart_general"), 0
+    )
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -322,10 +325,32 @@ def test_sylow_route_builds_once_per_prime(capsys, monkeypatch):
     counted(cli, "sylow_ascent")
     counted(cli, "ce_ppart_general")
     counted(homology, "double_cosets")
+    counted(homology, "subgroup_normalizer")
+    return calls
+
+
+def test_sylow_route_builds_once_per_prime(capsys, monkeypatch):
+    # the Sylow 2-subgroup of M11 is SD16, so the route walks double cosets
+    calls = _count_sylow_route(monkeypatch)
+    d = run_json(capsys, "homology", "M11", "-n", "1", "--to", "3", "-p", "2")
+    assert [r["degree"] for r in d["results"]] == [1, 2, 3]
+    assert {r["method"] for r in d["results"]} == {"sylow-ce"}
+    assert calls == {
+        "sylow_ascent": 1, "double_cosets": 1, "subgroup_normalizer": 0,
+        "ce_ppart_general": 1,
+    }
+
+
+def test_abelian_sylow_route_takes_one_normalizer(capsys, monkeypatch):
+    # the Sylow 3-subgroup of M11 is 3^2: N_G(P), and no double cosets
+    calls = _count_sylow_route(monkeypatch)
     d = run_json(capsys, "homology", "M11", "-n", "1", "--to", "6", "-p", "3")
     assert [r["degree"] for r in d["results"]] == [1, 2, 3, 4, 5, 6]
     assert {r["method"] for r in d["results"]} == {"sylow-ce"}
-    assert calls == {"sylow_ascent": 1, "double_cosets": 1, "ce_ppart_general": 1}
+    assert calls == {
+        "sylow_ascent": 1, "double_cosets": 0, "subgroup_normalizer": 1,
+        "ce_ppart_general": 1,
+    }
 
 
 def test_homology_action_builds_coordinates_once(capsys, monkeypatch):

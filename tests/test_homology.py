@@ -29,7 +29,7 @@ from permhomology.homology import (
 )
 from permhomology.permgroup import PermGroup
 from permhomology.resolution import bar_resolution, resolution_small
-from permhomology.sylow import double_cosets, sylow_ascent
+from permhomology.sylow import double_cosets, subgroup_normalizer, sylow_ascent
 
 
 def test_abelian_invariants_canonical():
@@ -180,7 +180,12 @@ def test_check_ce_convention_fails_hard(monkeypatch):
 
 
 def test_ce_matches_oracle_small():
-    for grp, p in ((symmetric(3), 3), (alternating(4), 2), (alternating(4), 3)):
+    # abelian Sylow subgroups take the normalizer route; D8 in S4 and
+    # the catalog's dihedral(8) itself (order 16) take the double cosets
+    for grp, p in (
+        (symmetric(3), 3), (alternating(4), 2), (alternating(4), 3),
+        (symmetric(4), 2), (dihedral(8), 2),
+    ):
         P = sylow_ascent(grp, p)
         R = resolution_small(grp, 4)
         for n in (1, 2, 3):
@@ -189,12 +194,15 @@ def test_ce_matches_oracle_small():
 
 
 def test_ce_both_conventions_agree():
-    grp = alternating(4)
-    P = sylow_ascent(grp, 2)
-    for n in (1, 2, 3):
-        a = ce_ppart_general(grp, P, n, convention="intersect-right")[n]
-        b = ce_ppart_general(grp, P, n, convention="intersect-left")[n]
-        assert a == b
+    # P = D8 in S4 is nonabelian, so the conventions pick different K on
+    # the double-coset route; A4 at p = 2 is the normalizer route
+    for grp, abelian in ((symmetric(4), False), (alternating(4), True)):
+        P = sylow_ascent(grp, 2)
+        assert P.is_abelian() == abelian
+        for n in (1, 2, 3):
+            a = ce_ppart_general(grp, P, n, convention="intersect-right")[n]
+            b = ce_ppart_general(grp, P, n, convention="intersect-left")[n]
+            assert a == b
 
 
 def test_ce_matches_closed_form_mathieu():
@@ -243,21 +251,8 @@ def test_ce_range_matches_single_degrees(grp, p, top):
     assert ce_ppart_general(grp, P, reversed(degrees)) == got
 
 
-@pytest.mark.parametrize("m, top, want", [
-    (11, 6, {n: TRIVIAL for n in range(1, 7)}),
-    (21, 3, {1: TRIVIAL, 2: AbelianInvariants(0, (3,)), 3: TRIVIAL}),
-])
-def test_ce_builds_each_plain_inclusion_once(monkeypatch, m, top, want):
-    grp = mathieu(m)
-    P = sylow_ascent(grp, 3)
-    pels = set(P.elements())
-    # one conjugated inclusion per rep with K > 1, one plain one per K
-    kernels = []
-    for x in double_cosets(grp, P):
-        phi = homology._conjugator(homology.CE_CONVENTION, x)
-        K = frozenset(k for k in pels if phi(k) in pels)
-        if len(K) > 1 and x != tuple(range(grp.degree)):
-            kernels.append(K)
+def _count_chain_maps(monkeypatch) -> list:
+    """The arguments of every chain_map call the Sylow route makes."""
     calls = []
     built = homology.chain_map
 
@@ -266,8 +261,74 @@ def test_ce_builds_each_plain_inclusion_once(monkeypatch, m, top, want):
         return built(*args)
 
     monkeypatch.setattr(homology, "chain_map", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m, p, top, want", [
+    (11, 2, 3, {1: TRIVIAL, 2: TRIVIAL, 3: AbelianInvariants(0, (8,))}),
+    (12, 3, 2, {1: TRIVIAL, 2: TRIVIAL}),
+], ids=["M11-2", "M12-3"])
+def test_ce_builds_each_plain_inclusion_once(monkeypatch, m, p, top, want):
+    grp = mathieu(m)
+    P = sylow_ascent(grp, p)
+    # SD16 and 3^{1+2}: the double-coset route
+    assert not P.is_abelian()
+    pels = set(P.elements())
+    # one conjugated inclusion per rep with K > 1, one plain one per K
+    kernels = []
+    for x in double_cosets(grp, P):
+        phi = homology._conjugator(homology.CE_CONVENTION, x)
+        K = frozenset(k for k in pels if phi(k) in pels)
+        if len(K) > 1 and x != tuple(range(grp.degree)):
+            kernels.append(K)
+    calls = _count_chain_maps(monkeypatch)
     assert ce_ppart_general(grp, P, range(1, top + 1)) == want
     assert len(calls) == len(kernels) + len(set(kernels))
     if m == 11:
-        # all 15 nontrivial intersections are P itself
-        assert (len(kernels), len(set(kernels))) == (15, 1)
+        # 9 nontrivial intersections, 6 of them distinct
+        assert (len(kernels), len(set(kernels))) == (9, 6)
+
+
+@pytest.mark.parametrize("m, top, kept, want", [
+    (11, 6, 3, {n: TRIVIAL for n in range(1, 7)}),
+    (21, 3, 2, {1: TRIVIAL, 2: AbelianInvariants(0, (3,)), 3: TRIVIAL}),
+], ids=["M11-3", "M21-3"])
+def test_ce_abelian_sylow_reads_the_normalizer(monkeypatch, m, top, kept, want):
+    grp = mathieu(m)
+    P = sylow_ascent(grp, 3)
+    assert P.is_abelian()
+    N = subgroup_normalizer(grp, P)
+    # each kept generator multiplies the order of <P, kept> by a prime
+    assert 1 <= kept <= sum(factor(N.order() // P.order()).values())
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the abelian route walked the double cosets")
+
+    monkeypatch.setattr(homology, "double_cosets", walk)
+    calls = _count_chain_maps(monkeypatch)
+    assert ce_ppart_general(grp, P, range(1, top + 1)) == want
+    # the identity of P, then one conjugation per kept generator of N
+    assert len(calls) == 1 + kept
+
+
+@pytest.mark.parametrize("grp, p, degrees", [
+    (alternating(4), 2, (1, 2, 3)),
+    (mathieu(11), 3, (1, 2, 3, 4, 5, 6)),
+    (mathieu(21), 3, (1, 2, 3)),
+    (mathieu(22), 3, (2,)),
+], ids=["A4-2", "M11-3", "M21-3", "M22-3"])
+def test_abelian_sylow_routes_agree(grp, p, degrees):
+    # the normalizer's coinvariants equal the stable elements over P\G/P
+    P = sylow_ascent(grp, p)
+    assert P.is_abelian()
+    RP = resolution_small(P, degrees[-1] + 1)
+    got = [
+        homology._quotients(
+            RP, degrees, *relations(grp, P, RP, degrees, homology.CE_CONVENTION)
+        )
+        for relations in (
+            homology._normalizer_relations,
+            homology._double_coset_relations,
+        )
+    ]
+    assert got[0] == got[1]
