@@ -30,6 +30,7 @@ from .equivariant import (
     flag_edge_orbits,
     orbit_decompose,
 )
+from .errors import FLAG_CAP, POINT_CAP, SMALL_GROUP_CAP, WALL_RANK_CAP
 from .errors import CapExceeded, InvariantViolation
 from .homology import (
     TRIVIAL,
@@ -43,14 +44,10 @@ from .homology import (
 from .intlinalg import factor, p_part, smith_normal_form
 from .perm import format_cycles
 from .permgroup import PermGroup, fingerprint, schreier_stabilizer
-from .resolution import SMALL_GROUP_CAP, bar_resolution, resolution_small
+from .resolution import bar_resolution, resolution_small
 from .sylow import sylow_ascent, weyl_exponent
-from .wall import WALL_RANK_CAP, from_cells, splice, wall_assemble
+from .wall import from_cells, splice, wall_assemble
 from . import __version__
-
-# Above the library's equivariant.FLAG_CAP: a CLI user asked for the
-# flag complex and accepts the coloring cost.
-CLI_FLAG_CAP = 500_000
 
 MATHIEU_NAMES = "M11,M12,M21,M22,M23,M24"
 
@@ -60,6 +57,12 @@ def _group(spec: str) -> PermGroup:
     if spec.lstrip().startswith("{"):
         return catalog.group_from_json(json.loads(spec))
     return catalog.lookup(spec)
+
+
+def _check_primes(flag: str, primes) -> None:
+    for p in primes:
+        if factor(p) != {p: 1}:
+            raise ValueError(f"{flag} must be prime, not {p}")
 
 
 def _prime_list(order: int, p: int | None, p_min: int | None) -> list:
@@ -114,7 +117,7 @@ def _polygon_complex(G: PermGroup):
 
 def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
     if base_kind == "polygon":
-        ecc = orbit_decompose(_polygon_complex(G), G, 2)
+        ecc = orbit_decompose(_polygon_complex(G), G, 2, flag_cap=flag_cap)
         top = ecc.chain[-1]
         # a one-orbit top cell fixed by all of G closes up periodically
         if len(top) == 1 and top[0].stab.order() == G.order():
@@ -136,6 +139,8 @@ def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
 def _cmd_homology(args):
     if args.degree < 0:
         raise ValueError("--degree must be at least 0")
+    if args.prime is not None:
+        _check_primes("-p", [args.prime])
     G = _group(args.group)
     top = args.to if args.to is not None else args.degree
     if top < args.degree:
@@ -198,7 +203,7 @@ def _cmd_homology(args):
         else:
             R = _wall_resolution(
                 G, args.complex or "polygon", args.dims, top, args.max_dim,
-                args.flag_cap if args.flag_cap is not None else CLI_FLAG_CAP,
+                args.flag_cap if args.flag_cap is not None else FLAG_CAP,
                 args.rank_cap if args.rank_cap is not None else WALL_RANK_CAP,
             )
         for n in degrees:
@@ -223,6 +228,7 @@ def _cmd_homology(args):
 
 def _cmd_ppart_table(args):
     primes = [int(s) for s in args.primes.split(",")]
+    _check_primes("--primes", primes)
     rows = []
     for name in args.groups.split(","):
         name = name.strip()
@@ -514,7 +520,7 @@ def _parser():
     p.add_argument("--max-dim", type=int, help="truncation of the flag complex")
     p.add_argument(
         "--flag-cap", type=int,
-        help=f"flag cap for --method wall (default {CLI_FLAG_CAP})",
+        help=f"flag cap for --method wall (default {FLAG_CAP})",
     )
     p.add_argument(
         "--rank-cap", type=int,
@@ -536,7 +542,7 @@ def _parser():
         "--orbit-dim", type=int,
         help="also decompose orbits up to this dimension",
     )
-    p.add_argument("--flag-cap", type=int, default=CLI_FLAG_CAP)
+    p.add_argument("--flag-cap", type=int, default=FLAG_CAP)
     common(p)
     p.set_defaults(func=_cmd_wythoff)
 
@@ -545,7 +551,7 @@ def _parser():
     p.add_argument("--vector", required=True, help="comma list of rationals")
     p.add_argument("--vertex", type=int, help="index into the sorted orbit")
     p.add_argument(
-        "--orbit-cap", dest="point_cap", type=int, default=polytope.POINT_CAP
+        "--orbit-cap", dest="point_cap", type=int, default=POINT_CAP
     )
     p.add_argument("--dump-points", metavar="PATH", help="write points CSV")
     p.add_argument(

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import comb
 
-from .errors import CapExceeded, InvariantViolation
-
-# Materializing every subset of the ground set is exponential in its size.
-BRUTE_GROUND_CAP = 16
-CLOSED_SET_CAP = 1_000_000
+from .errors import BRUTE_GROUND_CAP, CLOSED_SET_CAP, CapExceeded, InvariantViolation
 
 
 def _mask(points) -> int:

@@ -38,12 +38,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coxeter import DComplex, essential_poset, simplex_face_counts
-from .errors import CapExceeded, InvariantViolation
+from .errors import EXPAND_CAP, EXTENSION_CAP, FLAG_CAP, CapExceeded, InvariantViolation
 from .perm import identity, inv, mul
 from .permgroup import OrbitData, PermGroup, act_point, act_set, schreier_stabilizer
-
-FLAG_CAP = 50_000
-EXTENSION_CAP = 500_000
 
 _APEX = "@"
 _CONE = "#"
@@ -326,10 +323,6 @@ class CellOrbit:
     boundary: tuple
     kind: str = "cell"
     source: int | None = None
-
-    @property
-    def reversing(self) -> bool:
-        return -1 in self.chi
 
     @property
     def stab_order(self) -> int:
@@ -764,9 +757,6 @@ def act_cell(g, rep):
     return act_set(g, rep)
 
 
-EXPAND_CAP = 100_000
-
-
 def expand_chain(ecc: EquivariantCellComplex):
     """Cell-level boundary matrices of the chain layer.
 
@@ -817,8 +807,7 @@ def orbit_decompose(base, group: PermGroup, max_dim: int, flag_cap: int = FLAG_C
     (respectively label) order, subdivision pieces right after the
     orbit they replace, appended by dimension and representative key.
     Subdivided cells of flag complexes can be flag-heavy; flag_cap
-    bounds the coloring work per cell and is raised by callers that
-    accept the cost.
+    bounds the coloring work per cell.
     """
     if isinstance(base, SimplexFlags):
         action = _SimplexFlagAction(base, group)

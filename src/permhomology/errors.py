@@ -1,4 +1,44 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the resource caps that
+raise CapExceeded.
+
+Every cap lives here, so one file says how far each route may go.  A
+cap that a CLI flag overrides is named in the comment beside it; the
+flag's default is the cap.  The Sylow caps are read as
+``errors.NAME`` when the search runs, not copied at import.
+"""
+
+# group order up to which PermGroup.elements lists a group
+ENUM_CAP = 10**6
+# states in one BFS orbit, unless the caller passes its own cap
+ORBIT_CAP = 2 * 10**7
+# base images one cyclic normalizer search may try
+NORMALIZER_SEARCH_CAP = 10**6
+# conjugates of a subgroup walked by subgroup_normalizer: |G:N_G(H)|
+SUBGROUP_ORBIT_CAP = 200_000
+# left cosets walked by double_cosets: the index |G:H|
+DOUBLE_COSET_CAP = 200_000
+
+# group order of a SmallGroup, and so of resolution_small and the bar
+# resolution; `homology --method auto` resolves only up to it
+SMALL_GROUP_CAP = 128
+# bar resolution rank (|G| - 1)^n in its top degree
+BAR_RANK_CAP = 20_000
+# assembled rank of a wall resolution in any one degree (--rank-cap)
+WALL_RANK_CAP = 50_000
+
+# maximal internal flags of one cell when orienting it (--flag-cap)
+FLAG_CAP = 500_000
+# candidate flag extensions of one chain at one subset size
+EXTENSION_CAP = 500_000
+# cells that expand_chain lists to cross-check the orbit records
+EXPAND_CAP = 100_000
+# ground set size whose 2^n subsets simplex_complex materializes
+BRUTE_GROUND_CAP = 16
+# closed sets one essential-poset enumeration may list
+CLOSED_SET_CAP = 1_000_000
+
+# points in the orbit of one vector (edge-degree --orbit-cap)
+POINT_CAP = 100_000
 
 
 class CapExceeded(RuntimeError):

@@ -185,7 +185,6 @@ def cyclic_sylow_ppart(G: PermGroup, p: int, degrees, seed: int = 0) -> dict:
 
 # -- the general stable-element route ------------------------------------
 
-DOUBLE_COSET_CAP = 200_000
 CE_CONVENTION = "intersect-right"
 
 
@@ -294,7 +293,7 @@ def _double_coset_relations(G, P, RP, degrees, convention):
     rel_cols: dict = {n: [] for n in degrees}
     # K -> (RK, {n: induced map of the plain inclusion of K into P})
     plain: dict = {}
-    for x in double_cosets(G, P, cap=DOUBLE_COSET_CAP):
+    for x in double_cosets(G, P):
         if x == idn:
             continue
         phi = _conjugator(convention, x)

@@ -13,13 +13,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from math import lcm
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import ENUM_CAP, ORBIT_CAP, CapExceeded, InvariantViolation
 from .perm import identity, inv, mul, precompose
-
-ENUM_CAP = 10**6
-ORBIT_CAP = 2 * 10**7
 
 
 def act_point(g: tuple, x: int) -> int:
@@ -248,16 +244,13 @@ class PermGroup:
             return False
         return self.sift(g) == identity(self.degree)
 
-    def contains_group(self, other: "PermGroup") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
     # -- element access --------------------------------------------------
 
-    def elements(self, cap: int = ENUM_CAP) -> list:
+    def elements(self) -> list:
         """All elements, in a fixed chain-derived order."""
-        if self.order() > cap:
+        if self.order() > ENUM_CAP:
             raise CapExceeded(
-                f"group order {self.order()} exceeds enumeration cap {cap}"
+                f"group order {self.order()} exceeds enumeration cap {ENUM_CAP}"
             )
         base, _, trans = self._chain
         out = [identity(self.degree)]
@@ -293,14 +286,6 @@ class PermGroup:
             mul(a, b) == mul(b, a) for a, b in itertools.combinations(gs, 2)
         )
 
-    def exponent(self, cap: int = ENUM_CAP) -> int:
-        from .perm import order as perm_order
-
-        e = 1
-        for g in self.elements(cap):
-            e = lcm(e, perm_order(g))
-        return e
-
     # -- orbits ----------------------------------------------------------
 
     def orbit(self, point: int) -> tuple:
@@ -325,10 +310,6 @@ class PermGroup:
     def orbit_data(self, seed, act, cap: int = ORBIT_CAP) -> OrbitData:
         return OrbitData(seed, self.generators, act, self.degree, cap)
 
-    def set_orbit(self, pts, cap: int = ORBIT_CAP) -> OrbitData:
-        seed = tuple(sorted(pts))
-        return OrbitData(seed, self.generators, act_set, self.degree, cap)
-
     # -- stabilizers -----------------------------------------------------
 
     def point_stabilizer(self, points) -> "PermGroup":
@@ -346,19 +327,6 @@ class PermGroup:
             raise InvariantViolation("prefixed chain lost its prefix")
         gens = S[k] if k < len(S) else []
         return PermGroup(gens, self.degree)
-
-    def setwise_stabilizer(self, pts, orbit_data: OrbitData | None = None) -> "PermGroup":
-        """Stabilizer of a point set, via Schreier generators on the set orbit."""
-        seed = tuple(sorted(pts))
-        od = orbit_data if orbit_data is not None else self.set_orbit(seed)
-        return schreier_stabilizer(self, od)
-
-    def chain_stabilizer(self, sets) -> "PermGroup":
-        """Stabilizer of a nested chain of sets (each set fixed setwise)."""
-        H = self
-        for s in sorted(sets, key=len):
-            H = H.setwise_stabilizer(s)
-        return H
 
 
 def schreier_stabilizer(group: PermGroup, od: OrbitData) -> PermGroup:

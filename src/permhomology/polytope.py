@@ -37,10 +37,8 @@ from itertools import islice
 from math import lcm
 from operator import mul
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import POINT_CAP, CapExceeded, InvariantViolation
 from .permgroup import OrbitData, PermGroup
-
-POINT_CAP = 100_000
 
 ZERO = Fraction(0)
 

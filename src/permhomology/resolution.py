@@ -29,13 +29,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import BAR_RANK_CAP, SMALL_GROUP_CAP, CapExceeded, InvariantViolation
 from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
 from .perm import conj, identity, inv, mul, precompose, support
 from .permgroup import PermGroup, fingerprint
 
-SMALL_GROUP_CAP = 128
-BAR_RANK_CAP = 20_000
 VERIFY_FULL_LIMIT = 2_000
 VERIFY_SAMPLE = 200
 
@@ -43,10 +41,12 @@ VERIFY_SAMPLE = 200
 class SmallGroup:
     """A finite group frozen as an element list with index arithmetic."""
 
-    def __init__(self, group: PermGroup, cap: int = SMALL_GROUP_CAP):
+    def __init__(self, group: PermGroup):
         n = group.order()
-        if n > cap:
-            raise CapExceeded(f"group order {n} exceeds the small-group cap {cap}")
+        if n > SMALL_GROUP_CAP:
+            raise CapExceeded(
+                f"group order {n} exceeds the small-group cap {SMALL_GROUP_CAP}"
+            )
         self.group = group
         self.elements = tuple(group.elements())
         self.index = {g: i for i, g in enumerate(self.elements)}
@@ -60,9 +60,6 @@ class SmallGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self._mul[i][j]
-
-    def fingerprint(self) -> str:
-        return fingerprint(self.group)
 
     def __repr__(self):
         return f"SmallGroup(order={self.n}, degree={self.group.degree})"
@@ -360,13 +357,14 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
         raise ValueError(f"resolution length must be at least 1, not {n}")
     if isinstance(G, PermGroup):
         G = SmallGroup(G)
-    memo_key = (G.fingerprint(), n)
+    key = fingerprint(G.group)
+    memo_key = (key, n)
     if cache_dir is None:
         hit = _small_memo.get(memo_key)
         if hit is not None:
             return hit
     if cache_dir is not None:
-        path = os.path.join(cache_dir, f"res-{G.fingerprint()}-{n}.json")
+        path = os.path.join(cache_dir, f"res-{key}-{n}.json")
         if os.path.exists(path):
             return load_resolution(path, G)
 
@@ -502,7 +500,7 @@ def tensor_resolution(F: FreeResolution, E: FreeResolution) -> FreeResolution:
 
 def save_resolution(R: FreeResolution, path: str):
     data = {
-        "fingerprint": R.G.fingerprint(),
+        "fingerprint": fingerprint(R.G.group),
         "ranks": list(R.ranks),
         "aug": list(R.aug),
         "d": {
@@ -523,7 +521,7 @@ def save_resolution(R: FreeResolution, path: str):
 def load_resolution(path: str, G: SmallGroup) -> FreeResolution:
     with open(path) as f:
         data = json.load(f)
-    if data["fingerprint"] != G.fingerprint():
+    if data["fingerprint"] != fingerprint(G.group):
         raise ValueError("cached resolution belongs to a different group")
     d = {
         int(k): tuple(

@@ -47,20 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import CapExceeded, InvariantViolation
+from . import errors
+from .errors import ENUM_CAP, CapExceeded, InvariantViolation
 from .intlinalg import p_part
 from .perm import conj, cycles, identity, mul, power, precompose
 from .perm import order as perm_order
-from .permgroup import (
-    ENUM_CAP,
-    OrbitData,
-    PermGroup,
-    schreier_stabilizer,
-)
-
-# base images one normalizer search may try
-NORMALIZER_SEARCH_CAP = 10**6
-SUBGROUP_ORBIT_CAP = 200000
+from .permgroup import OrbitData, PermGroup, schreier_stabilizer
 
 
 def element_of_order(G: PermGroup, p: int, seed: int = 0) -> tuple:
@@ -149,9 +141,10 @@ class CyclicConjOrbit:
 
     def _step(self):
         self._steps += 1
-        if self._steps > NORMALIZER_SEARCH_CAP:
+        cap = errors.NORMALIZER_SEARCH_CAP
+        if self._steps > cap:
             raise CapExceeded(
-                f"normalizer search exceeded cap {NORMALIZER_SEARCH_CAP} base images",
+                f"normalizer search exceeded cap {cap} base images",
                 attained=self._attained,
             )
 
@@ -266,7 +259,7 @@ def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     H must be enumerable; the orbit is capped since each node stores the
     whole conjugated subgroup.
     """
-    hels = H.elements(ENUM_CAP)
+    hels = H.elements()
     idn = identity(G.degree)
     seed = tuple(sorted(h for h in hels if h != idn))
     if not seed:
@@ -275,14 +268,14 @@ def subgroup_normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     def act(g, state):
         return tuple(sorted(conj(g, h) for h in state))
 
-    od = OrbitData(seed, G.generators, act, G.degree, SUBGROUP_ORBIT_CAP)
+    od = OrbitData(seed, G.generators, act, G.degree, errors.SUBGROUP_ORBIT_CAP)
     return schreier_stabilizer(G, od)
 
 
 def _ascend_within(N: PermGroup, Q: PermGroup, p: int) -> PermGroup:
     """Grow the p-subgroup Q towards a Sylow p-subgroup of N by scanning
     N's elements for normalizing p-elements outside Q."""
-    els = N.elements(ENUM_CAP)
+    els = N.elements()
     target = p_part(N.order(), p)
     qels = set(Q.elements())
     while len(qels) < target:
@@ -369,16 +362,18 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0) -> PermGroup:
     return Q
 
 
-def double_cosets(G: PermGroup, H: PermGroup, cap: int = ENUM_CAP) -> list:
+def double_cosets(G: PermGroup, H: PermGroup) -> list:
     """Representatives of H\\G/H, the lexicographically least element of
     each double coset, in increasing order.
 
     Walks the left cosets xH, each kept as its least element, and never
-    lists G: memory grows with the index |G:H|, which cap bounds.
+    lists G: memory grows with the index |G:H|, which DOUBLE_COSET_CAP
+    bounds.
     """
-    hels = H.elements(cap)
+    hels = H.elements()
     order = G.order()
     index = order // len(hels)
+    cap = errors.DOUBLE_COSET_CAP
     if index > cap:
         raise CapExceeded(f"subgroup index {index} exceeds double-coset cap {cap}")
     # x -> x b for each b in H

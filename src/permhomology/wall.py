@@ -45,13 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import WALL_RANK_CAP, CapExceeded, InvariantViolation
 from .homology import chain_homology
 from .perm import conj, identity, inv, mul, precompose
 from .permgroup import PermGroup
 from .resolution import FreeResolution, resolution_small, tensor_resolution
-
-WALL_RANK_CAP = 50_000
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from permhomology.coxeter import (
-    BRUTE_GROUND_CAP,
     DComplex,
     _closure_mask,
     _mask,
@@ -20,7 +19,7 @@ from permhomology.coxeter import (
     _unmask,
     essential_poset,
 )
-from permhomology.errors import CapExceeded
+from permhomology.errors import BRUTE_GROUND_CAP, CapExceeded
 
 # Safety valve for materialized Wythoff complexes.
 MATERIALIZE_CAP = 200_000

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from permhomology import sylow
+from permhomology import errors
 from permhomology.cli import main
 
 
@@ -49,7 +49,7 @@ def test_m24_three_part_stops_at_the_index_cap(capsys):
 
 def test_normalizer_route_stops_at_the_orbit_cap(capsys, monkeypatch):
     # the Sylow 3-subgroup of M11 has 55 conjugates
-    monkeypatch.setattr(sylow, "SUBGROUP_ORBIT_CAP", 54)
+    monkeypatch.setattr(errors, "SUBGROUP_ORBIT_CAP", 54)
     assert main("homology M11 -n 2 -p 3".split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -57,5 +57,5 @@ def test_normalizer_route_stops_at_the_orbit_cap(capsys, monkeypatch):
     assert err["error"] == "cap-exceeded"
     assert err["detail"] == "orbit exceeded cap 54"
     assert err["attained"] == 54
-    monkeypatch.setattr(sylow, "SUBGROUP_ORBIT_CAP", 55)
+    monkeypatch.setattr(errors, "SUBGROUP_ORBIT_CAP", 55)
     assert main("homology M11 -n 2 -p 3".split()) == 0

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import permhomology
-from permhomology import cli, homology, polytope, resolution, sylow
+from permhomology import cli, errors, homology, polytope, resolution
 from permhomology.catalog import group_from_cycles
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -62,6 +62,38 @@ def test_out_of_range_degree_is_bad_input(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "bad-input"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    ("homology M11 -n 3 -p 4", "-p", 4),
+    ("homology M11 -n 3 -p 9", "-p", 9),
+    ("homology M11 -n 3 -p -2", "-p", -2),
+    ("homology M11 -n 3 -p 0", "-p", 0),
+    ("homology M11 -n 3 -p 1", "-p", 1),
+    ("ppart-table --groups M11 --primes 0", "--primes", 0),
+    ("ppart-table --groups M11 --primes 5,4", "--primes", 4),
+])
+def test_non_prime_is_bad_input(capsys, argv, flag, value):
+    # -p 4 used to answer [] where the 2-part of H_3(M11) is [8], and
+    # -p 0 died with ZeroDivisionError
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "bad-input", "detail": f"{flag} must be prime, not {value}",
+    }
+
+
+def test_flag_cap_bounds_both_wall_complexes(capsys):
+    base = ["homology", "D12", "-n", "1", "--to", "2", "--method", "wall"]
+    for kind in ("polygon", "flags"):
+        assert main(base + ["--complex", kind, "--flag-cap", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "cap-exceeded",
+                       "detail": "2 internal flags in one cell"}
+        d = run_json(capsys, *base, "--complex", kind)
+        got = {r["degree"]: r["invariants"] for r in d["results"]}
+        assert got == {1: [2, 2], 2: [2]}
 
 
 def test_homology_degree_range_with_restriction(capsys):
@@ -141,13 +173,13 @@ def test_wall_options_need_the_wall_route(capsys):
         }
     # on the wall route the defaults are filled in: polygon and both caps
     base = ["homology", "Z4", "-n", "1", "--to", "3", "--method", "wall"]
-    explicit = base + ["--complex", "polygon", "--flag-cap", str(cli.CLI_FLAG_CAP),
-                       "--rank-cap", str(cli.WALL_RANK_CAP)]
+    explicit = base + ["--complex", "polygon", "--flag-cap", str(errors.FLAG_CAP),
+                       "--rank-cap", str(errors.WALL_RANK_CAP)]
     assert run_json(capsys, *base) == run_json(capsys, *explicit)
 
 
 def test_cap_error_reports_attained_count(capsys, monkeypatch):
-    monkeypatch.setattr(sylow, "NORMALIZER_SEARCH_CAP", 50)
+    monkeypatch.setattr(errors, "NORMALIZER_SEARCH_CAP", 50)
     assert main(["ppart-table", "--groups", "M22", "--primes", "7"]) == 2
     err = json.loads(capsys.readouterr().err)
     # attained: the order of the part of the normalizer found

@@ -69,7 +69,7 @@ def test_segment_z2_subdivided():
     g = PermGroup([(1, 0)], 2)
     ecc = orbit_decompose(cx.simplex_complex(2), g, 1)
     edge = ecc.raw[1][0]
-    assert edge.chi == (-1,) and edge.reversing
+    assert edge.chi == (-1,)
     assert ecc.replaced == ((1, 0),)
     kinds = [(o.kind, o.stab_order, o.size) for layer in ecc.chain for o in layer]
     assert kinds == [("cell", 1, 2), ("apex", 2, 1), ("cone", 1, 2)]
@@ -126,7 +126,7 @@ def test_hexagon_s3():
     assert g.order() == 6
     ecc = orbit_decompose(cx.polygon_solid(6), g, 2)
     assert ecc.stab_orders(0) == (1,)
-    assert not ecc.raw[0][0].reversing
+    assert -1 not in ecc.raw[0][0].chi
     assert len(ecc.replaced) == 3
     assert ecc.chain_counts == (13, 24, 12)
     sizes, mats = expand_chain(ecc)

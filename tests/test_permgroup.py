@@ -16,7 +16,7 @@ from permhomology.perm import (
     parse_cycles,
     power,
 )
-from permhomology.permgroup import PermGroup
+from permhomology.permgroup import PermGroup, act_set, schreier_stabilizer
 from permhomology.sylow import sylow_ascent
 
 
@@ -163,7 +163,7 @@ def test_elements_order_pinned(which):
 
 def test_elements_cap():
     with pytest.raises(CapExceeded):
-        sym(13).elements(cap=10**6)
+        sym(13).elements()
 
 
 def test_point_stabilizer_orders():
@@ -185,13 +185,17 @@ def test_base_prefix_kept_even_when_fixed():
     assert G.point_stabilizer((3,)).order() == 2
 
 
+def setwise(G, pts):
+    return schreier_stabilizer(G, G.orbit_data(tuple(sorted(pts)), act_set))
+
+
 def test_setwise_stabilizer():
     G = sym(4)
-    H = G.setwise_stabilizer((0, 1))
+    H = setwise(G, (0, 1))
     assert H.order() == 4
     assert all(sorted(g[x] for x in (0, 1)) == [0, 1] for g in H.generators)
     A4 = PermGroup([parse_cycles("(1,2,3)", 4), parse_cycles("(2,3,4)", 4)])
-    assert A4.setwise_stabilizer((0, 1)).order() == 2
+    assert setwise(A4, (0, 1)).order() == 2
 
 
 def test_setwise_stabilizer_against_closure():
@@ -204,12 +208,12 @@ def test_setwise_stabilizer_against_closure():
         G = PermGroup(gens, n)
         s = tuple(sorted(rng.sample(range(n), rng.randrange(1, n))))
         expect = [g for g in mulclose(gens, n) if tuple(sorted(g[x] for x in s)) == s]
-        assert G.setwise_stabilizer(s).order() == len(expect)
+        assert setwise(G, s).order() == len(expect)
 
 
 def test_chain_stabilizer_is_intersection():
     G = sym(5)
-    H = G.chain_stabilizer([(0, 1), (0, 1, 2, 3)])
+    H = setwise(setwise(G, (0, 1)), (0, 1, 2, 3))
     # stabilize {0,1} and {0,1,2,3}: 2! * 2! * 1! = 4
     assert H.order() == 4
 
@@ -239,11 +243,7 @@ def test_random_elements_deterministic_and_members():
     assert all(G.contains(g) for g in sample)
 
 
-def test_exponent_and_abelian():
-    G = sym(3)
-    assert not G.is_abelian()
-    assert G.exponent() == 6
-    C = PermGroup([parse_cycles("(1,2,3,4)", 4)])
-    assert C.is_abelian()
-    assert C.exponent() == 4
+def test_is_abelian():
+    assert not sym(3).is_abelian()
+    assert PermGroup([parse_cycles("(1,2,3,4)", 4)]).is_abelian()
 
