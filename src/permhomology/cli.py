@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -115,7 +114,7 @@ def _polygon_complex(G: PermGroup):
     return polygon_solid(m)
 
 
-def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
+def _wall_resolution(G, base_kind, dims, n, flag_cap, rank_cap):
     if base_kind == "polygon":
         ecc = orbit_decompose(_polygon_complex(G), G, 2, flag_cap=flag_cap)
         top = ecc.chain[-1]
@@ -124,15 +123,7 @@ def _wall_resolution(G, base_kind, dims, n, max_dim, flag_cap, rank_cap):
             return wall_assemble(splice(ecc), n, rank_cap=rank_cap)
         return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
     flags = SimplexFlags(G.degree, dims if dims is not None else (0, 1))
-    if max_dim is None:
-        max_dim = n + 1
-    elif not n + 1 <= max_dim <= flags.poset.max_height:
-        raise ValueError(
-            f"--max-dim {max_dim} is out of range: degree {n} needs cells up "
-            f"to dimension {n + 1}, and the complex has dimensions "
-            f"0..{flags.poset.max_height}"
-        )
-    ecc = orbit_decompose(flags, G, max_dim, flag_cap=flag_cap)
+    ecc = orbit_decompose(flags, G, n + 1, flag_cap=flag_cap)
     return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
 
 
@@ -154,12 +145,8 @@ def _cmd_homology(args):
         ):
             if value is not None:
                 raise ValueError(f"{flag} applies only to --method wall")
-    if (args.method, args.complex) != ("wall", "flags"):
-        for flag, value in (("--max-dim", args.max_dim), ("--dims", args.dims)):
-            if value is not None:
-                raise ValueError(
-                    f"{flag} applies only to --method wall --complex flags"
-                )
+    if (args.method, args.complex) != ("wall", "flags") and args.dims is not None:
+        raise ValueError("--dims applies only to --method wall --complex flags")
     restriction = None
     if args.prime is not None:
         restriction = args.prime
@@ -197,12 +184,12 @@ def _cmd_homology(args):
             results.append({"degree": n, "invariants": inv, "method": used})
     else:
         if method == "small":
-            R = resolution_small(G, top + 1, cache_dir=args.cache_dir)
+            R = resolution_small(G, top + 1)
         elif method == "bar":
             R = bar_resolution(G, top + 1)
         else:
             R = _wall_resolution(
-                G, args.complex or "polygon", args.dims, top, args.max_dim,
+                G, args.complex or "polygon", args.dims, top,
                 args.flag_cap if args.flag_cap is not None else FLAG_CAP,
                 args.rank_cap if args.rank_cap is not None else WALL_RANK_CAP,
             )
@@ -298,9 +285,6 @@ def _cmd_wythoff(args):
 
 
 def _cmd_edge_degree(args):
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    threads = min(args.threads, os.cpu_count() or 1)
     G = _group(args.group)
     v = tuple(Fraction(s) for s in args.vector.split(","))
     pts = polytope.orbit_points(G, v, cap=args.point_cap)
@@ -311,7 +295,7 @@ def _cmd_edge_degree(args):
         with open(args.dump_points, "w", newline="") as fh:
             polytope.points_csv(pts, fh)
     stab = schreier_stabilizer(G, G.orbit_data(pts[i], polytope.act_vec))
-    deg = polytope.vertex_degree(pts, i, stab.generators, threads=threads)
+    deg = polytope.vertex_degree(pts, i, stab.generators)
     return {
         "group": fingerprint(G),
         "group_name": args.group,
@@ -333,7 +317,7 @@ def _cmd_resolution(args):
     if args.method == "bar":
         R = bar_resolution(G, args.length)
     else:
-        R = resolution_small(G, args.length, cache_dir=args.cache_dir)
+        R = resolution_small(G, args.length)
     return {
         "group": fingerprint(G),
         "group_name": args.group,
@@ -487,11 +471,6 @@ def _parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--cache-dir",
-            default=os.environ.get("PERMHOMOLOGY_CACHE"),
-            help="resolution cache (env PERMHOMOLOGY_CACHE)",
-        )
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -517,7 +496,6 @@ def _parser():
         "--dims", type=_dims,
         help="flag ring dims for --complex flags (default 0,1)",
     )
-    p.add_argument("--max-dim", type=int, help="truncation of the flag complex")
     p.add_argument(
         "--flag-cap", type=int,
         help=f"flag cap for --method wall (default {FLAG_CAP})",
@@ -554,10 +532,6 @@ def _parser():
         "--orbit-cap", dest="point_cap", type=int, default=POINT_CAP
     )
     p.add_argument("--dump-points", metavar="PATH", help="write points CSV")
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="LP worker processes, at most the CPU count",
-    )
     common(p)
     p.set_defaults(func=_cmd_edge_degree)
 

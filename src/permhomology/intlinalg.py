@@ -10,15 +10,18 @@ boundaries it is fed are almost all zeros.  It takes the same pivots,
 swaps, divmod and xgcd steps and sign normalisation a dense echelon
 would, so every result is the one dense rows would give.  Dense vectors
 and rows passed to it are converted on the way in; results come back
-sparse.  smith_normal_form works on dense lists, smith_diagonal_sparse
-on a dict of entries.
+sparse.
+
+There is one Smith engine, a sparse Markowitz elimination that keeps
+the row and column transforms on request.  smith_diagonal_sparse reads
+the diagonal of a dict of entries without transforms; smith_normal_form
+runs it on dense lists with transforms and returns dense U and V.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from math import gcd
 
 
 def factor(n: int) -> dict:
@@ -51,99 +54,6 @@ def xgcd(a: int, b: int):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def identity_matrix(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(A: list):
-    """Diagonalize over Z: returns (diag, U, V) with U*A*V diagonal,
-    U and V unimodular, diag a divisibility chain d1 | d2 | ... >= 0.
-
-    diag has length min(m, n) including trailing zeros.
-    """
-    m = len(A)
-    n = len(A[0]) if A else 0
-    S = [list(row) for row in A]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def rowcombine(i, k, x, y, z, w):
-        # rows i, k <- (x*row_i + y*row_k, z*row_i + w*row_k); det = xw - yz = +-1
-        for M in (S, U):
-            ri, rk = M[i], M[k]
-            M[i] = [x * a + y * b for a, b in zip(ri, rk)]
-            M[k] = [z * a + w * b for a, b in zip(ri, rk)]
-
-    def colcombine(j, k, x, y, z, w):
-        for M in (S, V):
-            for row in M:
-                a, b = row[j], row[k]
-                row[j] = x * a + y * b
-                row[k] = z * a + w * b
-
-    def swap_rows(i, k):
-        if i != k:
-            rowcombine(i, k, 0, 1, 1, 0)
-
-    def swap_cols(j, k):
-        if j != k:
-            colcombine(j, k, 0, 1, 1, 0)
-
-    t = 0
-    while True:
-        best = None
-        for i in range(t, m):
-            row = S[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            if S[t][t] < 0:
-                S[t] = [-a for a in S[t]]
-                U[t] = [-a for a in U[t]]
-            p = S[t][t]
-            k = next((i for i in range(t + 1, m) if S[i][t]), None)
-            if k is not None:
-                q = S[k][t]
-                if q % p == 0:
-                    rowcombine(t, k, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = xgcd(p, q)
-                    rowcombine(t, k, x, y, -(q // g), p // g)
-                continue
-            k = next((j for j in range(t + 1, n) if S[t][j]), None)
-            if k is not None:
-                q = S[t][k]
-                if q % p == 0:
-                    colcombine(t, k, 1, 0, -(q // p), 1)
-                else:
-                    g, x, y = xgcd(p, q)
-                    colcombine(t, k, x, y, -(q // g), p // g)
-                continue
-            # row and column t are clear; enforce that the pivot divides
-            # the rest of the matrix before moving on
-            bad = None
-            for i in range(t + 1, m):
-                row = S[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            rowcombine(t, bad, 1, 1, 0, 1)
-        t += 1
-    diag = [S[i][i] for i in range(min(m, n))]
-    return diag, U, V
 
 
 def _sparse(v, n: int) -> dict:
@@ -360,13 +270,20 @@ class ZSpan:
         return grew
 
 
-def smith_diagonal_sparse(entries: dict) -> list:
-    """Nonzero Smith diagonal of a sparse matrix {(i, j): value}.
+def _smith(entries: dict, U: dict | None = None, V: dict | None = None) -> list:
+    """The Smith engine: eliminate the sparse matrix {(i, j): value} down
+    to its Smith diagonal, returned as a list of [d, i, j], d > 0 at
+    position (i, j), forming a divisibility chain in list order.
 
-    No transforms.  Pivoting prefers unit entries with the lowest
-    Markowitz fill count (lazy heap); when no units remain the smallest
-    entry is gcd-reduced into a local pivot first.  The collected
-    diagonal is gcd/lcm-merged into a divisibility chain at the end.
+    Pivoting prefers unit entries with the lowest Markowitz fill count
+    (lazy heap); when no units remain the smallest entry is gcd-reduced
+    into a local pivot first.  The collected diagonal is gcd/lcm-merged
+    into a divisibility chain at the end.
+
+    U and V, when given, are the row and column transforms as sparse rows
+    {i: {k: coefficient}} and sparse columns {j: {k: coefficient}} over
+    the original indices; every row (column) operation is applied to them
+    in place, so U * A * V is the final diagonal matrix.
     """
     rows: dict = {}
     cols: dict = {}
@@ -390,6 +307,15 @@ def smith_diagonal_sparse(entries: dict) -> list:
                 if not c:
                     del cols[j]
 
+    def track_add(T, dst, src, f):
+        # T[dst] += f * T[src] on a transform
+        if T is not None:
+            _sub_multiple(T[dst], -f, T[src])
+
+    def track_combine(T, k0, k1, x, y, z, w):
+        if T is not None:
+            T[k0], T[k1] = _combine(T[k0], T[k1], x, y, z, w)
+
     heap = []
 
     def note_unit(i, j, v):
@@ -408,6 +334,7 @@ def smith_diagonal_sparse(entries: dict) -> list:
             set_entry(dst, j, new)
             if new:
                 note_unit(dst, j, new)
+        track_add(U, dst, src, f)
 
     def add_col_multiple(dst, src, f):
         # col_dst += f * col_src
@@ -416,6 +343,7 @@ def smith_diagonal_sparse(entries: dict) -> list:
             set_entry(i, dst, new)
             if new:
                 note_unit(i, dst, new)
+        track_add(V, dst, src, f)
 
     def combine_rows(i0, i1, x, y, z, w):
         # (row_i0, row_i1) <- (x*row_i0 + y*row_i1, z*row_i0 + w*row_i1),
@@ -430,6 +358,7 @@ def smith_diagonal_sparse(entries: dict) -> list:
             note_unit(i0, j, v)
         for j, v in rows.get(i1, {}).items():
             note_unit(i1, j, v)
+        track_combine(U, i0, i1, x, y, z, w)
 
     def combine_cols(j0, j1, x, y, z, w):
         c0 = dict(cols.get(j0, {}))
@@ -442,6 +371,7 @@ def smith_diagonal_sparse(entries: dict) -> list:
             note_unit(i, j0, v)
         for i, v in cols.get(j1, {}).items():
             note_unit(i, j1, v)
+        track_combine(V, j0, j1, x, y, z, w)
 
     diag = []
 
@@ -463,20 +393,28 @@ def smith_diagonal_sparse(entries: dict) -> list:
                 continue
             break
         # clear the cheaper side with exact eliminations; the leftover side
-        # then only touches the pivot row/column, so dropping it is the
-        # same as applying the remaining column (row) operations
+        # then only touches the pivot row/column, so its operations go to
+        # the transforms alone
         pv = rows[i0][j0]
         if len(cols[j0]) <= len(rows[i0]):
             for i in [i for i in cols[j0] if i != i0]:
                 add_row_multiple(i, i0, -(rows[i][j0] // pv))
+            for j, v in rows[i0].items():
+                if j != j0:
+                    track_add(V, j, j0, -(v // pv))
         else:
             for j in [j for j in rows[i0] if j != j0]:
                 add_col_multiple(j, j0, -(rows[i0][j] // pv))
+            for i, v in cols[j0].items():
+                if i != i0:
+                    track_add(U, i, i0, -(v // pv))
+        if pv < 0 and U is not None:
+            U[i0] = _negate(U[i0])
         for j in list(rows.get(i0, {})):
             set_entry(i0, j, 0)
         for i in list(cols.get(j0, {})):
             set_entry(i, j0, 0)
-        diag.append(abs(pv))
+        diag.append([abs(pv), i0, j0])
 
     while rows:
         i0 = j0 = None
@@ -492,16 +430,53 @@ def smith_diagonal_sparse(entries: dict) -> list:
             )
         eliminate(i0, j0)
 
-    # merge into a divisibility chain
+    # merge into a divisibility chain: with g = x*a + y*b, the row
+    # operation [[x, y], [-b/g, a/g]] and the column operation
+    # [[1, -y*b/g], [1, x*a/g]] take diag(a, b) to diag(g, a*b/g)
     changed = True
     while changed:
         changed = False
         for a in range(len(diag)):
-            if diag[a] == 1:
+            if diag[a][0] == 1:
                 continue
             for b in range(a + 1, len(diag)):
-                if diag[b] % diag[a]:
-                    g = gcd(diag[a], diag[b])
-                    diag[a], diag[b] = g, diag[a] * diag[b] // g
+                (da, ia, ja), (db, ib, jb) = diag[a], diag[b]
+                if db % da:
+                    g, x, y = xgcd(da, db)
+                    track_combine(U, ia, ib, x, y, -(db // g), da // g)
+                    track_combine(V, ja, jb, 1, 1, -y * (db // g), x * (da // g))
+                    diag[a][0], diag[b][0] = g, da * db // g
                     changed = True
-    return sorted(diag)
+    diag.sort(key=lambda dij: dij[0])
+    return diag
+
+
+def smith_diagonal_sparse(entries: dict) -> list:
+    """Nonzero Smith diagonal of a sparse matrix {(i, j): value}, as an
+    ascending divisibility chain; no transforms are kept."""
+    return [d for d, _, _ in _smith(entries)]
+
+
+def smith_normal_form(A: list):
+    """Diagonalize over Z: returns (diag, U, V) with U*A*V diagonal,
+    U and V unimodular, diag a divisibility chain d1 | d2 | ... >= 0.
+
+    diag has length min(m, n) including trailing zeros.
+    """
+    m = len(A)
+    n = len(A[0]) if A else 0
+    U = {i: {i: 1} for i in range(m)}
+    V = {j: {j: 1} for j in range(n)}
+    entries = {(i, j): v for i, row in enumerate(A) for j, v in enumerate(row) if v}
+    pivots = _smith(entries, U, V)
+    # pivot rows and columns first, in chain order, then the rest
+    rows = [i for _, i, _ in pivots]
+    rows += sorted(set(range(m)) - set(rows))
+    cols = [j for _, _, j in pivots]
+    cols += sorted(set(range(n)) - set(cols))
+    diag = [d for d, _, _ in pivots] + [0] * (min(m, n) - len(pivots))
+    return (
+        diag,
+        [[U[i].get(k, 0) for k in range(m)] for i in rows],
+        [[V[j].get(k, 0) for j in cols] for k in range(n)],
+    )

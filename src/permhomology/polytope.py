@@ -354,7 +354,7 @@ def is_edge(points, i: int, j: int) -> bool:
     return edge_gap(points, i, j) > 0
 
 
-def vertex_degree(points, i: int, gens=(), threads: int = 1) -> int:
+def vertex_degree(points, i: int, gens=()) -> int:
     """Number of hull edges at vertex i.
 
     gens must fix points[i] and permute the points; whether [i, j] is
@@ -384,19 +384,6 @@ def vertex_degree(points, i: int, gens=(), threads: int = 1) -> int:
     if sum(size for _, size in work) != len(points) - 1:
         raise InvariantViolation("orbit sizes do not sum to the other points")
     points = _scaled(points)
-    if threads <= 1:
-        return _degree_chunk((points, i, work))
-    # imported here: it costs every CLI start about 20 ms otherwise
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [work[k::threads] for k in range(threads)]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        parts = ex.map(_degree_chunk, [(points, i, c) for c in chunks])
-    return sum(parts)
-
-
-def _degree_chunk(args) -> int:
-    points, i, work = args
     return sum(size for j, size in work if is_edge(points, i, j))
 
 

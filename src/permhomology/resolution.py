@@ -23,8 +23,6 @@ its ranks are the convolution of the factors' ranks.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -345,28 +343,22 @@ def _select_generators(G: SmallGroup, rank: int, kb: list):
 _small_memo: dict = {}
 
 
-def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
+def resolution_small(G, n: int) -> FreeResolution:
     """Free resolution of Z over ZG to degree n, |G| capped at 128.
 
-    Deterministic: same group generators, same resolution.  Results are
-    memoized per fingerprint within a process; with cache_dir set, a
-    JSON dump keyed by the fingerprint is reused across runs and
-    reloads bit-identically.
+    G is a PermGroup or a SmallGroup.  Deterministic: same group
+    generators, same resolution.  Results are memoized within a process,
+    keyed by the fingerprint of the PermGroup and n, and the memo is
+    read before the multiplication table of a SmallGroup is built.
     """
     if n < 1:
         raise ValueError(f"resolution length must be at least 1, not {n}")
+    memo_key = (fingerprint(G if isinstance(G, PermGroup) else G.group), n)
+    hit = _small_memo.get(memo_key)
+    if hit is not None:
+        return hit
     if isinstance(G, PermGroup):
         G = SmallGroup(G)
-    key = fingerprint(G.group)
-    memo_key = (key, n)
-    if cache_dir is None:
-        hit = _small_memo.get(memo_key)
-        if hit is not None:
-            return hit
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"res-{key}-{n}.json")
-        if os.path.exists(path):
-            return load_resolution(path, G)
 
     ranks = [1]
     d: dict = {}
@@ -412,12 +404,7 @@ def resolution_small(G, n: int, cache_dir: str | None = None) -> FreeResolution:
                     raise InvariantViolation("homotopy solve failed; kernel not spanned")
                 table[(k, e, j)] = vec_to_word(G, k + 1, y)
     res._verify()
-
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_resolution(res, path)
-    else:
-        _small_memo[memo_key] = res
+    _small_memo[memo_key] = res
     return res
 
 
@@ -496,46 +483,6 @@ def tensor_resolution(F: FreeResolution, E: FreeResolution) -> FreeResolution:
 
     aug = [F.aug[i] * E.aug[j] for _, i, j in gens[0]]
     return FreeResolution(G, [len(layer) for layer in gens], d, aug, homotopy)
-
-
-def save_resolution(R: FreeResolution, path: str):
-    data = {
-        "fingerprint": fingerprint(R.G.group),
-        "ranks": list(R.ranks),
-        "aug": list(R.aug),
-        "d": {
-            str(k): [[list(t) for t in R.boundary(k, j).terms] for j in range(R.ranks[k])]
-            for k in range(1, R.length + 1)
-        },
-        "h": [
-            [k, e, j, [list(t) for t in R.h(k, e, j).terms]]
-            for k in range(R.length)
-            for j in range(R.ranks[k])
-            for e in range(R.G.n)
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(data, f)
-
-
-def load_resolution(path: str, G: SmallGroup) -> FreeResolution:
-    with open(path) as f:
-        data = json.load(f)
-    if data["fingerprint"] != fingerprint(G.group):
-        raise ValueError("cached resolution belongs to a different group")
-    d = {
-        int(k): tuple(
-            ZGWord(int(k) - 1, tuple(tuple(t) for t in terms)) for terms in imgs
-        )
-        for k, imgs in data["d"].items()
-    }
-    table = {
-        (k, e, j): ZGWord(k + 1, tuple(tuple(t) for t in terms))
-        for k, e, j, terms in data["h"]
-    }
-    return FreeResolution(
-        G, data["ranks"], d, data["aug"], lambda k, e, j: table[(k, e, j)]
-    )
 
 
 # -- chain maps ----------------------------------------------------------

@@ -239,8 +239,8 @@ def weyl_exponent(G: PermGroup, p: int, seed: int = 0) -> WeylData:
         raise ValueError(f"Sylow {p}-subgroup is not of prime order")
     x = element_of_order(G, p, seed)
     orb = CyclicConjOrbit(G, x)
-    E = orb.aut_image()
-    e = len(E)
+    witnesses = orb.witnesses()
+    e = len(witnesses)
     if (p - 1) % e:
         raise InvariantViolation("automorphism image size must divide p - 1")
     return WeylData(
@@ -249,7 +249,7 @@ def weyl_exponent(G: PermGroup, p: int, seed: int = 0) -> WeylData:
         normalizer_order=orb.normalizer_order,
         orbit_size=orb.size,
         element=x,
-        witnesses=orb.witnesses(),
+        witnesses=witnesses,
     )
 
 

@@ -1,5 +1,6 @@
 """Command line surface: formats, methods, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import permhomology
-from permhomology import cli, errors, homology, polytope, resolution
+from permhomology import cli, errors, homology, resolution
 from permhomology.catalog import group_from_cycles
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -132,22 +133,48 @@ def test_wall_polygon_splice_failure_is_not_rerouted(capsys, monkeypatch):
     assert main(["homology", "Z4", "-n", "1", "--method", "wall"]) == 3
 
 
-def test_wall_flags_max_dim_range(capsys):
-    # the S4 complex with rings 0 has dimensions 0..2, and degree n
-    # needs cells up to dimension n + 1
-    base = ["homology", "S4", "-n", "1", "--method", "wall",
-            "--complex", "flags", "--dims", "0"]
-    assert main(base + ["--to", "2", "--max-dim", "1"]) == 2
-    assert main(base + ["--to", "2", "--max-dim", "9"]) == 2
-    d = run_json(capsys, *base, "--to", "1", "--max-dim", "2")
-    assert d["results"][0]["invariants"] == [2]
+COMMON_OPTIONS = {"-h", "--help", "--seed", "--json", "--csv"}
+
+# every option of every subcommand; a new option has to be added here
+OPTIONS = {
+    "homology": {"-n", "--degree", "--to", "-p", "--prime", "--p-min",
+                 "--method", "--complex", "--dims", "--flag-cap",
+                 "--rank-cap"},
+    "ppart-table": {"--groups", "--primes"},
+    "wythoff": {"--rings", "--orbit-dim", "--flag-cap"},
+    "edge-degree": {"--vector", "--vertex", "--orbit-cap", "--dump-points"},
+    "resolution": {"--length", "--method"},
+    "selftest": set(),
+}
+
+
+def test_option_sets_are_pinned():
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {o for a in p._actions for o in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: opts | COMMON_OPTIONS for name, opts in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge-degree", "S3", "--vector", "1,2,3", "--threads", "2"],
+    ["resolution", "Z6", "--length", "3", "--cache-dir", "cache"],
+    ["homology", "S4", "-n", "1", "--method", "wall", "--complex", "flags",
+     "--dims", "0", "--max-dim", "2"],
+])
+def test_removed_options_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_flags_options_need_the_flags_route(capsys):
     assert main(["homology", "Z4", "-n", "1", "--to", "3", "--method", "wall",
-                 "--max-dim", "1", "--dims", "5"]) == 2
+                 "--dims", "5"]) == 2
     assert main(["homology", "Z4", "-n", "1", "--to", "2", "--method",
-                 "small", "--complex", "flags", "--max-dim", "1"]) == 2
+                 "small", "--complex", "flags"]) == 2
     assert main(["homology", "Z4", "-n", "1", "--dims", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count('"bad-input"') == 3
@@ -156,6 +183,10 @@ def test_flags_options_need_the_flags_route(capsys):
     base = ["homology", "S4", "-n", "1", "--method", "wall",
             "--complex", "flags"]
     assert run_json(capsys, *base) == run_json(capsys, *base, "--dims", "0,1")
+    # degree n decomposes the complex to dimension n + 1; with rings 0
+    # that is the whole S4 complex at n = 1
+    d = run_json(capsys, *base, "--dims", "0", "--to", "1")
+    assert d["results"][0]["invariants"] == [2]
 
 
 def test_wall_options_need_the_wall_route(capsys):
@@ -271,24 +302,6 @@ def test_wythoff_orbit_dim_range(capsys):
     assert main(["wythoff", "S4", "--rings", "0", "--orbit-dim", "3"]) == 2
     d = run_json(capsys, "wythoff", "S4", "--rings", "0", "--orbit-dim", "2")
     assert len(d["orbits"]["counts"]) == 3
-
-
-def test_threads_bounded(capsys, monkeypatch):
-    seen = []
-
-    def fake_vertex_degree(pts, i, gens=(), threads=1):
-        seen.append(threads)
-        return 2
-
-    monkeypatch.setattr(polytope, "vertex_degree", fake_vertex_degree)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    run_json(capsys, "edge-degree", "S3", "--vector", "1,2,3", "--threads", "64")
-    run_json(capsys, "edge-degree", "S3", "--vector", "1,2,3")
-    assert seen == [2, 1]
-    assert main(["edge-degree", "S3", "--vector", "1,2,3", "--threads", "0"]) == 2
-    assert seen == [2, 1]
-    with pytest.raises(SystemExit):
-        main(["homology", "Z4", "-n", "1", "--threads", "2"])
 
 
 def test_edge_degree_hexagon(capsys, tmp_path):
@@ -465,7 +478,8 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_process_pools_out():
-    # only vertex_degree with threads >= 2 needs a process pool
+    # no command runs a process pool, and importing one costs every CLI
+    # start about 20 ms
     code = (
         "import sys, permhomology.cli\n"
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"

@@ -12,7 +12,6 @@ from permhomology.intlinalg import (
     ColumnSolver,
     ZSpan,
     _row_echelon,
-    identity_matrix,
     kernel_basis,
     smith_diagonal_sparse,
     smith_normal_form,
@@ -25,6 +24,10 @@ from permhomology.intlinalg import (
 
 def mat_vec(A: list, v) -> list:
     return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def identity_matrix(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A: list, B: list) -> list:
@@ -181,6 +184,10 @@ def test_xgcd():
         assert a * x + b * y == g
 
 
+def entries_of(A: list) -> dict:
+    return {(i, j): a for i, row in enumerate(A) for j, a in enumerate(row) if a}
+
+
 def test_smith_matches_minor_oracle():
     rng = random.Random(2)
     for _ in range(40):
@@ -188,25 +195,62 @@ def test_smith_matches_minor_oracle():
         A = rand_matrix(rng, m, n)
         diag, _, _ = smith_normal_form(A)
         assert diag == snf_oracle(A)
+        assert smith_diagonal_sparse(entries_of(A)) == [d for d in diag if d]
+    rng = random.Random(4)
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = rand_matrix(rng, m, n, -4, 4)
+        # thin it out to exercise the sparse paths
+        for i in range(m):
+            for j in range(n):
+                if rng.random() < 0.5:
+                    A[i][j] = 0
+        want = snf_oracle(A)
+        assert smith_diagonal_sparse(entries_of(A)) == [d for d in want if d]
+        assert smith_normal_form(A)[0] == want
+
+
+def assert_smith_transforms(A: list) -> list:
+    """smith_normal_form(A)'s diagonal, after checking U*A*V = D with
+    U, V unimodular and the diagonal a divisibility chain."""
+    m, n = len(A), len(A[0])
+    diag, U, V = smith_normal_form(A)
+    assert len(diag) == min(m, n)
+    S = mat_mul(mat_mul(U, A), V)
+    for i in range(m):
+        for j in range(n):
+            assert S[i][j] == (diag[i] if i == j and i < len(diag) else 0)
+    assert abs(det(U)) == 1
+    assert abs(det(V)) == 1
+    for i in range(len(diag) - 1):
+        if diag[i]:
+            assert diag[i + 1] % diag[i] == 0
+        else:
+            assert diag[i + 1] == 0
+    return diag
 
 
 def test_smith_transforms():
     rng = random.Random(3)
     for _ in range(30):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        A = rand_matrix(rng, m, n)
-        diag, U, V = smith_normal_form(A)
-        S = mat_mul(mat_mul(U, A), V)
-        for i in range(m):
-            for j in range(n):
-                assert S[i][j] == (diag[i] if i == j and i < len(diag) else 0)
-        assert abs(det(U)) == 1
-        assert abs(det(V)) == 1
-        for i in range(len(diag) - 1):
-            if diag[i]:
-                assert diag[i + 1] % diag[i] == 0
-            else:
-                assert diag[i + 1] == 0
+        assert_smith_transforms(rand_matrix(rng, m, n))
+
+
+def test_smith_transform_branches():
+    # two coprime pivots: the chain merge takes diag(2, 3) to diag(1, 6)
+    assert assert_smith_transforms([[2, 0], [0, 3]]) == [1, 6]
+    # negative pivots, a unit and a non-unit, flip their U rows
+    assert assert_smith_transforms([[-1, 0], [0, -4]]) == [1, 4]
+    assert assert_smith_transforms([[-2, 0, 0], [0, 0, -6]]) == [2, 6]
+    # wide: the pivot column is shorter than its row, so rows are cleared
+    # and the rest of the pivot row goes to V; tall: the pivot row is
+    # shorter, columns are cleared and the rest of the column goes to U.
+    # The second nonzero row is twice the first in both.
+    wide = [[0, 1, 0, 2, 3], [0, 0, 0, 0, 0], [0, 2, 0, 4, 6]]
+    tall = [[0, 0], [1, 2], [0, 0], [2, 4], [3, 6]]
+    assert assert_smith_transforms(wide) == [1, 0, 0]
+    assert assert_smith_transforms(tall) == [1, 0]
 
 
 def test_smith_known_values():
@@ -216,21 +260,6 @@ def test_smith_known_values():
     assert diag == [1, 1]
     diag, _, _ = smith_normal_form([[0, 0], [0, 0]])
     assert diag == [0, 0]
-
-
-def test_sparse_smith_matches_dense():
-    rng = random.Random(4)
-    for _ in range(40):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        A = rand_matrix(rng, m, n, -4, 4)
-        # thin it out to exercise the sparse paths
-        for i in range(m):
-            for j in range(n):
-                if rng.random() < 0.5:
-                    A[i][j] = 0
-        entries = {(i, j): A[i][j] for i in range(m) for j in range(n) if A[i][j]}
-        dense = [d for d in smith_normal_form(A)[0] if d]
-        assert smith_diagonal_sparse(entries) == dense
 
 
 def test_rank():

@@ -125,19 +125,6 @@ def test_permutohedron_s4():
     assert pt.edge_count(pts, 3) == 36
 
 
-def test_vertex_degree_threads_agree():
-    pts = pt.orbit_points(symmetric(3), (1, 2, 3))
-    assert pt.vertex_degree(pts, 0, threads=2) == pt.vertex_degree(pts, 0)
-    # a stabilizer of order 2: the representatives, not the points, are
-    # spread over the pool
-    G = symmetric(4)
-    pts = pt.orbit_points(G, (1, 1, 2, 3))
-    gens = stabilizer_gens(G, pts, 5)
-    assert len(gens) == 1
-    one = pt.vertex_degree(pts, 5, gens)
-    assert pt.vertex_degree(pts, 5, gens, threads=2) == one == 3
-
-
 @pytest.mark.parametrize("n", [4, 5])
 def test_pruned_degree_matches_wythoff_count(capsys, n):
     # ring r means coordinates r and r + 1 of the sorted vector differ
@@ -435,4 +422,3 @@ def test_rational_points_scale_out():
     gens = stabilizer_gens(G, rat, i)
     deg = pt.vertex_degree(rat, i, gens)
     assert deg == pt.vertex_degree(whole, i, stabilizer_gens(G, whole, i)) == 3
-    assert pt.vertex_degree(rat, i, gens, threads=2) == deg

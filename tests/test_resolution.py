@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from permhomology.catalog import (
     klein_four,
     symmetric,
 )
+from permhomology import resolution
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.homology import resolution_homology
 from permhomology.perm import conj, identity, inv, mul
@@ -23,9 +25,7 @@ from permhomology.resolution import (
     bar_resolution,
     chain_map,
     homology_action,
-    load_resolution,
     resolution_small,
-    save_resolution,
     tensor_resolution,
     translate_vec,
     vec_to_word,
@@ -169,9 +169,25 @@ def test_small_group_table():
     for i in range(G.n):
         assert G.mul(i, G.inverse[i]) == G.id
         assert G.mul(G.id, i) == i
-    # resolution cache files are named by this value
+    # resolution_small's memo is keyed by this value
     assert fingerprint(G.group) == "d85fc658b866d0c0"
     assert fingerprint(G.group) != fingerprint(cyclic(4))
+
+
+def test_memo_hit_builds_no_small_group(monkeypatch):
+    built = []
+
+    class CountingGroup(SmallGroup):
+        def __init__(self, group):
+            built.append(group)
+            super().__init__(group)
+
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    monkeypatch.setattr(resolution, "SmallGroup", CountingGroup)
+    R = resolution_small(symmetric(3), 2)
+    assert resolution_small(symmetric(3), 2) is R
+    assert resolution_small(R.G, 2) is R
+    assert len(built) == 1
 
 
 def test_caps():
@@ -295,35 +311,6 @@ def test_boundary_lands_in_augmentation_kernel():
             assert R.augment(img) == 0
 
 
-# -- caching -------------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    R1 = resolution_small(klein_four(), 3, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    R2 = resolution_small(klein_four(), 3, cache_dir=str(tmp_path))
-    assert R1.ranks == R2.ranks
-    for k in range(1, 4):
-        for j in range(R1.ranks[k]):
-            assert R1.boundary(k, j) == R2.boundary(k, j)
-    for k in range(3):
-        for j in range(R1.ranks[k]):
-            for e in range(R1.G.n):
-                assert R1.h(k, e, j) == R2.h(k, e, j)
-    assert invariants_through(R1, 2) == invariants_through(R2, 2)
-
-
-def test_cache_wrong_group(tmp_path):
-    R = resolution_small(klein_four(), 2)
-    path = tmp_path / "res.json"
-    save_resolution(R, str(path))
-    with pytest.raises(ValueError):
-        load_resolution(str(path), SmallGroup(cyclic(4)))
-    back = load_resolution(str(path), R.G)
-    assert back.ranks == R.ranks
-
-
 def _stabilizer_in_s6(points):
     """The setwise stabilizer of points in S6, generated by all of its
     elements in sorted order, as the flags wall route builds it."""
@@ -332,6 +319,28 @@ def _stabilizer_in_s6(points):
         [g for g in sorted(symmetric(6).elements())
          if set(g[: len(points)]) == set(points) and g != e]
     )
+
+
+def save_resolution(R: FreeResolution, path: str):
+    """R as JSON: fingerprint, ranks, augmentation, boundaries and the
+    homotopy table, in the layout the pinned hashes below were taken in."""
+    data = {
+        "fingerprint": fingerprint(R.G.group),
+        "ranks": list(R.ranks),
+        "aug": list(R.aug),
+        "d": {
+            str(k): [[list(t) for t in R.boundary(k, j).terms] for j in range(R.ranks[k])]
+            for k in range(1, R.length + 1)
+        },
+        "h": [
+            [k, e, j, [list(t) for t in R.h(k, e, j).terms]]
+            for k in range(R.length)
+            for j in range(R.ranks[k])
+            for e in range(R.G.n)
+        ],
+    }
+    with open(path, "w") as f:
+        json.dump(data, f)
 
 
 # sha256 of the save_resolution JSON, recorded before the echelon engine

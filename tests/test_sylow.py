@@ -253,6 +253,20 @@ def test_weyl_witnesses_verified():
         assert conj(g, w.element) == power(w.element, m)
 
 
+def test_weyl_exponent_searches_witnesses_once(monkeypatch):
+    calls = []
+    search = CyclicConjOrbit.witnesses
+
+    def counted(self):
+        calls.append(self)
+        return search(self)
+
+    monkeypatch.setattr(CyclicConjOrbit, "witnesses", counted)
+    w = weyl_exponent(symmetric(5), 5)
+    assert len(calls) == 1
+    assert w.exponent == len(w.witnesses) == 4
+
+
 def test_weyl_rejects_nonprime_sylow():
     with pytest.raises(ValueError):
         weyl_exponent(symmetric(4), 2)
