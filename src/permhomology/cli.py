@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, polytope
-from .coxeter import essential_poset, polygon_solid, simplex_face_counts
+from .coxeter import essential_poset, polygon_solid, simplex_complex, simplex_face_counts
 from .coxeter import vertex_degree as wythoff_vertex_degree
 from .equivariant import (
     SimplexFlags,
@@ -71,13 +71,10 @@ def _prime_list(order: int, p: int | None, p_min: int | None) -> list:
 
 
 def _restrict(inv: AbelianInvariants, primes) -> list:
-    """Torsion entries whose prime lies in the restriction, sorted by
-    (prime, power).  Free summands belong to no prime and drop out."""
+    """Torsion entries whose prime lies in the restriction, in the
+    (prime, power) order of inv.torsion.  Free summands drop out."""
     keep = set(primes)
-    items = sorted(
-        (p, q) for q in inv.torsion if (p := min(factor(q))) in keep
-    )
-    return [q for _, q in items]
+    return [q for q in inv.torsion if min(factor(q)) in keep]
 
 
 # -- homology ------------------------------------------------------------
@@ -334,71 +331,72 @@ def _cmd_resolution(args):
 # -- invariant sweep -----------------------------------------------------
 
 
+def _check_snf_transforms(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        m = rng.randint(1, 40)
+        n = rng.randint(1, 40)
+        A = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+        diag, U, V = smith_normal_form(A)
+        S = [
+            [sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)]
+            for i in range(m)
+        ]
+        S = [
+            [sum(S[i][k] * V[k][j] for k in range(n)) for j in range(n)]
+            for i in range(m)
+        ]
+        for i in range(m):
+            for j in range(n):
+                want = diag[i] if i == j and i < len(diag) else 0
+                if S[i][j] != want:
+                    raise InvariantViolation("U M V does not equal S")
+
+
+def _check_resolutions():
+    # construction re-verifies d.d = 0 and h d + d h = 1 throughout
+    for name in ("S3", "Z4", "V4", "A4"):
+        resolution_small(_group(name), 4)
+    bar_resolution(_group("Z6"), 3)
+
+
+def _check_cell_boundaries():
+    cases = [
+        (catalog.dihedral(4), polygon_solid(4), 2),
+        (catalog.alternating(4), simplex_complex(4), 3),
+    ]
+    for G, base, dim in cases:
+        ecc = orbit_decompose(base, G, dim)
+        sizes, mats = expand_chain(ecc)
+        for k in range(1, len(mats)):
+            prod_nonzero = any(
+                sum(mats[k - 1][i][t] * mats[k][t][j] for t in range(sizes[k]))
+                for i in range(sizes[k - 1])
+                for j in range(sizes[k + 1])
+            )
+            if prod_nonzero:
+                raise InvariantViolation("cell boundaries do not square to zero")
+
+
+def _check_wall_oracle():
+    R = resolution_small(catalog.cyclic(4), 4)
+    ecc = orbit_decompose(polygon_solid(4), catalog.cyclic(4), 2)
+    W = wall_assemble(splice(ecc), 3)
+    for k in (1, 2, 3):
+        if resolution_homology(W, k) != resolution_homology(R, k):
+            raise InvariantViolation(f"wall and oracle differ at degree {k}")
+
+
 def _cmd_selftest(args):
     checks = []
-
-    def check(name, fn):
+    for name, fn in (
+        ("snf-transforms", lambda: _check_snf_transforms(args.seed)),
+        ("resolution-identities", _check_resolutions),
+        ("cell-boundaries", _check_cell_boundaries),
+        ("wall-vs-oracle", _check_wall_oracle),
+    ):
         fn()
         checks.append({"check": name, "ok": True})
-
-    def snf_sweep():
-        rng = random.Random(args.seed)
-        for _ in range(100):
-            m = rng.randint(1, 40)
-            n = rng.randint(1, 40)
-            A = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
-            diag, U, V = smith_normal_form(A)
-            S = [
-                [sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)]
-                for i in range(m)
-            ]
-            S = [
-                [sum(S[i][k] * V[k][j] for k in range(n)) for j in range(n)]
-                for i in range(m)
-            ]
-            for i in range(m):
-                for j in range(n):
-                    want = diag[i] if i == j and i < len(diag) else 0
-                    if S[i][j] != want:
-                        raise InvariantViolation("U M V does not equal S")
-
-    def resolutions():
-        # construction re-verifies d.d = 0 and h d + d h = 1 throughout
-        for name in ("S3", "Z4", "V4", "A4"):
-            resolution_small(_group(name), 4)
-        bar_resolution(_group("Z6"), 3)
-
-    def complexes():
-        from .coxeter import simplex_complex
-
-        cases = [
-            (catalog.dihedral(4), polygon_solid(4), 2),
-            (catalog.alternating(4), simplex_complex(3), 3),
-        ]
-        for G, base, dim in cases:
-            ecc = orbit_decompose(base, G, dim)
-            sizes, mats = expand_chain(ecc)
-            for k in range(1, len(mats)):
-                prod_nonzero = any(
-                    sum(mats[k - 1][i][t] * mats[k][t][j] for t in range(sizes[k]))
-                    for i in range(sizes[k - 1])
-                    for j in range(sizes[k + 1])
-                )
-                if prod_nonzero:
-                    raise InvariantViolation("cell boundaries do not square to zero")
-
-    def wall_oracle():
-        R = resolution_small(catalog.cyclic(4), 4)
-        ecc = orbit_decompose(polygon_solid(4), catalog.cyclic(4), 2)
-        W = wall_assemble(splice(ecc), 3)
-        for k in (1, 2, 3):
-            if resolution_homology(W, k) != resolution_homology(R, k):
-                raise InvariantViolation(f"wall and oracle differ at degree {k}")
-
-    check("snf-transforms", snf_sweep)
-    check("resolution-identities", resolutions)
-    check("cell-boundaries", complexes)
-    check("wall-vs-oracle", wall_oracle)
     check_ce_convention()
     checks.append({"check": "ce-convention", "ok": True, "value": ce_convention()})
     return {"checks": checks}

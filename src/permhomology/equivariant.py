@@ -15,13 +15,15 @@ its base cell and one boundary cell, its stabilizer fixes both, and a
 boundary cell of a piece already survived the reversal check at its
 own dimension.
 
-Cells are kept abstract behind two actions.  `_MaterializedAction`
-walks an explicit `DComplex` whose labels are frozensets of points.
-`_SimplexFlagAction` never materializes anything: cells are chains of
-subsets of {0..n-1} of essential type, and orbits come from descending
-the stabilizer chain one subset size at a time, which is what keeps
-groups like M24 (5.1M vertices, 58.7M edges) down to a handful of
-orbit records.
+A cell has one encoding throughout, the one `CellOrbit.rep` publishes
+and `act_cell` moves.  A cell of an explicit `DComplex`, whose labels
+are frozensets of points, is its label as a sorted tuple.  A cell of a
+`SimplexFlags` complex is a chain of subsets of {0..n-1} of essential
+type, each a sorted tuple; these are never materialized, and orbits
+come from descending the stabilizer chain one subset size at a time,
+which is what keeps groups like M24 (5.1M vertices, 58.7M edges) down
+to a handful of orbit records.  Subdivision pieces are ("apex", base)
+and ("cone", base, boundary cell).
 
 Orientations follow the flag-coloring convention: the maximal internal
 flags of a cell are 2-colored so adjacent flags differ, the
@@ -42,12 +44,47 @@ from .errors import EXPAND_CAP, EXTENSION_CAP, FLAG_CAP, CapExceeded, InvariantV
 from .perm import identity, inv, mul
 from .permgroup import OrbitData, PermGroup, act_point, act_set, schreier_stabilizer
 
-_APEX = "@"
-_CONE = "#"
-
 
 def _is_composite(cell) -> bool:
-    return type(cell) is tuple and len(cell) > 0 and (cell[0] is _APEX or cell[0] is _CONE)
+    return len(cell) > 0 and type(cell[0]) is str
+
+
+def _key(cell):
+    """Sort key over all cells: plain cells first, then apexes, then cones."""
+    if _is_composite(cell):
+        return (cell[0],) + tuple(_key(c) for c in cell[1:])
+    return ("", cell)
+
+
+def act_cell(g, rep):
+    """Apply a group element to a cell.
+
+    Works on all three shapes that appear in CellOrbit.rep: a label
+    tuple of points, a chain of such tuples, or an apex/cone composite.
+    """
+    if _is_composite(rep):
+        return (rep[0],) + tuple(act_cell(g, r) for r in rep[1:])
+    if rep and type(rep[0]) is tuple:
+        return tuple(act_set(g, p) for p in rep)
+    return act_set(g, rep)
+
+
+def _new_orbits(seeds, group, act, table, filed):
+    """Orbits of `group` through the seeds that `table` does not index yet.
+
+    Yields (seed, stabilizer, orbit) for each new orbit, in seed order,
+    after storing (len(filed), orbit) against every state of it; the
+    caller files one entry in `filed` per orbit.
+    """
+    for seed in seeds:
+        if seed in table:
+            continue
+        od = OrbitData(seed, group.generators, act, group.degree)
+        stab = schreier_stabilizer(group, od)
+        entry = (len(filed), od)
+        for st in od.states:
+            table[st] = entry
+        yield seed, stab, od
 
 
 # -- actions -------------------------------------------------------------
@@ -129,18 +166,9 @@ class _SimplexFlagAction:
     def top_dim(self) -> int:
         return self.poset.max_height
 
-    def act(self, g, cell):
-        return tuple(act_set(g, p) for p in cell)
-
-    def key(self, cell):
-        return cell
-
     def dim(self, cell) -> int:
         t = tuple(sorted(len(p) - 1 for p in cell))
         return self.poset.classes[self.poset.class_index(t)].height
-
-    def describe(self, cell):
-        return tuple(tuple(p) for p in cell)
 
     def _grow(self, node: _Node, s: int):
         if s in node.children:
@@ -154,15 +182,8 @@ class _SimplexFlagAction:
             raise CapExceeded(f"{len(cands)} flag extensions at size {s}")
         nodes = []
         table = {}
-        for cand in cands:
-            if cand in table:
-                continue
-            od = OrbitData(cand, node.stab.generators, act_set, self.n)
-            child = _Node(node.chain + (cand,), schreier_stabilizer(node.stab, od))
-            pos = len(nodes)
-            nodes.append(child)
-            for st in od.states:
-                table[st] = (pos, od)
+        for cand, stab, _ in _new_orbits(cands, node.stab, act_set, table, nodes):
+            nodes.append(_Node(node.chain + (cand,), stab))
         node.children[s] = (nodes, table)
 
     def _leaves(self, sizes):
@@ -240,16 +261,17 @@ class _MaterializedAction:
                 not isinstance(a, int) or a < 0 or a >= group.degree for a in lab
             ):
                 raise TypeError("labels must be frozensets of points the group moves")
-        self.index = {lab: i for i, lab in enumerate(K.labels)}
-        if len(self.index) != len(K.labels):
+        self.cells = [tuple(sorted(lab)) for lab in K.labels]
+        self._dims = dict(zip(self.cells, K.dims))
+        if len(self._dims) != len(self.cells):
             raise ValueError("duplicate labels")
-        self._facets = [
-            sorted(
-                (j for j in K.below[i] if K.dims[j] == K.dims[i] - 1),
-                key=lambda j: tuple(sorted(K.labels[j])),
-            )
-            for i in range(len(K.labels))
-        ]
+        for g in group.generators:
+            if any(act_set(g, c) not in self._dims for c in self.cells):
+                raise InvariantViolation("group action does not preserve the complex")
+        self._facets = {
+            c: sorted(self.cells[j] for j in K.below[i] if K.dims[j] == K.dims[i] - 1)
+            for i, c in enumerate(self.cells)
+        }
         self._where = {}
         self._orbits = {}
 
@@ -257,45 +279,25 @@ class _MaterializedAction:
     def top_dim(self) -> int:
         return self.K.d
 
-    def act(self, g, cell):
-        lab = frozenset(g[a] for a in self.K.labels[cell])
-        try:
-            return self.index[lab]
-        except KeyError:
-            raise InvariantViolation("group action does not preserve the complex")
-
-    def key(self, cell):
-        return tuple(sorted(self.K.labels[cell]))
-
     def dim(self, cell) -> int:
-        return self.K.dims[cell]
-
-    def describe(self, cell):
-        return tuple(sorted(self.K.labels[cell]))
+        return self._dims[cell]
 
     def decompose(self, k: int):
         if k in self._orbits:
             return self._orbits[k]
         out = []
-        gorder = self.group.order()
-        for seed in sorted(self.K.faces_of_dim(k), key=self.key):
-            if seed in self._where:
-                continue
-            od = OrbitData(seed, self.group.generators, self.act, self.group.degree)
-            stab = schreier_stabilizer(self.group, od)
-            slot = (k, len(out))
-            for st in od.states:
-                self._where[st] = (slot, od)
+        seeds = sorted(self.cells[i] for i in self.K.faces_of_dim(k))
+        for seed, stab, od in _new_orbits(seeds, self.group, act_set, self._where, out):
             out.append((seed, stab, len(od)))
         self._orbits[k] = out
         return out
 
     def identify(self, cell):
-        slot, od = self._where[cell]
-        return slot, od.transporter(cell)
+        pos, od = self._where[cell]
+        return (self._dims[cell], pos), od.transporter(cell)
 
     def facets(self, cell):
-        return list(self._facets[cell])
+        return self._facets[cell]
 
     def cell_count(self, k: int) -> int:
         return len(self.K.faces_of_dim(k))
@@ -308,11 +310,14 @@ class _MaterializedAction:
 class CellOrbit:
     """One orbit of cells: representative, stabilizer, character, boundary.
 
-    `chi` lists the orientation character on stab.generators; `boundary`
-    holds (coefficient, translating element, orbit index one dimension
-    down).  `kind` is "cell" for geometric orbits, "apex" or "cone" for
-    subdivision pieces; `source` points back at the raw orbit a piece
-    came from.
+    `rep` is the cell in the engine's own encoding: a sorted label tuple
+    for an explicit complex, a chain of sorted tuples for a flag complex,
+    and ("apex", base) or ("cone", base, boundary cell) for subdivision
+    pieces; `act_cell` moves any of them.  `chi` lists the orientation
+    character on stab.generators; `boundary` holds (coefficient,
+    translating element, orbit index one dimension down).  `kind` is
+    "cell" for geometric orbits, "apex" or "cone" for subdivision
+    pieces; `source` points back at the raw orbit a piece came from.
     """
 
     dim: int
@@ -375,6 +380,7 @@ class _Engine:
         self.flag_cap = flag_cap
         self.raw = []
         self.chain = []
+        self.layers = {"raw": self.raw, "chain": self.chain}
         self.kept = {}
         self.repl = {}
         self._bcells = {}
@@ -383,36 +389,15 @@ class _Engine:
 
     # -- cells, composite or not ----------------------------------------
 
-    def _act(self, g, cell):
-        if _is_composite(cell):
-            if cell[0] is _APEX:
-                return (_APEX, self._act(g, cell[1]))
-            return (_CONE, self._act(g, cell[1]), self._act(g, cell[2]))
-        return self.action.act(g, cell)
-
-    def _key(self, cell):
-        if _is_composite(cell):
-            if cell[0] is _APEX:
-                return (1, self._key(cell[1]))
-            return (2, self._key(cell[1]), self._key(cell[2]))
-        return (0, self.action.key(cell))
-
     def _dim(self, cell) -> int:
         if _is_composite(cell):
-            if cell[0] is _APEX:
+            if cell[0] == "apex":
                 return 0
             return self._dim(cell[2]) + 1
         return self.action.dim(cell)
 
-    def _describe(self, cell):
-        if _is_composite(cell):
-            if cell[0] is _APEX:
-                return ("apex", self._describe(cell[1]))
-            return ("cone", self._describe(cell[1]), self._describe(cell[2]))
-        return self.action.describe(cell)
-
     def _act_flag(self, g, flag):
-        return tuple(self._act(g, c) for c in flag)
+        return tuple(act_cell(g, c) for c in flag)
 
     # -- chain-layer face structure -------------------------------------
 
@@ -425,7 +410,7 @@ class _Engine:
         for f in self.action.facets(cell):
             slot, _ = self.action.identify(f)
             if slot in self.repl:
-                out.extend((_CONE, f, t) for t in self._boundary_cells(f))
+                out.extend(("cone", f, t) for t in self._boundary_cells(f))
             else:
                 out.append(f)
         self._bcells[cell] = out
@@ -435,43 +420,42 @@ class _Engine:
         if cell in self._cfacets:
             return self._cfacets[cell]
         if _is_composite(cell):
-            if cell[0] is _APEX:
+            if cell[0] == "apex":
                 out = []
             else:
                 _, base, sub = cell
                 if self._dim(sub) == 0:
-                    out = [(_APEX, base), sub]
+                    out = [("apex", base), sub]
                 else:
-                    out = [sub] + [(_CONE, base, t) for t in self._chain_facets(sub)]
+                    out = [sub] + [("cone", base, t) for t in self._chain_facets(sub)]
         else:
             out = self._boundary_cells(cell)
         self._cfacets[cell] = out
         return out
 
+    def _facets(self, cell, layer):
+        return self.action.facets(cell) if layer == "raw" else self._chain_facets(cell)
+
     # -- flags and colorings --------------------------------------------
 
-    def _flags_of(self, cell, family):
-        memo = self._flags
-        k = (family, cell)
-        if k in memo:
-            return memo[k]
-        if (family == "raw" and self.action.dim(cell) == 0) or (
-            family == "chain" and self._dim(cell) == 0
-        ):
+    def _flags_of(self, cell, layer):
+        k = (layer, cell)
+        if k in self._flags:
+            return self._flags[k]
+        if self._dim(cell) == 0:
             out = ((cell,),)
         else:
-            facets = self.action.facets(cell) if family == "raw" else self._chain_facets(cell)
             out = tuple(
-                fl + (cell,) for f in facets for fl in self._flags_of(f, family)
+                fl + (cell,) for f in self._facets(cell, layer) for fl in self._flags_of(f, layer)
             )
             if len(out) > self.flag_cap:
                 raise CapExceeded(f"{len(out)} internal flags in one cell")
-        memo[k] = out
+        self._flags[k] = out
         return out
 
-    def _coloring(self, cell, family):
+    def _coloring(self, cell, layer):
         """2-coloring of the maximal internal flags; least flag is +1."""
-        flags = self._flags_of(cell, family)
+        flags = self._flags_of(cell, layer)
         if len(flags) == 1:
             return flags[0], {flags[0]: 1}
         depth = len(flags[0]) - 1
@@ -498,34 +482,43 @@ class _Engine:
                     raise InvariantViolation("flag graph of a cell is not bipartite")
         if len(color) != len(flags):
             raise InvariantViolation("flag graph of a cell is disconnected")
-        ref = min(flags, key=lambda fl: tuple(self._key(c) for c in fl))
+        ref = min(flags, key=lambda fl: tuple(_key(c) for c in fl))
         if color[ref] < 0:
             color = {fl: -c for fl, c in color.items()}
         return ref, color
 
-    # -- signed boundaries ----------------------------------------------
+    # -- records and signed boundaries ----------------------------------
 
-    def _layer_rec(self, layer, dim, pos) -> _Rec:
-        return (self.raw if layer == "raw" else self.chain)[dim][pos]
+    def _finish(self, rec: _Rec, layer, dim, reversal=None) -> int:
+        """Orient rec, file it in its layer, then sign and check its
+        boundary; returns its position.  A character that is not trivial
+        raises `reversal` when that is given."""
+        rec.ref, rec.col = self._coloring(rec.rep, layer)
+        rec.chi = tuple(self._rel_orientation(rec, g) for g in rec.stab.generators)
+        if reversal and -1 in rec.chi:
+            raise InvariantViolation(reversal)
+        recs = self.layers[layer][dim]
+        recs.append(rec)
+        if dim >= 1:
+            rec.boundary = self._boundary_terms(rec, layer, dim)
+            if dim == 1 and sum(s for s, _, _ in rec.boundary) != 0:
+                raise InvariantViolation(f"{layer} edge boundary does not augment to zero")
+            if dim >= 2:
+                self._check_dd(layer, dim, rec)
+        return len(recs) - 1
 
-    def _boundary_terms(self, cell, rec, layer):
+    def _boundary_terms(self, rec: _Rec, layer, dim):
         """(coeff, g, pos) over the one-lower layer; sign from rec's coloring."""
-        if layer == "raw":
-            facets = self.action.facets(cell)
-            dim = self.action.dim(cell)
-        else:
-            facets = self._chain_facets(cell)
-            dim = self._dim(cell)
         terms = []
-        for f in facets:
+        for f in self._facets(rec.rep, layer):
             if layer == "raw":
                 (fd, pos), g = self.action.identify(f)
                 if fd != dim - 1:
                     raise InvariantViolation("facet dimension mismatch")
             else:
                 pos, g = self._identify_chain(f, dim - 1)
-            target = self._layer_rec(layer, dim - 1, pos)
-            sign = rec.col[self._act_flag(g, target.ref) + (cell,)]
+            target = self.layers[layer][dim - 1][pos]
+            sign = rec.col[self._act_flag(g, target.ref) + (rec.rep,)]
             terms.append((sign, g, pos))
         return tuple(terms)
 
@@ -536,9 +529,9 @@ class _Engine:
             if slot not in self.repl:
                 raise InvariantViolation("cone piece over a cell that was not replaced")
             apex_pos, table = self.repl[slot]
-            if cell[0] is _APEX:
+            if cell[0] == "apex":
                 return apex_pos, u
-            t = self._act(inv(u), cell[2])
+            t = act_cell(inv(u), cell[2])
             try:
                 pos, od = table[t]
             except KeyError:
@@ -557,8 +550,8 @@ class _Engine:
 
     def _accumulate(self, acc, layer, dim, pos, transport, coeff):
         """Add coeff * transport(orbit rep) to an oriented cell chain."""
-        rec = self._layer_rec(layer, dim, pos)
-        cell = self._act(transport, rec.rep)
+        rec = self.layers[layer][dim][pos]
+        cell = act_cell(transport, rec.rep)
         k = (dim, pos, cell)
         if k in acc:
             h0, c = acc[k]
@@ -568,7 +561,7 @@ class _Engine:
             acc[k] = (transport, coeff)
 
     def _expand_boundary(self, acc, layer, dim, pos, transport, coeff):
-        rec = self._layer_rec(layer, dim, pos)
+        rec = self.layers[layer][dim][pos]
         for s, g, j in rec.boundary:
             self._accumulate(acc, layer, dim - 1, j, mul(transport, g), coeff * s)
 
@@ -583,19 +576,10 @@ class _Engine:
 
     def _replace(self, k, raw_pos, rec: _Rec):
         """Cone rec's orbit over its (already emitted) boundary cells."""
-        ref, col = self._coloring(rec.rep, "chain")
-        rec_chain = _Rec(rec.rep, rec.stab, rec.size)
-        rec_chain.ref, rec_chain.col = ref, col
-        slot = (k, raw_pos)
-
-        apex = (_APEX, rec.rep)
-        arec = _Rec(apex, rec.stab, rec.size, kind="apex", source=raw_pos)
-        arec.chi = (1,) * len(rec.stab.generators)
-        arec.ref, arec.col = (apex,), {(apex,): 1}
-        apex_pos = len(self.chain[0])
-        self.chain[0].append(arec)
-        self.repl[slot] = (apex_pos, {})
-        table = self.repl[slot][1]
+        _, col = self._coloring(rec.rep, "chain")
+        apex = _Rec(("apex", rec.rep), rec.stab, rec.size, kind="apex", source=raw_pos)
+        table = {}
+        self.repl[(k, raw_pos)] = (self._finish(apex, "chain", 0), table)
 
         closure = {}
         frontier = self._boundary_cells(rec.rep)
@@ -610,59 +594,37 @@ class _Engine:
 
         gorder = self.group.order()
         for j in sorted(closure):
-            for seed in sorted(closure[j], key=self._key):
-                if seed in table:
-                    continue
-                od = OrbitData(seed, rec.stab.generators, self._act, self.group.degree)
-                pstab = schreier_stabilizer(rec.stab, od)
-                piece = (_CONE, rec.rep, seed)
-                prec = _Rec(piece, pstab, gorder // pstab.order(), kind="cone", source=raw_pos)
-                prec.ref, prec.col = self._coloring(piece, "chain")
-                prec.chi = tuple(
-                    self._rel_orientation(prec, g) for g in pstab.generators
-                )
-                if -1 in prec.chi:
-                    raise InvariantViolation("a cone piece reversed orientation")
-                pos = len(self.chain[j + 1])
-                for st in od.states:
-                    table[st] = (pos, od)
-                self.chain[j + 1].append(prec)
-                prec.boundary = self._boundary_terms(piece, prec, "chain")
-                if j + 1 == 1 and sum(s for s, _, _ in prec.boundary) != 0:
-                    raise InvariantViolation("cone edge boundary does not augment to zero")
-                if j + 1 >= 2:
-                    self._check_dd("chain", j + 1, prec)
+            seeds = sorted(closure[j], key=_key)
+            filed = self.chain[j + 1]
+            for seed, pstab, _ in _new_orbits(seeds, rec.stab, act_cell, table, filed):
+                piece = _Rec(("cone", rec.rep, seed), pstab, gorder // pstab.order(),
+                             kind="cone", source=raw_pos)
+                self._finish(piece, "chain", j + 1, "a cone piece reversed orientation")
 
-        self._check_tiling(k, rec_chain, slot)
+        self._check_tiling(k, rec.rep, col)
 
-    def _check_tiling(self, k, rec_chain: _Rec, slot):
+    def _check_tiling(self, k, cell, col):
         """The signed cone pieces must tile the cell: sum of their
         boundaries equals the boundary of the replaced cell itself."""
         acc = {}
-        _, table = self.repl[slot]
-        for tau in self._boundary_cells(rec_chain.rep):
+        for tau in self._boundary_cells(cell):
             pos_t, g_t = self._identify_chain(tau, k - 1)
-            s_cell = rec_chain.col[
-                self._act_flag(g_t, self.chain[k - 1][pos_t].ref) + (rec_chain.rep,)
-            ]
+            facet = self.chain[k - 1][pos_t]
+            s_cell = col[self._act_flag(g_t, facet.ref) + (cell,)]
             self._accumulate(acc, "chain", k - 1, pos_t, g_t, -s_cell)
-            ppos, g_p = self._identify_chain((_CONE, rec_chain.rep, tau), k)
-            prec = self.chain[k][ppos]
+            ppos, g_p = self._identify_chain(("cone", cell, tau), k)
             coeff_tau = 0
-            for s, g, j in prec.boundary:
+            for s, g, j in self.chain[k][ppos].boundary:
                 if j != pos_t:
                     continue
                 h = mul(g_p, g)
-                if self._act(h, self.chain[k - 1][pos_t].rep) != tau:
+                if act_cell(h, facet.rep) != tau:
                     continue
-                rel = 1 if h == g_t else self._rel_orientation(
-                    self.chain[k - 1][pos_t], mul(inv(g_t), h)
-                )
+                rel = 1 if h == g_t else self._rel_orientation(facet, mul(inv(g_t), h))
                 coeff_tau += s * rel
             if coeff_tau not in (1, -1):
                 raise InvariantViolation("cone piece does not meet its base facet once")
-            eps = s_cell * coeff_tau
-            self._expand_boundary(acc, "chain", k, ppos, g_p, eps)
+            self._expand_boundary(acc, "chain", k, ppos, g_p, s_cell * coeff_tau)
         if any(c for _, c in acc.values()):
             raise InvariantViolation("cone pieces do not tile the replaced cell")
 
@@ -671,43 +633,20 @@ class _Engine:
     def run(self) -> EquivariantCellComplex:
         counts = []
         for k in range(self.max_dim + 1):
-            layer = []
-            self.raw.append(layer)
+            self.raw.append([])
             self.chain.append([])
             total = 0
             for rep, stab, size in self.action.decompose(k):
-                rec = _Rec(rep, stab, size)
-                rec.ref, rec.col = self._coloring(rep, "raw")
-                rec.chi = tuple(self._rel_orientation(rec, g) for g in stab.generators)
-                raw_pos = len(layer)
-                layer.append(rec)
                 total += size
-                if k >= 1:
-                    rec.boundary = self._boundary_terms(rep, rec, "raw")
-                    if k == 1 and sum(s for s, _, _ in rec.boundary) != 0:
-                        raise InvariantViolation("edge boundary does not augment to zero")
-                    if k >= 2:
-                        self._check_dd("raw", k, rec)
+                rec = _Rec(rep, stab, size)
+                raw_pos = self._finish(rec, "raw", k)
                 if -1 in rec.chi:
                     self._replace(k, raw_pos, rec)
-                    continue
-                crec = _Rec(rep, stab, size, source=raw_pos)
-                if k == 0:
-                    crec.ref, crec.col = rec.ref, rec.col
                 else:
-                    crec.ref, crec.col = self._coloring(rep, "chain")
-                chi = tuple(self._rel_orientation(crec, g) for g in stab.generators)
-                if -1 in chi:
-                    raise InvariantViolation("kept orbit reverses on the chain layer")
-                crec.chi = chi
-                self.kept[(k, raw_pos)] = len(self.chain[k])
-                self.chain[k].append(crec)
-                if k >= 1:
-                    crec.boundary = self._boundary_terms(rep, crec, "chain")
-                    if k == 1 and sum(s for s, _, _ in crec.boundary) != 0:
-                        raise InvariantViolation("edge boundary does not augment to zero")
-                    if k >= 2:
-                        self._check_dd("chain", k, crec)
+                    self.kept[(k, raw_pos)] = self._finish(
+                        _Rec(rep, stab, size, source=raw_pos), "chain", k,
+                        "kept orbit reverses on the chain layer",
+                    )
             if total != self.action.cell_count(k):
                 raise InvariantViolation(
                     f"orbit sizes sum to {total} cells in dimension {k}, "
@@ -721,40 +660,22 @@ class _Engine:
         if euler_raw != euler_chain:
             raise InvariantViolation("subdivision changed the Euler characteristic")
 
-        def publish(rec: _Rec, dim: int) -> CellOrbit:
-            return CellOrbit(
-                dim=dim,
-                rep=self._describe(rec.rep),
-                stab=rec.stab,
-                chi=rec.chi,
-                size=rec.size,
-                boundary=rec.boundary,
-                kind=rec.kind,
-                source=rec.source,
+        def publish(layer):
+            return tuple(
+                tuple(CellOrbit(k, r.rep, r.stab, r.chi, r.size, r.boundary, r.kind, r.source)
+                      for r in lay)
+                for k, lay in enumerate(layer)
             )
 
         return EquivariantCellComplex(
             group=self.group,
             max_dim=self.max_dim,
-            raw=tuple(tuple(publish(r, k) for r in lay) for k, lay in enumerate(self.raw)),
-            chain=tuple(tuple(publish(r, k) for r in lay) for k, lay in enumerate(self.chain)),
+            raw=publish(self.raw),
+            chain=publish(self.chain),
             counts=tuple(counts),
             chain_counts=chain_counts,
             replaced=tuple(sorted(self.repl)),
         )
-
-
-def act_cell(g, rep):
-    """Apply a group element to a described cell.
-
-    Works on all three shapes that appear in CellOrbit.rep: a label
-    tuple of points, a chain of such tuples, or an apex/cone composite.
-    """
-    if rep and rep[0] in ("apex", "cone"):
-        return (rep[0],) + tuple(act_cell(g, r) for r in rep[1:])
-    if rep and isinstance(rep[0], tuple):
-        return tuple(act_set(g, p) for p in rep)
-    return act_set(g, rep)
 
 
 def expand_chain(ecc: EquivariantCellComplex):
@@ -816,6 +737,8 @@ def orbit_decompose(base, group: PermGroup, max_dim: int, flag_cap: int = FLAG_C
     else:
         raise TypeError("base must be a DComplex or a SimplexFlags descriptor")
     return _Engine(action, group, max_dim, flag_cap).run()
+
+
 
 
 def flag_edge_orbits(G: PermGroup, dims) -> dict:

@@ -28,13 +28,14 @@ that inclusion and its induced maps are built once per distinct K.
 The double cosets come from a walk over the |G:P| left cosets of P,
 so DOUBLE_COSET_CAP bounds that index, not |G|.
 
-Conjugating with x or with x~ both give well-defined inclusions (with
-K intersected on the matching side) and, over the full double-coset
-loop, the same quotient.  On the abelian route the convention cannot
-change the quotient at all: im(1 - c_x) = im(1 - c_x~).  The route
-uses "intersect-right" and reports it alongside results;
-check_ce_convention compares it with the resolution oracle on small
-groups, S4 at p = 2 among them, whose Sylow subgroup D8 is nonabelian.
+The route has one conjugation convention, "intersect-right"
+(CE_CONVENTION, reported alongside results): K = P n xPx~, included
+by k -> x~ k x.  Conjugating with x instead, with K intersected on
+the other side, gives the same quotient over the full double-coset
+loop, and on the abelian route im(1 - c_x) = im(1 - c_x~), so the
+choice changes no answer.  check_ce_convention compares the route
+with the resolution oracle on small groups, S4 at p = 2 among them,
+whose Sylow subgroup D8 is nonabelian.
 """
 
 from __future__ import annotations
@@ -188,30 +189,20 @@ def cyclic_sylow_ppart(G: PermGroup, p: int, degrees, seed: int = 0) -> dict:
 CE_CONVENTION = "intersect-right"
 
 
-def _conjugator(convention: str, x):
-    """Conjugated inclusion into P for a double coset rep x, or the
-    conjugation of P by an element x of N_G(P).
+def _conjugator(x):
+    """Conjugated inclusion k -> x~ k x of K = P n xPx~ into P for a
+    double coset rep x, or the conjugation of P by an element x of
+    N_G(P).
 
     The same map doubles as the membership test for K: k lies in K
     exactly when its image lands back in P.
     """
-    xi = inv(x)
-    if convention == "intersect-right":
-        # K = P n xPx~, included by k -> x~ k x
-        left, right = xi, precompose(x)
-    elif convention == "intersect-left":
-        # K = P n x~Px, included by k -> x k x~
-        left, right = x, precompose(xi)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return lambda k: mul(left, right(k))
+    xi, right = inv(x), precompose(x)
+    return lambda k: mul(xi, right(k))
 
 
 def ce_ppart_general(
-    G: PermGroup,
-    P: PermGroup,
-    degrees,
-    convention: str = CE_CONVENTION,
+    G: PermGroup, P: PermGroup, degrees, convention: str = CE_CONVENTION
 ) -> dict:
     """p-parts of H_n(G) as quotients of H_n(P), P a Sylow p-subgroup.
 
@@ -225,8 +216,11 @@ def ce_ppart_general(
     K, which needs the index |G:P| within the double-coset cap.  The
     resolutions and the chain maps are built and checked once, to one
     past the top degree; they grow degree by degree, so each degree
-    reads a prefix of them.
+    reads a prefix of them.  `convention` may only name the route's own
+    convention, CE_CONVENTION.
     """
+    if convention != CE_CONVENTION:
+        raise ValueError(f"the stable-element route uses {CE_CONVENTION!r} only")
     degrees = sorted({degrees} if isinstance(degrees, int) else set(degrees))
     if not degrees or degrees[0] < 1:
         raise ValueError("stable-element reduction applies in degrees >= 1")
@@ -239,7 +233,7 @@ def ce_ppart_general(
 
     RP = resolution_small(P, degrees[-1] + 1)
     relations = _normalizer_relations if P.is_abelian() else _double_coset_relations
-    return _quotients(RP, degrees, *relations(G, P, RP, degrees, convention))
+    return _quotients(RP, degrees, *relations(G, P, RP, degrees))
 
 
 def _add_differences(induced, con, degrees, orders, rel_cols) -> None:
@@ -255,13 +249,13 @@ def _add_differences(induced, con, degrees, orders, rel_cols) -> None:
         )
 
 
-def _normalizer_relations(G, P, RP, degrees, convention):
+def _normalizer_relations(G, P, RP, degrees):
     """Relations of H_n(P)_(N_G(P)) for abelian P (Swan).
 
     Only the generators of N that enlarge <P, the ones kept so far> get
-    a chain map; P itself acts trivially.  The two conventions conjugate
-    by x~ and by x, and 1 - c_x~ = -(1 - c_x) c_x~ with c_x~ onto, so
-    both give the same image and the same quotient.
+    a chain map; P itself acts trivially.  The map conjugates by x~;
+    conjugating by x would give the same image, since
+    1 - c_x~ = -(1 - c_x) c_x~ with c_x~ onto.
     """
     N = subgroup_normalizer(G, P)
     plain = chain_map(lambda k: k, RP, RP)
@@ -278,12 +272,12 @@ def _normalizer_relations(G, P, RP, degrees, convention):
             continue
         gens.append(x)
         reached = grown
-        con = chain_map(_conjugator(convention, x), RP, RP)
+        con = chain_map(_conjugator(x), RP, RP)
         _add_differences(induced, con, degrees, orders, rel_cols)
     return orders, rel_cols
 
 
-def _double_coset_relations(G, P, RP, degrees, convention):
+def _double_coset_relations(G, P, RP, degrees):
     """Stable-element relations over the double cosets PxP; RK, the
     plain inclusion of K and its induced maps are built once per K."""
     depth = degrees[-1] + 1
@@ -296,7 +290,7 @@ def _double_coset_relations(G, P, RP, degrees, convention):
     for x in double_cosets(G, P):
         if x == idn:
             continue
-        phi = _conjugator(convention, x)
+        phi = _conjugator(x)
         kels = tuple(sorted(k for k in pels if phi(k) in pels))
         if len(kels) == 1:
             continue
@@ -356,7 +350,8 @@ def check_ce_convention() -> None:
     S3 at p = 3, A4 at p = 2 and 3 and S4 at p = 2, in degrees 1..3
     from one range call each; any difference raises InvariantViolation.
     The first three have abelian Sylow subgroups; only S4 at p = 2
-    (P = D8) reaches the double cosets, where the convention matters.
+    (P = D8) reaches the double cosets, where the conjugated inclusion
+    picks K.
     """
     for G, p in (
         (symmetric(3), 3),

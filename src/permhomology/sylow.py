@@ -186,10 +186,6 @@ class CyclicConjOrbit:
                 return hit
         return None
 
-    def aut_image(self) -> set:
-        """Image of the normalizer of <x> in (Z/m)^*, as a set of units."""
-        return {a for a, _ in self.witnesses()}
-
     def witnesses(self) -> list:
         """(a, g) for each unit a of the normalizer's image, with g a
         product of the generators and g x g^-1 = x^a checked, in

@@ -513,3 +513,17 @@ def test_csv_homology(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "degree,invariants,method"
     assert lines[1] == "3,4 3,small"
+
+
+def test_selftest_passes_without_the_snf_sweep(capsys, monkeypatch):
+    # the SNF sweep is left out: its transforms swell and it runs for a
+    # long time; every other check runs as `selftest` runs it
+    swept = []
+    monkeypatch.setattr(cli, "_check_snf_transforms", swept.append)
+    d = run_json(capsys, "selftest", "--seed", "3")
+    assert swept == [3]
+    assert [c["check"] for c in d["checks"]] == [
+        "snf-transforms", "resolution-identities", "cell-boundaries",
+        "wall-vs-oracle", "ce-convention",
+    ]
+    assert all(c["ok"] for c in d["checks"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -240,7 +242,38 @@ def test_materialized_rejects_bad_input():
     with pytest.raises(TypeError):
         orbit_decompose(one_vertex, PermGroup([], 1), 0)
     bad = PermGroup([(1, 0, 2, 3)], 4)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="does not preserve the complex"):
         orbit_decompose(cx.polygon_boundary(4), bad, 1)
     with pytest.raises(TypeError):
         orbit_decompose("triangle", PermGroup([], 3), 1)
+
+
+def _published(ecc) -> str:
+    """Every published field of both layers, and `replaced`, as JSON."""
+    def rec(o):
+        return [o.dim, o.rep, [list(g) for g in o.stab.generators], o.chi, o.size,
+                [[s, list(g), j] for s, g, j in o.boundary], o.kind, o.source]
+    return json.dumps({"raw": [[rec(o) for o in lay] for lay in ecc.raw],
+                       "chain": [[rec(o) for o in lay] for lay in ecc.chain],
+                       "replaced": ecc.replaced}, separators=(",", ":"))
+
+
+# sha256 of _published, recorded before the cell encoding, orbit walk
+# and record path were merged; same seeds in the same order must give
+# the same stabilizer generators, transporters and boundary words
+@pytest.mark.parametrize("make, ranks, sha256", [
+    (lambda: orbit_decompose(cx.polygon_solid(12), dihedral(12), 2), (3, 3, 1),
+     "6b1cdcd34cd2e420b626a90a8b4fd5e361bc815dcf871bd4a07b23d197c1cac5"),
+    (lambda: orbit_decompose(cx.polygon_solid(4), cyclic(4), 2), (1, 1, 1),
+     "5f01c878e23f659114a25a36839d1216c387065918c375c519d0bdce25887eb6"),
+    (lambda: orbit_decompose(cx.simplex_complex(4), alternating(4), 3), (2, 1, 1, 1),
+     "22ae0c548f18a0a0931c2e38fca0693d4335e0202e68ed632f1b840403f9bff8"),
+    (lambda: orbit_decompose(SimplexFlags(5, (0, 1)), symmetric(5), 4), (7, 15, 13, 4),
+     "560dacbfbc1704ff7cf297e1f670b992e1e92bd84196cd9e536719d203908449"),
+    (lambda: orbit_decompose(SimplexFlags(5, (1, 2)), alternating(5), 4), (5, 6, 3, 2),
+     "204844ca59e71de223beaf3d6cff5201b697ae43cb705231bb0cb986872d381b"),
+], ids=["D12-polygon", "C4-polygon", "A4-simplex", "S5-flags-01", "A5-flags-12"])
+def test_published_records_are_pinned(make, ranks, sha256):
+    ecc = make()
+    assert ecc.chain_ranks() == ranks
+    assert hashlib.sha256(_published(ecc).encode()).hexdigest() == sha256

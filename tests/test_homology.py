@@ -151,6 +151,12 @@ def test_ce_convention_selected():
     check_ce_convention()  # the fixed convention matches the oracle
 
 
+def test_ce_rejects_another_convention():
+    grp = alternating(4)
+    with pytest.raises(ValueError, match="intersect-right"):
+        ce_ppart_general(grp, sylow_ascent(grp, 2), 1, convention="intersect-left")
+
+
 def test_ce_convention_computes_nothing():
     # a fresh interpreter, so that no earlier call has cached anything
     code = (
@@ -191,18 +197,6 @@ def test_ce_matches_oracle_small():
         for n in (1, 2, 3):
             want = resolution_homology(R, n).ppart(p)
             assert ce_ppart_general(grp, P, n)[n] == want
-
-
-def test_ce_both_conventions_agree():
-    # P = D8 in S4 is nonabelian, so the conventions pick different K on
-    # the double-coset route; A4 at p = 2 is the normalizer route
-    for grp, abelian in ((symmetric(4), False), (alternating(4), True)):
-        P = sylow_ascent(grp, 2)
-        assert P.is_abelian() == abelian
-        for n in (1, 2, 3):
-            a = ce_ppart_general(grp, P, n, convention="intersect-right")[n]
-            b = ce_ppart_general(grp, P, n, convention="intersect-left")[n]
-            assert a == b
 
 
 def test_ce_matches_closed_form_mathieu():
@@ -277,7 +271,7 @@ def test_ce_builds_each_plain_inclusion_once(monkeypatch, m, p, top, want):
     # one conjugated inclusion per rep with K > 1, one plain one per K
     kernels = []
     for x in double_cosets(grp, P):
-        phi = homology._conjugator(homology.CE_CONVENTION, x)
+        phi = homology._conjugator(x)
         K = frozenset(k for k in pels if phi(k) in pels)
         if len(K) > 1 and x != tuple(range(grp.degree)):
             kernels.append(K)
@@ -324,7 +318,7 @@ def test_abelian_sylow_routes_agree(grp, p, degrees):
     RP = resolution_small(P, degrees[-1] + 1)
     got = [
         homology._quotients(
-            RP, degrees, *relations(grp, P, RP, degrees, homology.CE_CONVENTION)
+            RP, degrees, *relations(grp, P, RP, degrees)
         )
         for relations in (
             homology._normalizer_relations,
