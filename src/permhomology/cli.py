@@ -283,7 +283,10 @@ def _cmd_wythoff(args):
 
 def _cmd_edge_degree(args):
     G = _group(args.group)
-    v = tuple(Fraction(s) for s in args.vector.split(","))
+    try:
+        v = tuple(Fraction(s) for s in args.vector.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"--vector has a zero denominator: {args.vector}") from None
     pts = polytope.orbit_points(G, v, cap=args.point_cap)
     i = args.vertex if args.vertex is not None else pts.index(v)
     if not 0 <= i < len(pts):

@@ -20,7 +20,6 @@ check the lazy route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from math import comb
 
@@ -143,11 +142,11 @@ def _closed_sets_interval(n, vlist):
     return sorted(set(out))
 
 
-@dataclass(frozen=True)
 class EssentialClass:
-    core: tuple
-    closed: tuple
-    height: int
+    def __init__(self, core: tuple, closed: tuple, height: int):
+        self.core = core
+        self.closed = closed
+        self.height = height
 
 
 class EssentialPoset:

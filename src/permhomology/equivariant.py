@@ -36,7 +36,6 @@ and the Euler characteristic survives subdivision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .coxeter import DComplex, essential_poset, simplex_face_counts
@@ -306,7 +305,6 @@ class _MaterializedAction:
 # -- public records ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CellOrbit:
     """One orbit of cells: representative, stabilizer, character, boundary.
 
@@ -320,29 +318,32 @@ class CellOrbit:
     pieces; `source` points back at the raw orbit a piece came from.
     """
 
-    dim: int
-    rep: object
-    stab: PermGroup
-    chi: tuple
-    size: int
-    boundary: tuple
-    kind: str = "cell"
-    source: int | None = None
+    def __init__(self, dim: int, rep, stab: PermGroup, chi: tuple, size: int,
+                 boundary: tuple, kind: str = "cell", source: int | None = None):
+        self.dim = dim
+        self.rep = rep
+        self.stab = stab
+        self.chi = chi
+        self.size = size
+        self.boundary = boundary
+        self.kind = kind
+        self.source = source
 
     @property
     def stab_order(self) -> int:
         return self.stab.order()
 
 
-@dataclass(frozen=True)
 class EquivariantCellComplex:
-    group: PermGroup
-    max_dim: int
-    raw: tuple
-    chain: tuple
-    counts: tuple
-    chain_counts: tuple
-    replaced: tuple
+    def __init__(self, group: PermGroup, max_dim: int, raw: tuple, chain: tuple,
+                 counts: tuple, chain_counts: tuple, replaced: tuple):
+        self.group = group
+        self.max_dim = max_dim
+        self.raw = raw
+        self.chain = chain
+        self.counts = counts
+        self.chain_counts = chain_counts
+        self.replaced = replaced
 
     def stab_orders(self, k: int) -> tuple:
         return tuple(o.stab_order for o in self.raw[k])

@@ -40,8 +40,6 @@ whose Sylow subgroup D8 is nonabelian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import alternating, symmetric
 from .errors import InvariantViolation
 from .perm import identity, inv, mul, precompose
@@ -60,16 +58,30 @@ from .sylow import (
 )
 
 
-@dataclass(frozen=True)
 class AbelianInvariants:
     """Finitely generated abelian group in canonical form.
 
     torsion holds prime powers sorted by (prime, power); a Z/12 factor
-    is stored as (4, 3).  Equal groups compare equal.
+    is stored as (4, 3).  Equal groups compare and hash equal, and the
+    fields cannot be reassigned.
     """
 
-    free: int
-    torsion: tuple
+    __slots__ = ("free", "torsion")
+
+    def __init__(self, free: int, torsion: tuple):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: AbelianInvariants is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, AbelianInvariants):
+            return NotImplemented
+        return self.free == other.free and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free, self.torsion))
 
     @classmethod
     def from_factors(cls, free: int, factors) -> "AbelianInvariants":

@@ -31,7 +31,6 @@ one program per stabilizer orbit decides every point of that orbit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -69,11 +68,19 @@ def orbit_points(G: PermGroup, v, cap: int = POINT_CAP) -> tuple:
 # -- exact fraction-free simplex ------------------------------------------
 
 
-@dataclass(frozen=True)
 class LPResult:
-    value: Fraction
-    x: tuple
-    y: tuple  # one dual price per input row, ub rows first
+    """Optimum value, primal point x and one dual price per input row
+    (ub rows first); results compare equal by value."""
+
+    def __init__(self, value: Fraction, x: tuple, y: tuple):
+        self.value = value
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other):
+        if not isinstance(other, LPResult):
+            return NotImplemented
+        return (self.value, self.x, self.y) == (other.value, other.x, other.y)
 
 
 def _integer_multiple(vals) -> tuple:

@@ -24,7 +24,6 @@ its ranks are the convolution of the factors' ranks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BAR_RANK_CAP, SMALL_GROUP_CAP, CapExceeded, InvariantViolation
@@ -63,16 +62,27 @@ class SmallGroup:
         return f"SmallGroup(order={self.n}, degree={self.group.degree})"
 
 
-@dataclass(frozen=True)
 class ZGWord:
     """Formal sum of (coefficient, element index, generator index) terms.
 
     Terms are merged, nonzero, and sorted by (generator, element); the
-    empty tuple is the zero word.
+    empty tuple is the zero word.  Words compare and hash by value and
+    are never modified once built.
     """
 
-    degree: int
-    terms: tuple
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree: int, terms: tuple):
+        self.degree = degree
+        self.terms = terms
+
+    def __eq__(self, other):
+        if not isinstance(other, ZGWord):
+            return NotImplemented
+        return self.degree == other.degree and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.degree, self.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -369,7 +379,8 @@ def resolution_small(G, n: int) -> FreeResolution:
         solvers.append(solver)
         kb = solver.kernel()
         chosen = _select_generators(G, ranks[k], kb)
-        if not chosen:
+        # over the trivial group Z is free, so ranks go (1, 0, ..., 0)
+        if not chosen and G.n > 1:
             raise InvariantViolation("kernel collapsed early; finite groups never do")
         d[k + 1] = tuple(ZGWord(k, w.terms) for w in chosen)
         ranks.append(len(chosen))
@@ -488,7 +499,6 @@ def tensor_resolution(F: FreeResolution, E: FreeResolution) -> FreeResolution:
 # -- chain maps ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChainMap:
     """Equivariant chain map between two resolutions along phi.
 
@@ -496,10 +506,12 @@ class ChainMap:
     ZGWord over the target group.
     """
 
-    source: FreeResolution
-    target: FreeResolution
-    elem_map: tuple
-    maps: tuple
+    def __init__(self, source: FreeResolution, target: FreeResolution,
+                 elem_map: tuple, maps: tuple):
+        self.source = source
+        self.target = target
+        self.elem_map = elem_map
+        self.maps = maps
 
     @property
     def length(self) -> int:

@@ -44,7 +44,6 @@ with |G:H|, never with |G|, and the cap bounds that index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import errors
@@ -211,14 +210,15 @@ class CyclicConjOrbit:
         return N
 
 
-@dataclass
 class WeylData:
-    p: int
-    exponent: int
-    normalizer_order: int
-    orbit_size: int
-    element: tuple
-    witnesses: list
+    def __init__(self, p: int, exponent: int, normalizer_order: int,
+                 orbit_size: int, element: tuple, witnesses: list):
+        self.p = p
+        self.exponent = exponent
+        self.normalizer_order = normalizer_order
+        self.orbit_size = orbit_size
+        self.element = element
+        self.witnesses = witnesses
 
     @property
     def pattern(self) -> str:

@@ -43,8 +43,6 @@ result is the twisted tensor product of the two resolutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import WALL_RANK_CAP, CapExceeded, InvariantViolation
 from .homology import chain_homology
 from .perm import conj, identity, inv, mul, precompose
@@ -52,13 +50,13 @@ from .permgroup import PermGroup
 from .resolution import FreeResolution, resolution_small, tensor_resolution
 
 
-@dataclass(frozen=True)
 class OrbitSummand:
     """One Z[G/H] summand: sorted stabilizer elements and the boundary
     word ((coeff, g, orbit_below), ...) of its generating coset."""
 
-    stab: tuple
-    boundary: tuple
+    def __init__(self, stab: tuple, boundary: tuple):
+        self.stab = stab
+        self.boundary = boundary
 
 
 class NonFreeComplex:
@@ -139,7 +137,6 @@ def splice(ecc) -> NonFreeComplex:
     )
 
 
-@dataclass(frozen=True)
 class AssembledResolution:
     """Free ZG-resolution in block form.
 
@@ -148,9 +145,10 @@ class AssembledResolution:
     into gens[k-1]).  Degree-0 generators all augment to 1.
     """
 
-    group: PermGroup
-    gens: tuple
-    d: tuple
+    def __init__(self, group: PermGroup, gens: tuple, d: tuple):
+        self.group = group
+        self.gens = gens
+        self.d = d
 
     @property
     def ranks(self) -> tuple:

@@ -326,6 +326,16 @@ def test_edge_degree_vertex_range(capsys):
     assert (d["vertex_index"], d["degree"]) == (5, 2)
 
 
+def test_edge_degree_zero_denominator_is_bad_input(capsys):
+    # Fraction("1/0") raises ZeroDivisionError, not ValueError
+    assert main(["edge-degree", "S4", "--vector", "1/0,2,3,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "bad-input", "detail": "--vector has a zero denominator: 1/0,2,3,4",
+    }
+
+
 def test_edge_degree_matches_benchmark_record(capsys):
     request = "edge-degree M11 --vector 1,1,1,0,0,0,0,0,0,0,0"
     d = run_json(capsys, *request.split())
@@ -465,33 +475,37 @@ def test_ppart_table_m24(capsys):
     assert row["patterns"] == {"5": "8k-1", "7": "6k-1", "11": "20k-1", "23": "22k-1"}
 
 
-def test_cli_import_leaves_numpy_out():
-    # a fresh interpreter: the test suite itself imports numpy
-    code = "import sys, permhomology.cli\nprint('numpy' in sys.modules)\n"
+def _loaded_by_cli_import(*modules) -> list:
+    """The given modules that importing permhomology.cli loads, seen in a
+    fresh interpreter: the test suite itself imports many of them."""
+    code = (
+        "import sys, permhomology.cli\n"
+        f"print(*sorted(m for m in {modules!r} if m in sys.modules))\n"
+    )
     src = os.path.dirname(os.path.dirname(permhomology.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_numpy_out():
+    assert _loaded_by_cli_import("numpy") == []
 
 
 def test_cli_import_leaves_process_pools_out():
     # no command runs a process pool, and importing one costs every CLI
     # start about 20 ms
-    code = (
-        "import sys, permhomology.cli\n"
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
-        " if m in sys.modules))\n"
-    )
-    src = os.path.dirname(os.path.dirname(permhomology.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert _loaded_by_cli_import("concurrent.futures", "multiprocessing") == []
+
+
+def test_cli_import_generates_no_record_code():
+    # the records are plain classes: dataclasses pulls in inspect, ast, dis
+    # and tokenize and execs the methods of every record, about half of
+    # the package's import time
+    assert _loaded_by_cli_import("dataclasses", "inspect") == []
 
 
 def test_resolution_report(capsys):
@@ -505,6 +519,21 @@ def test_resolution_report(capsys):
     assert b["ranks"] == [1, 5, 25, 125]
     assert b["homology"][0] == {"degree": 1, "invariants": [2, 3]}
     assert b["group"] == h["group"]
+
+
+@pytest.mark.parametrize("group", ["Z1", "S1", '{"degree": 3, "generators": []}'])
+def test_trivial_group_small_route_matches_bar(capsys, group):
+    # over the trivial group Z is free: the augmentation has zero kernel
+    # and every rank past degree 0 is 0
+    got = {}
+    for method in ("small", "bar"):
+        d = run_json(capsys, "homology", group, "-n", "0", "--to", "3",
+                     "--method", method)
+        got[method] = [(r["degree"], r["invariants"]) for r in d["results"]]
+    assert got["small"] == got["bar"] == [(0, [0]), (1, []), (2, []), (3, [])]
+    d = run_json(capsys, "resolution", group, "--length", "2")
+    assert d["ranks"] == [1, 0, 0]
+    assert d["homology"] == [{"degree": 1, "invariants": []}]
 
 
 def test_csv_homology(capsys):

@@ -43,6 +43,17 @@ def test_abelian_invariants_canonical():
     assert AbelianInvariants(1, (4, 3)).as_list() == [0, 4, 3]
     assert str(AbelianInvariants(0, (4, 3))) == "Z/4 + Z/3"
     assert str(TRIVIAL) == "0"
+    # value semantics: equal groups hash equal, and the shared TRIVIAL
+    # cannot be changed in place
+    z12 = AbelianInvariants.from_factors(0, (12,))
+    assert z12 == AbelianInvariants(0, (4, 3)) and z12 != AbelianInvariants(1, (4, 3))
+    assert len({z12, AbelianInvariants(0, (4, 3)), TRIVIAL, AbelianInvariants(0, ())}) == 2
+    assert z12 != (0, (4, 3))
+    with pytest.raises(AttributeError):
+        TRIVIAL.free = 1
+    with pytest.raises(AttributeError):
+        z12.torsion = ()
+    assert TRIVIAL == AbelianInvariants(0, ())
 
 
 def test_factor_property():

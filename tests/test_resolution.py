@@ -63,6 +63,12 @@ def test_word_canonical_form():
     assert word_scale(0, w).terms == ()
     with pytest.raises(ValueError):
         word_add(word(1, [(1, 0, 0)]), word(2, [(1, 0, 0)]))
+    # words compare and hash by value: degree and terms
+    same = word(2, [(3, 3, 1), (1, 0, 0)])
+    assert same == w and same is not w and hash(same) == hash(w)
+    assert len({w, same, ZGWord(2, w.terms)}) == 1
+    assert w != ZGWord(1, w.terms) and w != word_scale(2, w)
+    assert w != w.terms
 
 
 def test_word_vec_roundtrip():
