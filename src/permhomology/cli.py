@@ -20,7 +20,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import catalog, polytope
+from . import catalog, errors, polytope
 from .coxeter import essential_poset, polygon_solid, simplex_complex, simplex_face_counts
 from .coxeter import vertex_degree as wythoff_vertex_degree
 from .equivariant import (
@@ -29,7 +29,6 @@ from .equivariant import (
     flag_edge_orbits,
     orbit_decompose,
 )
-from .errors import FLAG_CAP, POINT_CAP, SMALL_GROUP_CAP, WALL_RANK_CAP
 from .errors import CapExceeded, InvariantViolation
 from .homology import (
     TRIVIAL,
@@ -49,6 +48,8 @@ from .wall import from_cells, splice, wall_assemble
 from . import __version__
 
 MATHIEU_NAMES = "M11,M12,M21,M22,M23,M24"
+# the reports that _csv_rows can write as a table
+CSV_COMMANDS = ("homology", "ppart-table", "wythoff", "edge-degree")
 
 
 def _group(spec: str) -> PermGroup:
@@ -111,17 +112,17 @@ def _polygon_complex(G: PermGroup):
     return polygon_solid(m)
 
 
-def _wall_resolution(G, base_kind, dims, n, flag_cap, rank_cap):
+def _wall_resolution(G, base_kind, dims, n):
     if base_kind == "polygon":
-        ecc = orbit_decompose(_polygon_complex(G), G, 2, flag_cap=flag_cap)
+        ecc = orbit_decompose(_polygon_complex(G), G, 2)
         top = ecc.chain[-1]
         # a one-orbit top cell fixed by all of G closes up periodically
         if len(top) == 1 and top[0].stab.order() == G.order():
-            return wall_assemble(splice(ecc), n, rank_cap=rank_cap)
-        return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
+            return wall_assemble(splice(ecc), n)
+        return wall_assemble(from_cells(ecc), n)
     flags = SimplexFlags(G.degree, dims if dims is not None else (0, 1))
-    ecc = orbit_decompose(flags, G, n + 1, flag_cap=flag_cap)
-    return wall_assemble(from_cells(ecc), n, rank_cap=rank_cap)
+    ecc = orbit_decompose(flags, G, n + 1)
+    return wall_assemble(from_cells(ecc), n)
 
 
 def _cmd_homology(args):
@@ -134,14 +135,8 @@ def _cmd_homology(args):
     if top < args.degree:
         raise ValueError("--to must not be below --degree")
     degrees = list(range(args.degree, top + 1))
-    if args.method != "wall":
-        for flag, value in (
-            ("--complex", args.complex),
-            ("--flag-cap", args.flag_cap),
-            ("--rank-cap", args.rank_cap),
-        ):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to --method wall")
+    if args.method != "wall" and args.complex is not None:
+        raise ValueError("--complex applies only to --method wall")
     if (args.method, args.complex) != ("wall", "flags") and args.dims is not None:
         raise ValueError("--dims applies only to --method wall --complex flags")
     restriction = None
@@ -154,12 +149,12 @@ def _cmd_homology(args):
     if method == "auto":
         if restriction is not None:
             method = "sylow"
-        elif G.order() <= SMALL_GROUP_CAP:
+        elif G.order() <= errors.SMALL_GROUP_CAP:
             method = "small"
         else:
             raise CapExceeded(
                 f"group order {G.order()} exceeds the resolution cap "
-                f"{SMALL_GROUP_CAP}; restrict to a prime or pick "
+                f"{errors.SMALL_GROUP_CAP}; restrict to a prime or pick "
                 "--method wall with a complex"
             )
 
@@ -182,14 +177,8 @@ def _cmd_homology(args):
     else:
         if method == "small":
             R = resolution_small(G, top + 1)
-        elif method == "bar":
-            R = bar_resolution(G, top + 1)
         else:
-            R = _wall_resolution(
-                G, args.complex or "polygon", args.dims, top,
-                args.flag_cap if args.flag_cap is not None else FLAG_CAP,
-                args.rank_cap if args.rank_cap is not None else WALL_RANK_CAP,
-            )
+            R = _wall_resolution(G, args.complex or "polygon", args.dims, top)
         for n in degrees:
             inv = resolution_homology(R, n)
             if restriction is None:
@@ -264,10 +253,7 @@ def _cmd_wythoff(args):
     except ValueError:
         payload["edge_orbits"] = None
     if args.orbit_dim is not None:
-        ecc = orbit_decompose(
-            SimplexFlags(G.degree, dims), G, args.orbit_dim,
-            flag_cap=args.flag_cap,
-        )
+        ecc = orbit_decompose(SimplexFlags(G.degree, dims), G, args.orbit_dim)
         payload["orbits"] = {
             "counts": [len(layer) for layer in ecc.raw],
             "chain_ranks": list(ecc.chain_ranks()),
@@ -287,7 +273,7 @@ def _cmd_edge_degree(args):
         v = tuple(Fraction(s) for s in args.vector.split(","))
     except ZeroDivisionError:
         raise ValueError(f"--vector has a zero denominator: {args.vector}") from None
-    pts = polytope.orbit_points(G, v, cap=args.point_cap)
+    pts = polytope.orbit_points(G, v)
     i = args.vertex if args.vertex is not None else pts.index(v)
     if not 0 <= i < len(pts):
         raise ValueError(f"--vertex must be in 0..{len(pts) - 1}")
@@ -314,15 +300,12 @@ def _cmd_resolution(args):
     if args.length < 1:
         raise ValueError("--length must be at least 1")
     G = _group(args.group)
-    if args.method == "bar":
-        R = bar_resolution(G, args.length)
-    else:
-        R = resolution_small(G, args.length)
+    R = resolution_small(G, args.length)
     return {
         "group": fingerprint(G),
         "group_name": args.group,
         "order": R.G.n,
-        "method": args.method,
+        "method": "small",
         "ranks": list(R.ranks),
         "homology": [
             {"degree": k, "invariants": resolution_homology(R, k).as_list()}
@@ -470,24 +453,15 @@ def _parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument(
-            "--json", dest="format", action="store_const", const="json",
-            default="json",
-        )
-        fmt.add_argument("--csv", dest="format", action="store_const", const="csv")
-
     p = sub.add_parser("homology", help="homology of one group over a degree range")
     p.add_argument("group", help="catalog name (M24, S5, Z12, ...) or JSON")
     p.add_argument("-n", "--degree", type=int, required=True)
     p.add_argument("--to", type=int, help="top of the degree range")
-    p.add_argument("-p", "--prime", type=int)
-    p.add_argument("--p-min", type=int, help="restrict to primes >= this")
+    primes = p.add_mutually_exclusive_group()
+    primes.add_argument("-p", "--prime", type=int)
+    primes.add_argument("--p-min", type=int, help="restrict to primes >= this")
     p.add_argument(
-        "--method", choices=("auto", "sylow", "wall", "bar", "small"),
-        default="auto",
+        "--method", choices=("auto", "sylow", "wall", "small"), default="auto",
     )
     p.add_argument(
         "--complex", choices=("polygon", "flags"),
@@ -497,21 +471,11 @@ def _parser():
         "--dims", type=_dims,
         help="flag ring dims for --complex flags (default 0,1)",
     )
-    p.add_argument(
-        "--flag-cap", type=int,
-        help=f"flag cap for --method wall (default {FLAG_CAP})",
-    )
-    p.add_argument(
-        "--rank-cap", type=int,
-        help=f"resolution rank cap for --method wall (default {WALL_RANK_CAP})",
-    )
-    common(p)
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("ppart-table", help="periodic torsion patterns 2ek-1")
     p.add_argument("--groups", default=MATHIEU_NAMES)
     p.add_argument("--primes", default="5,7,11,23")
-    common(p)
     p.set_defaults(func=_cmd_ppart_table)
 
     p = sub.add_parser("wythoff", help="flag complex face counts and orbits")
@@ -521,32 +485,32 @@ def _parser():
         "--orbit-dim", type=int,
         help="also decompose orbits up to this dimension",
     )
-    p.add_argument("--flag-cap", type=int, default=FLAG_CAP)
-    common(p)
     p.set_defaults(func=_cmd_wythoff)
 
     p = sub.add_parser("edge-degree", help="orbit polytope vertex degree")
     p.add_argument("group")
     p.add_argument("--vector", required=True, help="comma list of rationals")
     p.add_argument("--vertex", type=int, help="index into the sorted orbit")
-    p.add_argument(
-        "--orbit-cap", dest="point_cap", type=int, default=POINT_CAP
-    )
     p.add_argument("--dump-points", metavar="PATH", help="write points CSV")
-    common(p)
     p.set_defaults(func=_cmd_edge_degree)
 
     p = sub.add_parser("resolution", help="free resolution ranks and homology")
     p.add_argument("group")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--method", choices=("small", "bar"), default="small")
-    common(p)
     p.set_defaults(func=_cmd_resolution)
 
     p = sub.add_parser("selftest", help="invariant sweep")
-    common(p)
     p.set_defaults(func=_cmd_selftest)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--seed", type=int, default=0)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument(
+            "--json", dest="format", action="store_const", const="json",
+            default="json",
+        )
+        if name in CSV_COMMANDS:
+            fmt.add_argument("--csv", dest="format", action="store_const", const="csv")
     return top
 
 

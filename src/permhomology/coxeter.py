@@ -23,7 +23,8 @@ from __future__ import annotations
 from itertools import product as iter_product
 from math import comb
 
-from .errors import BRUTE_GROUND_CAP, CLOSED_SET_CAP, CapExceeded, InvariantViolation
+from . import errors
+from .errors import CapExceeded, InvariantViolation
 
 
 def _mask(points) -> int:
@@ -129,16 +130,16 @@ def _closed_sets_interval(n, vlist):
         total = 1
         for sp in spaces:
             total *= len(sp)
-        if total > CLOSED_SET_CAP:
-            raise CapExceeded(f"closed-set enumeration would exceed {CLOSED_SET_CAP}")
+        if total > errors.CLOSED_SET_CAP:
+            raise CapExceeded(f"closed-set enumeration would exceed {errors.CLOSED_SET_CAP}")
         for choice in iter_product(*spaces):
             m = wmask
             for c in choice:
                 m |= c
             if m:
                 out.append(m)
-        if len(out) > CLOSED_SET_CAP:
-            raise CapExceeded(f"closed-set enumeration exceeded {CLOSED_SET_CAP}")
+        if len(out) > errors.CLOSED_SET_CAP:
+            raise CapExceeded(f"closed-set enumeration exceeded {errors.CLOSED_SET_CAP}")
     return sorted(set(out))
 
 
@@ -307,7 +308,7 @@ class DComplex:
 
 def simplex_complex(n: int) -> DComplex:
     """All nonempty subsets of an n-set; dimension = cardinality - 1."""
-    if n > BRUTE_GROUND_CAP:
+    if n > errors.BRUTE_GROUND_CAP:
         raise CapExceeded(f"materializing 2^{n} faces")
     labels = []
     for m in range(1, 1 << n):

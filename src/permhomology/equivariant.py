@@ -39,7 +39,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coxeter import DComplex, essential_poset, simplex_face_counts
-from .errors import EXPAND_CAP, EXTENSION_CAP, FLAG_CAP, CapExceeded, InvariantViolation
+from . import errors
+from .errors import CapExceeded, InvariantViolation
 from .perm import identity, inv, mul
 from .permgroup import OrbitData, PermGroup, act_point, act_set, schreier_stabilizer
 
@@ -177,7 +178,7 @@ class _SimplexFlagAction:
         pool = [x for x in range(self.n) if x not in used]
         need = s - len(base)
         cands = sorted(tuple(sorted(base + extra)) for extra in combinations(pool, need))
-        if len(cands) > EXTENSION_CAP:
+        if len(cands) > errors.EXTENSION_CAP:
             raise CapExceeded(f"{len(cands)} flag extensions at size {s}")
         nodes = []
         table = {}
@@ -373,12 +374,10 @@ class _Rec:
 
 
 class _Engine:
-    def __init__(self, action, group: PermGroup, max_dim: int,
-                 flag_cap: int = FLAG_CAP):
+    def __init__(self, action, group: PermGroup, max_dim: int):
         self.action = action
         self.group = group
         self.max_dim = min(max_dim, action.top_dim)
-        self.flag_cap = flag_cap
         self.raw = []
         self.chain = []
         self.layers = {"raw": self.raw, "chain": self.chain}
@@ -449,7 +448,7 @@ class _Engine:
             out = tuple(
                 fl + (cell,) for f in self._facets(cell, layer) for fl in self._flags_of(f, layer)
             )
-            if len(out) > self.flag_cap:
+            if len(out) > errors.FLAG_CAP:
                 raise CapExceeded(f"{len(out)} internal flags in one cell")
         self._flags[k] = out
         return out
@@ -688,7 +687,7 @@ def expand_chain(ecc: EquivariantCellComplex):
     out with the homology of a point).  Returns (sizes, mats) with
     mats[k] mapping dimension k+1 to dimension k, entries plain ints.
     """
-    if sum(ecc.chain_counts) > EXPAND_CAP:
+    if sum(ecc.chain_counts) > errors.EXPAND_CAP:
         raise CapExceeded(f"{sum(ecc.chain_counts)} cells is too many to expand")
     gens = ecc.group.generators
     deg = ecc.group.degree
@@ -720,7 +719,7 @@ def expand_chain(ecc: EquivariantCellComplex):
     return [len(ix) for ix in index], mats
 
 
-def orbit_decompose(base, group: PermGroup, max_dim: int, flag_cap: int = FLAG_CAP):
+def orbit_decompose(base, group: PermGroup, max_dim: int):
     """Decompose a complex with a group action into cell orbits.
 
     `base` is either an explicit DComplex whose labels are frozensets of
@@ -728,7 +727,7 @@ def orbit_decompose(base, group: PermGroup, max_dim: int, flag_cap: int = FLAG_C
     layers of the result are deterministic: orbits appear in descent
     (respectively label) order, subdivision pieces right after the
     orbit they replace, appended by dimension and representative key.
-    Subdivided cells of flag complexes can be flag-heavy; flag_cap
+    Subdivided cells of flag complexes can be flag-heavy; FLAG_CAP
     bounds the coloring work per cell.
     """
     if isinstance(base, SimplexFlags):
@@ -737,7 +736,7 @@ def orbit_decompose(base, group: PermGroup, max_dim: int, flag_cap: int = FLAG_C
         action = _MaterializedAction(base, group)
     else:
         raise TypeError("base must be a DComplex or a SimplexFlags descriptor")
-    return _Engine(action, group, max_dim, flag_cap).run()
+    return _Engine(action, group, max_dim).run()
 
 
 

@@ -2,9 +2,8 @@
 raise CapExceeded.
 
 Every cap lives here, so one file says how far each route may go.  A
-cap that a CLI flag overrides is named in the comment beside it; the
-flag's default is the cap.  The Sylow caps are read as
-``errors.NAME`` when the search runs, not copied at import.
+cap is a constant, read as ``errors.NAME`` at the check that enforces
+it, never copied at import; a test lowers one with monkeypatch.
 """
 
 # group order up to which PermGroup.elements lists a group
@@ -23,10 +22,10 @@ DOUBLE_COSET_CAP = 200_000
 SMALL_GROUP_CAP = 128
 # bar resolution rank (|G| - 1)^n in its top degree
 BAR_RANK_CAP = 20_000
-# assembled rank of a wall resolution in any one degree (--rank-cap)
+# assembled rank of a wall resolution in any one degree
 WALL_RANK_CAP = 50_000
 
-# maximal internal flags of one cell when orienting it (--flag-cap)
+# maximal internal flags of one cell when orienting it
 FLAG_CAP = 500_000
 # candidate flag extensions of one chain at one subset size
 EXTENSION_CAP = 500_000
@@ -37,7 +36,7 @@ BRUTE_GROUND_CAP = 16
 # closed sets one essential-poset enumeration may list
 CLOSED_SET_CAP = 1_000_000
 
-# points in the orbit of one vector (edge-degree --orbit-cap)
+# points in the orbit of one vector
 POINT_CAP = 100_000
 
 

@@ -14,7 +14,8 @@ import hashlib
 import itertools
 import json
 
-from .errors import ENUM_CAP, ORBIT_CAP, CapExceeded, InvariantViolation
+from . import errors
+from .errors import CapExceeded, InvariantViolation
 from .perm import identity, inv, mul, precompose
 
 
@@ -38,7 +39,9 @@ class OrbitData:
 
     __slots__ = ("seed", "gens", "act", "degree", "index", "states", "parent", "genidx")
 
-    def __init__(self, seed, gens, act, degree, cap=ORBIT_CAP):
+    def __init__(self, seed, gens, act, degree, cap=None):
+        if cap is None:
+            cap = errors.ORBIT_CAP
         self.seed = seed
         self.gens = list(gens)
         self.act = act
@@ -248,9 +251,9 @@ class PermGroup:
 
     def elements(self) -> list:
         """All elements, in a fixed chain-derived order."""
-        if self.order() > ENUM_CAP:
+        if self.order() > errors.ENUM_CAP:
             raise CapExceeded(
-                f"group order {self.order()} exceeds enumeration cap {ENUM_CAP}"
+                f"group order {self.order()} exceeds enumeration cap {errors.ENUM_CAP}"
             )
         base, _, trans = self._chain
         out = [identity(self.degree)]
@@ -307,7 +310,7 @@ class PermGroup:
             self._orbits = tuple(out)
         return list(self._orbits)
 
-    def orbit_data(self, seed, act, cap: int = ORBIT_CAP) -> OrbitData:
+    def orbit_data(self, seed, act, cap=None) -> OrbitData:
         return OrbitData(seed, self.generators, act, self.degree, cap)
 
     # -- stabilizers -----------------------------------------------------
@@ -375,8 +378,8 @@ def generate_to_order(candidates, degree: int, target: int) -> PermGroup:
 
 
 def fingerprint(G: PermGroup) -> str:
-    """Hash of degree, order and sorted generators; reports print it and
-    resolution cache files are keyed by it, so it must not change."""
+    """Hash of degree, order and sorted generators.  Reports print it as
+    "group" and resolution_small memoizes by it, so it must not change."""
     data = json.dumps([G.degree, G.order(), sorted(G.generators)]).encode()
     return hashlib.sha256(data).hexdigest()[:16]
 

@@ -36,7 +36,8 @@ from itertools import islice
 from math import lcm
 from operator import mul
 
-from .errors import POINT_CAP, CapExceeded, InvariantViolation
+from . import errors
+from .errors import CapExceeded, InvariantViolation
 from .permgroup import OrbitData, PermGroup
 
 ZERO = Fraction(0)
@@ -50,11 +51,12 @@ def act_vec(g: tuple, v: tuple) -> tuple:
     return tuple(out)
 
 
-def orbit_points(G: PermGroup, v, cap: int = POINT_CAP) -> tuple:
+def orbit_points(G: PermGroup, v) -> tuple:
     """Sorted orbit of v, as exact Fraction tuples on a common sphere."""
     if len(v) != G.degree:
         raise ValueError(f"vector length {len(v)} does not match degree {G.degree}")
     start = tuple(Fraction(x) for x in v)
+    cap = errors.POINT_CAP
     try:
         od = G.orbit_data(start, act_vec, cap)
     except CapExceeded as exc:

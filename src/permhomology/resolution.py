@@ -26,7 +26,8 @@ from __future__ import annotations
 import random
 from functools import cached_property
 
-from .errors import BAR_RANK_CAP, SMALL_GROUP_CAP, CapExceeded, InvariantViolation
+from . import errors
+from .errors import CapExceeded, InvariantViolation
 from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
 from .perm import conj, identity, inv, mul, precompose, support
 from .permgroup import PermGroup, fingerprint
@@ -40,9 +41,9 @@ class SmallGroup:
 
     def __init__(self, group: PermGroup):
         n = group.order()
-        if n > SMALL_GROUP_CAP:
+        if n > errors.SMALL_GROUP_CAP:
             raise CapExceeded(
-                f"group order {n} exceeds the small-group cap {SMALL_GROUP_CAP}"
+                f"group order {n} exceeds the small-group cap {errors.SMALL_GROUP_CAP}"
             )
         self.group = group
         self.elements = tuple(group.elements())
@@ -273,8 +274,8 @@ def bar_resolution(G, n: int) -> FreeResolution:
     """
     if isinstance(G, PermGroup):
         G = SmallGroup(G)
-    if (G.n - 1) ** n > BAR_RANK_CAP:
-        raise CapExceeded(f"bar rank ({G.n - 1})^{n} exceeds {BAR_RANK_CAP}")
+    if (G.n - 1) ** n > errors.BAR_RANK_CAP:
+        raise CapExceeded(f"bar rank ({G.n - 1})^{n} exceeds {errors.BAR_RANK_CAP}")
     nonid = [i for i in range(G.n) if i != G.id]
     pos = {e: p for p, e in enumerate(nonid)}
     base = len(nonid)

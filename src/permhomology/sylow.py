@@ -47,7 +47,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import errors
-from .errors import ENUM_CAP, CapExceeded, InvariantViolation
+from .errors import CapExceeded, InvariantViolation
 from .intlinalg import p_part
 from .perm import conj, cycles, identity, mul, power, precompose
 from .perm import order as perm_order
@@ -333,7 +333,7 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0) -> PermGroup:
             N = CyclicConjOrbit(G, x).normalizer()
         except CapExceeded:
             continue
-        if N.order() > ENUM_CAP:
+        if N.order() > errors.ENUM_CAP:
             continue
         Q = _ascend_within(N, PermGroup([x], G.degree), p)
         if Q.order() == pe:
@@ -346,7 +346,7 @@ def sylow_ascent(G: PermGroup, p: int, seed: int = 0) -> PermGroup:
             N = subgroup_normalizer(G, Q)
         except CapExceeded as exc:
             raise CapExceeded(str(exc), attained=Q) from exc
-        if N.order() > ENUM_CAP:
+        if N.order() > errors.ENUM_CAP:
             raise CapExceeded(
                 f"normalizer of order {N.order()} exceeds enumeration cap",
                 attained=Q,

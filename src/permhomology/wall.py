@@ -43,7 +43,8 @@ result is the twisted tensor product of the two resolutions.
 
 from __future__ import annotations
 
-from .errors import WALL_RANK_CAP, CapExceeded, InvariantViolation
+from . import errors
+from .errors import CapExceeded, InvariantViolation
 from .homology import chain_homology
 from .perm import conj, identity, inv, mul, precompose
 from .permgroup import PermGroup
@@ -328,7 +329,6 @@ def wall_assemble(
     C: NonFreeComplex,
     n: int,
     resolver=_default_resolver,
-    rank_cap: int = WALL_RANK_CAP,
 ) -> AssembledResolution:
     """Assembled free resolution through total degree n + 1.
 
@@ -353,10 +353,11 @@ def wall_assemble(
                     gens[p + q].append((p, q, o, t))
     while gens and not gens[-1]:
         gens.pop()  # finite complex ran out of blocks; the resolution ends
+    cap = errors.WALL_RANK_CAP
     for k, layer in enumerate(gens):
         layer.sort()
-        if len(layer) > rank_cap:
-            raise CapExceeded(f"assembled rank {len(layer)} at degree {k} exceeds {rank_cap}")
+        if len(layer) > cap:
+            raise CapExceeded(f"assembled rank {len(layer)} at degree {k} exceeds {cap}")
 
     comp: dict = {}  # (i, p, q, o, t) -> word of (c, g, (p', q', o', t'))
 

@@ -10,9 +10,11 @@ import pytest
 
 import permhomology
 from permhomology import cli, errors, homology, resolution
-from permhomology.catalog import group_from_cycles
+from permhomology.catalog import group_from_cycles, lookup
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
+from permhomology.homology import resolution_homology
+from permhomology.resolution import bar_resolution
 
 
 def run(capsys, *argv):
@@ -85,16 +87,19 @@ def test_non_prime_is_bad_input(capsys, argv, flag, value):
     }
 
 
-def test_flag_cap_bounds_both_wall_complexes(capsys):
-    base = ["homology", "D12", "-n", "1", "--to", "2", "--method", "wall"]
+def test_flag_cap_bounds_both_wall_complexes(capsys, monkeypatch):
+    base = ["homology", "D12", "-n", "1", "--to", "2", "--method", "wall",
+            "--complex"]
     for kind in ("polygon", "flags"):
-        assert main(base + ["--complex", kind, "--flag-cap", "1"]) == 2
+        d = run_json(capsys, *base, kind)
+        got = {r["degree"]: r["invariants"] for r in d["results"]}
+        assert got == {1: [2, 2], 2: [2]}
+    monkeypatch.setattr(errors, "FLAG_CAP", 1)
+    for kind in ("polygon", "flags"):
+        assert main(base + [kind]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "cap-exceeded",
                        "detail": "2 internal flags in one cell"}
-        d = run_json(capsys, *base, "--complex", kind)
-        got = {r["degree"]: r["invariants"] for r in d["results"]}
-        assert got == {1: [2, 2], 2: [2]}
 
 
 def test_homology_degree_range_with_restriction(capsys):
@@ -133,17 +138,16 @@ def test_wall_polygon_splice_failure_is_not_rerouted(capsys, monkeypatch):
     assert main(["homology", "Z4", "-n", "1", "--method", "wall"]) == 3
 
 
-COMMON_OPTIONS = {"-h", "--help", "--seed", "--json", "--csv"}
+COMMON_OPTIONS = {"-h", "--help", "--seed", "--json"}
 
 # every option of every subcommand; a new option has to be added here
 OPTIONS = {
     "homology": {"-n", "--degree", "--to", "-p", "--prime", "--p-min",
-                 "--method", "--complex", "--dims", "--flag-cap",
-                 "--rank-cap"},
-    "ppart-table": {"--groups", "--primes"},
-    "wythoff": {"--rings", "--orbit-dim", "--flag-cap"},
-    "edge-degree": {"--vector", "--vertex", "--orbit-cap", "--dump-points"},
-    "resolution": {"--length", "--method"},
+                 "--method", "--complex", "--dims", "--csv"},
+    "ppart-table": {"--groups", "--primes", "--csv"},
+    "wythoff": {"--rings", "--orbit-dim", "--csv"},
+    "edge-degree": {"--vector", "--vertex", "--dump-points", "--csv"},
+    "resolution": {"--length"},
     "selftest": set(),
 }
 
@@ -163,11 +167,40 @@ def test_option_sets_are_pinned():
     ["resolution", "Z6", "--length", "3", "--cache-dir", "cache"],
     ["homology", "S4", "-n", "1", "--method", "wall", "--complex", "flags",
      "--dims", "0", "--max-dim", "2"],
+    # caps are constants: no flag raises one for a run
+    ["homology", "D12", "-n", "1", "--method", "wall", "--flag-cap", "9"],
+    ["homology", "D12", "-n", "1", "--method", "wall", "--rank-cap", "9"],
+    ["wythoff", "S4", "--rings", "0", "--orbit-dim", "1", "--flag-cap", "9"],
+    ["edge-degree", "S3", "--vector", "1,2,3", "--orbit-cap", "9"],
+    # the bar resolution is a test oracle, not a route
+    ["homology", "Z4", "-n", "2", "--method", "bar"],
+    ["resolution", "Z6", "--length", "3", "--method", "bar"],
+    ["resolution", "Z6", "--length", "3", "--method", "small"],
 ])
 def test_removed_options_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # -p used to win over --p-min without a word
+    ["homology", "S4", "-n", "1", "-p", "5", "--p-min", "3"],
+    # resolution and selftest have no table form; --csv used to do the
+    # work and then exit 1 with a traceback
+    ["resolution", "Z6", "--length", "3", "--csv"],
+    ["selftest", "--csv"],
+])
+def test_rejected_options_exit_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the options were checked")
+
+    for name in ("_group", "_check_snf_transforms"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_flags_options_need_the_flags_route(capsys):
@@ -190,23 +223,20 @@ def test_flags_options_need_the_flags_route(capsys):
 
 
 def test_wall_options_need_the_wall_route(capsys):
-    for argv, flag in (
-        (["--method", "small", "--complex", "flags"], "--complex"),
-        (["-p", "2", "--complex", "flags"], "--complex"),
-        (["--method", "small", "--rank-cap", "5"], "--rank-cap"),
-        (["--flag-cap", "9"], "--flag-cap"),
+    for argv in (
+        ["--method", "small", "--complex", "flags"],
+        ["-p", "2", "--complex", "flags"],
+        ["--complex", "polygon"],
     ):
         assert main(["homology", "Z4", "-n", "1"] + argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {
             "error": "bad-input",
-            "detail": f"{flag} applies only to --method wall",
+            "detail": "--complex applies only to --method wall",
         }
-    # on the wall route the defaults are filled in: polygon and both caps
+    # on the wall route the complex defaults to the polygon
     base = ["homology", "Z4", "-n", "1", "--to", "3", "--method", "wall"]
-    explicit = base + ["--complex", "polygon", "--flag-cap", str(errors.FLAG_CAP),
-                       "--rank-cap", str(errors.WALL_RANK_CAP)]
-    assert run_json(capsys, *base) == run_json(capsys, *explicit)
+    assert run_json(capsys, *base) == run_json(capsys, *base, "--complex", "polygon")
 
 
 def test_cap_error_reports_attained_count(capsys, monkeypatch):
@@ -236,9 +266,10 @@ def test_cap_error_reports_attained_subgroup(capsys, monkeypatch):
     assert "attained" not in json.loads(capsys.readouterr().err)
 
 
-def test_bar_method(capsys):
-    d = run_json(capsys, "homology", "Z4", "-n", "2", "--method", "bar")
-    assert d["results"][0]["invariants"] == []
+def test_small_route_matches_bar_resolution(capsys):
+    d = run_json(capsys, "homology", "Z4", "-n", "2")
+    bar = resolution_homology(bar_resolution(lookup("Z4"), 3), 2).as_list()
+    assert d["results"][0]["invariants"] == bar == []
 
 
 def test_report_envelope_and_determinism(capsys):
@@ -333,6 +364,17 @@ def test_edge_degree_zero_denominator_is_bad_input(capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "bad-input", "detail": "--vector has a zero denominator: 1/0,2,3,4",
+    }
+
+
+def test_edge_degree_orbit_stops_at_the_point_cap(capsys, monkeypatch):
+    # the regular S4 orbit has 24 points
+    monkeypatch.setattr(errors, "POINT_CAP", 5)
+    assert main(["edge-degree", "S4", "--vector", "1,2,3,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "cap-exceeded", "detail": "orbit exceeds 5 points", "attained": 5,
     }
 
 
@@ -512,25 +554,26 @@ def test_resolution_report(capsys):
     d = run_json(capsys, "resolution", "Z6", "--length", "3")
     assert d["ranks"] == [1, 1, 1, 1]
     assert d["homology"][0] == {"degree": 1, "invariants": [2, 3]}
+    assert d["method"] == "small"
     h = run_json(capsys, "homology", "Z6", "-n", "1")
     assert d["group"] == h["group"]
-    b = run_json(capsys, "resolution", "Z6", "--length", "3",
-                 "--method", "bar")
-    assert b["ranks"] == [1, 5, 25, 125]
-    assert b["homology"][0] == {"degree": 1, "invariants": [2, 3]}
-    assert b["group"] == h["group"]
+    bar = bar_resolution(lookup("Z6"), 3)
+    assert list(bar.ranks) == [1, 5, 25, 125]
+    assert d["homology"] == [
+        {"degree": k, "invariants": resolution_homology(bar, k).as_list()}
+        for k in (1, 2)
+    ]
 
 
 @pytest.mark.parametrize("group", ["Z1", "S1", '{"degree": 3, "generators": []}'])
 def test_trivial_group_small_route_matches_bar(capsys, group):
     # over the trivial group Z is free: the augmentation has zero kernel
     # and every rank past degree 0 is 0
-    got = {}
-    for method in ("small", "bar"):
-        d = run_json(capsys, "homology", group, "-n", "0", "--to", "3",
-                     "--method", method)
-        got[method] = [(r["degree"], r["invariants"]) for r in d["results"]]
-    assert got["small"] == got["bar"] == [(0, [0]), (1, []), (2, []), (3, [])]
+    d = run_json(capsys, "homology", group, "-n", "0", "--to", "3")
+    small = [(r["degree"], r["invariants"]) for r in d["results"]]
+    bar = bar_resolution(cli._group(group), 4)
+    assert small == [(n, resolution_homology(bar, n).as_list()) for n in range(4)]
+    assert small == [(0, [0]), (1, []), (2, []), (3, [])]
     d = run_json(capsys, "resolution", group, "--length", "2")
     assert d["ranks"] == [1, 0, 0]
     assert d["homology"] == [{"degree": 1, "invariants": []}]

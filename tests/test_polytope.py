@@ -15,6 +15,7 @@ from permhomology.cli import main
 from permhomology.equivariant import flag_edge_orbits
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.permgroup import schreier_stabilizer
+from permhomology import errors
 from permhomology import polytope as pt
 
 
@@ -79,9 +80,10 @@ def test_orbit_points_length_mismatch():
         pt.orbit_points(cyclic(4), (1, 0, -1))
 
 
-def test_orbit_points_cap():
-    with pytest.raises(CapExceeded):
-        pt.orbit_points(symmetric(4), (1, 2, 3, 4), cap=5)
+def test_orbit_points_cap(monkeypatch):
+    monkeypatch.setattr(errors, "POINT_CAP", 5)
+    with pytest.raises(CapExceeded, match="orbit exceeds 5 points"):
+        pt.orbit_points(symmetric(4), (1, 2, 3, 4))
 
 
 def test_square_edges():

@@ -8,7 +8,7 @@ terms, splice periodicity) is exercised end to end.
 import pytest
 
 from permhomology import coxeter as cx
-from permhomology import wall
+from permhomology import errors, wall
 from permhomology.catalog import alternating, cyclic, dihedral, klein_four, mathieu, symmetric
 from permhomology.equivariant import SimplexFlags, orbit_decompose
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -114,10 +114,11 @@ def test_assembly_is_deterministic():
     assert A.d == B.d
 
 
-def test_rank_cap():
+def test_rank_cap(monkeypatch):
     ecc = orbit_decompose(cx.polygon_solid(6), hexagon_s3(), 2)
-    with pytest.raises(CapExceeded):
-        wall_assemble(from_cells(ecc), 3, rank_cap=5)
+    monkeypatch.setattr(errors, "WALL_RANK_CAP", 5)
+    with pytest.raises(CapExceeded, match="assembled rank 9 at degree 1 exceeds 5"):
+        wall_assemble(from_cells(ecc), 3)
 
 
 def test_homology_degree_bounds():
