@@ -12,10 +12,11 @@ Three constructions.  bar_resolution writes down the normalized bar
 complex with its textbook one-sided homotopy; it is the oracle
 everything else is compared against.  resolution_small builds a much
 smaller resolution degree by degree: integer kernel basis of the
-flattened boundary, then ZG-generators picked greedily by support,
-then the homotopy solved from a column Hermite form.  Exactness is by
-construction (the selected ZG-span contains the whole kernel) and is
-re-checked anyway.  tensor_resolution resolves a direct product of
+flattened boundary, then ZG-generators picked greedily by support
+until their translates span the kernel (equal echelon rank and
+leading-entry product), then the homotopy solved from a column Hermite
+form.  Exactness is by construction (the selected ZG-span is the whole
+kernel) and is re-checked anyway.  tensor_resolution resolves a direct product of
 two groups on disjoint points as the tensor product of their
 resolutions, with the product homotopy written down (Ellis 2004);
 its ranks are the convolution of the factors' ranks.
@@ -116,19 +117,26 @@ def word_scale(c: int, w: ZGWord) -> ZGWord:
     return ZGWord(w.degree, tuple((c * a, e, g) for a, e, g in w.terms))
 
 
-def _word_sum(G: SmallGroup, degree: int, terms) -> ZGWord:
-    """The sum of c * (g . w) over the (c, g, w) in terms, as one word.
-
-    One dict accumulates every term through the rows of G's table and
-    is sorted once, into the canonical form word() gives.
-    """
-    acc: dict = {}
+def _accumulate(G: SmallGroup, terms, acc: dict) -> dict:
+    """acc plus c * (g . w) for each (c, g, w) in terms, read through the
+    rows of G's table; keys are (generator, element), and coefficients
+    that cancel stay in as zeros."""
     get = acc.get
     for c, g, w in terms:
         row = G._mul[g]
         for a, e, j in w.terms:
             k = (j, row[e])
             acc[k] = get(k, 0) + c * a
+    return acc
+
+
+def _word_sum(G: SmallGroup, degree: int, terms) -> ZGWord:
+    """The sum of c * (g . w) over the (c, g, w) in terms, as one word.
+
+    One dict accumulates every term and is sorted once, into the
+    canonical form word() gives.
+    """
+    acc = _accumulate(G, terms, {})
     terms = tuple((acc[k], k[1], k[0]) for k in sorted(acc) if acc[k])
     return ZGWord(degree, terms)
 
@@ -158,7 +166,7 @@ class FreeResolution:
 
     Boundaries are stored for degrees 1..n and the homotopy for degrees
     0..n-1, so homology of R (x) Z is available in degrees up to n-1 and
-    the full homotopy identity is testable up to degree n-2.
+    the full homotopy identity is testable up to degree n-1.
     """
 
     def __init__(self, G: SmallGroup, ranks, d, aug, homotopy, verify: bool = True):
@@ -236,30 +244,37 @@ class FreeResolution:
         ]
 
     def _verify(self):
+        """Check d.d = 0 in degrees 2..n, h_{k-1} d_k + d_{k+1} h_k = 1 in
+        degrees 1..n-1 and d_1 h_0 = 1 - section.augmentation, each on
+        _basis_sample's basis elements e . j.  Each side is summed into
+        one dict, with the right side subtracted, and must vanish."""
+        G, d, h = self.G, self._d, self._h
+        one = G.id
         rng = random.Random(0)
         for k in range(2, self.length + 1):
-            d = self._d[k - 1]
             for e, j in self._basis_sample(k, rng):
                 # d_{k-1}(e . d_k(j)): each term c f i of d_k(j) adds c ef . d_{k-1}(i)
-                row = self.G._mul[e]
-                terms = ((c, row[f], d[i]) for c, f, i in self._d[k][j].terms)
-                if _word_sum(self.G, k - 2, terms):
+                row = G._mul[e]
+                terms = ((c, row[f], d[k - 1][i]) for c, f, i in d[k][j].terms)
+                if any(_accumulate(G, terms, {}).values()):
                     raise InvariantViolation(f"d.d != 0 at degree {k}")
         for k in range(1, self.length):
-            # h_{k-1} d_k + d_{k+1} h_k = 1 on R_k
             for e, j in self._basis_sample(k, rng):
-                x = word(k, [(1, e, j)])
-                lhs = word_add(
-                    self.apply_h(k - 1, self.apply_d(k, x)),
-                    self.apply_d(k + 1, self.apply_h(k, x)),
+                # h_{k-1}(d_k(e . j)) takes each term c f i of d_k(j) to
+                # c h_{k-1}(ef . i); d_{k+1}(h_k(e . j)) is equivariant
+                row = G._mul[e]
+                acc = _accumulate(
+                    G, ((c, one, h(k - 1, row[f], i)) for c, f, i in d[k][j].terms),
+                    {(j, e): -1},
                 )
-                if lhs != x:
+                terms = ((c, f, d[k + 1][i]) for c, f, i in h(k, e, j).terms)
+                if any(_accumulate(G, terms, acc).values()):
                     raise InvariantViolation(f"homotopy identity fails at degree {k}")
         for e, j in self._basis_sample(0, rng):
-            x = word(0, [(1, e, j)])
-            lhs = self.apply_d(1, self.apply_h(0, x))
-            rhs = word_add(x, word_scale(-self.augment(x), self.section()))
-            if lhs != rhs:
+            acc = {(j, e): -1}
+            acc[(0, one)] = acc.get((0, one), 0) + self.aug[j]
+            terms = ((c, f, d[1][i]) for c, f, i in h(0, e, j).terms)
+            if any(_accumulate(G, terms, acc).values()):
                 raise InvariantViolation("d_1 h_0 != 1 - section.augmentation")
 
 
@@ -326,28 +341,56 @@ def bar_resolution(G, n: int) -> FreeResolution:
 # -- small resolutions by kernel generators ------------------------------
 
 
+def _echelon_key(span: ZSpan) -> tuple:
+    """(rank, product of the leading entries) of an echelon span.
+
+    For lattices L inside K of the same rank, K's index over L is the
+    quotient of their leading-entry products, so equal keys mean L = K.
+    """
+    prod = 1
+    for row, lead in zip(span.rows, span.leads):
+        prod *= row[lead]
+    return span.rank, prod
+
+
 def _select_generators(G: SmallGroup, rank: int, kb: list):
-    """Greedy ZG-generators of the integer span of kb, smallest support first."""
+    """Greedy ZG-generators of the integer span of kb, smallest support first.
+
+    A candidate already in the span of the translates chosen so far is
+    skipped.  The translates span a lattice inside the kernel (d is
+    equivariant, and _verify checks d.d = 0), so the selection stops as
+    soon as that lattice's echelon key equals the kernel's: every later
+    candidate would lie in the span.  A span that never reaches the
+    kernel's key does not cover the kernel and raises.
+    """
     size = G.n * rank
     cands = []
+    kernel = ZSpan(size)
     for v in kb:
         if v[min(v)] < 0:
             v = {i: -a for i, a in v.items()}
         cands.append(v)
+        kernel.insert(v)
+    full = _echelon_key(kernel)
     # ties in support size go by the dense vectors' lexicographic order
     cands.sort(key=lambda v: (len(v), [v.get(i, 0) for i in range(size)]))
     span = ZSpan(size)
     chosen = []
+    done = not kb  # a zero kernel needs no generators
     for v in cands:
+        if done:
+            break
         if span.contains(v):
             continue
         w = vec_to_word(G, 0, v)
         chosen.append(w)
         for g in range(G.n):
-            span.insert(translate_vec(G, g, w))
-    for v in cands:
-        if not span.contains(v):
-            raise InvariantViolation("selected generators do not span the kernel")
+            grew = span.insert(translate_vec(G, g, w))
+            if grew and span.rank == full[0] and _echelon_key(span) == full:
+                done = True
+                break
+    if not done:
+        raise InvariantViolation("selected generators do not span the kernel")
     return chosen
 
 
@@ -395,7 +438,9 @@ def resolution_small(G, n: int) -> FreeResolution:
                 col += 1
     solvers.append(ColumnSolver(flat, G.n * ranks[n]))
 
-    # homotopy, degree by degree: solve d_{k+1} y = x - h_{k-1}(d_k x)
+    # homotopy, degree by degree: solve d_{k+1} y = x - h_{k-1}(d_k x),
+    # with h_{-1} d_0 = section.augmentation; only the solutions are
+    # stored as words
     table: dict = {}
 
     def homotopy(k, e, j):
@@ -403,15 +448,20 @@ def resolution_small(G, n: int) -> FreeResolution:
 
     res = FreeResolution(G, ranks, d, (1,), homotopy, verify=False)
     for k in range(n):
+        solve = solvers[k + 1].solve
         for j in range(ranks[k]):
             for e in range(G.n):
-                x = word(k, [(1, e, j)])
                 if k == 0:
-                    corr = word_scale(res.augment(x), res.section())
+                    acc = {(j, e): 1}
+                    acc[(0, G.id)] = acc.get((0, G.id), 0) - res.aug[j]
                 else:
-                    corr = res.apply_h(k - 1, res.apply_d(k, x))
-                target = word_add(x, word_scale(-1, corr))
-                y = solvers[k + 1].solve(word_to_vec(G, target))
+                    row = G._mul[e]
+                    acc = _accumulate(
+                        G,
+                        ((-c, G.id, table[(k - 1, row[f], i)]) for c, f, i in d[k][j].terms),
+                        {(j, e): 1},
+                    )
+                y = solve({i * G.n + f: c for (i, f), c in acc.items()})
                 if y is None:
                     raise InvariantViolation("homotopy solve failed; kernel not spanned")
                 table[(k, e, j)] = vec_to_word(G, k + 1, y)

@@ -4,18 +4,22 @@ import random
 
 import pytest
 
+from selection_oracle import scanning_select_generators
 from permhomology.catalog import (
     alternating,
     cyclic,
     dihedral,
     klein_four,
+    mathieu,
     symmetric,
 )
 from permhomology import resolution
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.homology import resolution_homology
+from permhomology.intlinalg import ColumnSolver
 from permhomology.perm import conj, identity, inv, mul
 from permhomology.permgroup import PermGroup, fingerprint
+from permhomology.sylow import sylow_ascent
 from permhomology.resolution import (
     _word_sum,
     ChainMap,
@@ -376,6 +380,69 @@ def test_verify_catches_a_broken_boundary():
         FreeResolution(R.G, R.ranks, d, R.aug, R.h)
     # the resolution itself passes the same check
     FreeResolution(R.G, R.ranks, R._d, R.aug, R.h)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_verify_catches_a_perturbed_homotopy(k):
+    R = resolution_small(symmetric(3), 4)
+    e, j = R.G.n - 1, 0
+    # one entry of h_k gains a term; h_0 and h_1 are first read at degree 1
+    bad = word_add(R.h(k, e, j), word(k + 1, [(1, R.G.id, 0)]))
+
+    def h(k2, e2, j2):
+        return bad if (k2, e2, j2) == (k, e, j) else R.h(k2, e2, j2)
+
+    with pytest.raises(
+        InvariantViolation, match=f"homotopy identity fails at degree {max(k, 1)}"
+    ):
+        FreeResolution(R.G, R.ranks, R._d, R.aug, h)
+
+
+def _record_selections(monkeypatch, G, depth):
+    """(the package's choice, the full scan's choice) for every degree of
+    resolution_small(G, depth)."""
+    pairs = []
+    select = resolution._select_generators
+
+    def both(SG, rank, kb):
+        chosen = select(SG, rank, kb)
+        pairs.append((chosen, scanning_select_generators(SG, rank, kb)))
+        return chosen
+
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    monkeypatch.setattr(resolution, "_select_generators", both)
+    resolution_small(G, depth)
+    return pairs
+
+
+@pytest.mark.parametrize("make, depth", [
+    (lambda: symmetric(4), 3),
+    (lambda: alternating(5), 3),
+    (lambda: dihedral(12), 4),
+    (lambda: sylow_ascent(mathieu(12), 3), 3),
+], ids=["S4", "A5", "D12", "M12-Sylow3"])
+def test_select_generators_matches_the_full_scan(monkeypatch, make, depth):
+    pairs = _record_selections(monkeypatch, make(), depth)
+    assert len(pairs) == depth
+    for chosen, scanned in pairs:
+        assert chosen == scanned
+
+
+@pytest.mark.parametrize("scale", [0, 2], ids=["zero", "doubled"])
+def test_selection_short_of_the_kernel_raises(monkeypatch, scale):
+    G = SmallGroup(symmetric(3))
+    kb = ColumnSolver([[1] * G.n], G.n).kernel()
+    assert len(resolution._select_generators(G, 1, kb)) == 2
+    # zero translates leave the span at rank 0; doubled ones give it the
+    # kernel's rank but index 2^5 in it
+    translate = resolution.translate_vec
+
+    def scaled(G, g, w):
+        return {i: scale * c for i, c in translate(G, g, w).items() if scale}
+
+    monkeypatch.setattr(resolution, "translate_vec", scaled)
+    with pytest.raises(InvariantViolation, match="do not span the kernel"):
+        resolution._select_generators(G, 1, kb)
 
 
 # -- chain maps and induced maps on homology -----------------------------

@@ -18,6 +18,7 @@ from permhomology.perm import order as perm_order
 from permhomology.permgroup import PermGroup
 from permhomology.sylow import (
     CyclicConjOrbit,
+    coset_least,
     double_cosets,
     element_of_order,
     subgroup_normalizer,
@@ -377,6 +378,23 @@ def test_double_coset_reps_are_least(name):
         assert len(dc) == size
         total += size
     assert total == G.order()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sylow_ascent(mathieu(11), 2),
+    lambda: sylow_ascent(mathieu(12), 3),
+    lambda: sylow_ascent(symmetric(6), 2),
+    lambda: group_from_cycles(["(6,7,8)", "(9,10)"], 10),
+    lambda: PermGroup([], 7),
+], ids=["M11-Sylow2", "M12-Sylow3", "S6-Sylow2", "high-points", "trivial"])
+def test_coset_least_matches_the_scan(make):
+    H = make()
+    least = coset_least(H)
+    hels = H.elements()
+    rng = random.Random(3)
+    for _ in range(100):
+        x = tuple(rng.sample(range(H.degree), H.degree))
+        assert least(x) == min(mul(x, b) for b in hels)
 
 
 @pytest.mark.parametrize("m, p", [(11, 2), (11, 3), (12, 3), (21, 3)])
