@@ -66,15 +66,28 @@ def group_from_cycles(strings, degree: int, name: str | None = None) -> PermGrou
 
 def group_from_json(obj) -> PermGroup:
     """Build from {"degree": n, "generators": [...]} with generators given
-    either as 1-based image lists or as cycle strings."""
-    degree = obj["degree"]
-    gens = []
-    for g in obj["generators"]:
+    either as 1-based image lists or as cycle strings.
+
+    The degree must be an integer >= 1 (a bool is not one) and the
+    generators a list; any other input raises ValueError.
+    """
+    degree = obj.get("degree") if isinstance(obj, dict) else None
+    if type(degree) is not int or degree < 1:
+        raise ValueError(f'"degree" must be an integer >= 1, not {degree!r}')
+    gens = obj.get("generators")
+    if not isinstance(gens, list):
+        raise ValueError(f'"generators" must be a list, not {gens!r}')
+    perms = []
+    for g in gens:
         if isinstance(g, str):
-            gens.append(parse_cycles(g, degree))
+            perms.append(parse_cycles(g, degree))
+        elif isinstance(g, list) and all(type(a) is int for a in g):
+            perms.append(from_images_1based(g, degree))
         else:
-            gens.append(from_images_1based(g, degree))
-    return PermGroup(gens, degree, name=obj.get("name"))
+            raise ValueError(
+                f"generator {g!r} is neither a cycle string nor a list of integers"
+            )
+    return PermGroup(perms, degree, name=obj.get("name"))
 
 
 def symmetric(n: int) -> PermGroup:

@@ -8,12 +8,17 @@ after checking consecutive products vanish.
 Two reductions compute the p-part of H_n(G) without resolving G
 itself.  cyclic_sylow_ppart is the closed form for a Sylow subgroup
 of prime order: Z_p exactly in degrees 2ek - 1 where e is the Weyl
-exponent.  ce_ppart_general quotients H_n(P) by relations: a pair of
-homomorphisms into P is lifted to chain maps and the differences of
-their induced images are divided out.  It takes a whole range of
-degrees at once, so the CLI calls it once per prime: the relations,
-the resolutions and the chain maps are built once, to the top degree,
-and each degree then costs only its induced maps and one Smith form.
+exponent.  ce_ppart_general reads H_n(G)_(p) as H_n(P) modulo the
+stable-element relations, taken at chain level: each pair of
+homomorphisms K -> P is lifted to chain maps RK -> RP, the
+differences of their images of a cycle basis of RK (x) Z are cycles
+of RP (x) Z, and the quotient is H_n of RP (x) Z with those cycles
+added as extra columns of d_{n+1}.  So it is one resolution_homology
+read, and every torsion order comes from a Smith diagonal; no Smith
+transform is taken.  It takes a whole range of degrees at once, so the
+CLI calls it once per prime: the resolutions and the chain maps are
+built once, to the top degree, and each degree then costs only its
+induced images and one homology read.
 
 Which relations depends on P.  For abelian P, N_G(P) controls fusion,
 so the p-part is the N_G(P)-coinvariants of H_n(P) (Swan 1960, "The
@@ -24,7 +29,7 @@ the stabilizer of P in its conjugation orbit, so SUBGROUP_ORBIT_CAP
 bounds |G:N_G(P)|.  For nonabelian P the relations are the stable
 elements: for each double coset PxP the two inclusions of
 K = P n xPx~ into P.  The plain inclusion depends on K alone, so RK,
-that inclusion and its induced maps are built once per distinct K.
+that inclusion and its images are built once per distinct K.
 The double cosets come from a walk over the |G:P| left cosets of P,
 so DOUBLE_COSET_CAP bounds that index, not |G|.
 
@@ -157,17 +162,24 @@ def chain_homology(sizes, mats) -> list:
     return out
 
 
-def resolution_homology(R, k: int) -> AbelianInvariants:
-    """H_k(R (x) Z) of a FreeResolution or an AssembledResolution.
+def resolution_homology(R, k: int, relations=()) -> AbelianInvariants:
+    """H_k(R (x) Z) of a FreeResolution or an AssembledResolution,
+    modulo the classes of `relations`.
 
     Reads ranks k-1..k+1 and the boundaries d_k, d_{k+1} through
     chain_homology, so their composite is checked too; needs k < length.
+    Each relation is a dense k-chain, appended to d_{k+1} as one more
+    column, so it is checked to be a cycle the same way.
     """
     if not 0 <= k < R.length:
         raise ValueError(f"homology degree {k} needs boundaries up to {k + 1}")
     lo = max(k - 1, 0)
     mats = [R.boundary_matrix_z(i) for i in range(lo + 1, k + 2)]
-    return chain_homology(R.ranks[lo : k + 2], mats)[k - lo]
+    sizes = list(R.ranks[lo : k + 2])
+    if relations:
+        mats[-1] = [row + [z[i] for z in relations] for i, row in enumerate(mats[-1])]
+        sizes[-1] += len(relations)
+    return chain_homology(sizes, mats)[k - lo]
 
 
 # -- closed-form p-part for prime-order Sylow subgroups ------------------
@@ -219,17 +231,14 @@ def ce_ppart_general(
     """p-parts of H_n(G) as quotients of H_n(P), P a Sylow p-subgroup.
 
     degrees is one degree or an iterable of them, all >= 1; the answer
-    is {n: AbelianInvariants}.  Generators of H_n(P) are pushed through
-    pairs of inclusions and H_n(P) modulo the differences is the answer.
-    For abelian P the pairs are the identity of P and conjugation by
-    each kept generator of N_G(P), which needs |G:N_G(P)| within the
-    subgroup-orbit cap.  Otherwise they are the plain and the conjugated
-    inclusion of K into P for every double coset rep x with nontrivial
-    K, which needs the index |G:P| within the double-coset cap.  The
-    resolutions and the chain maps are built and checked once, to one
-    past the top degree; they grow degree by degree, so each degree
-    reads a prefix of them.  `convention` may only name the route's own
-    convention, CE_CONVENTION.
+    is {n: AbelianInvariants}.  Each (K, inclusion) pair, from
+    _normalizer_pairs for abelian P and _double_coset_pairs otherwise,
+    adds relation cycles: the images of a cycle basis of RK (x) Z under
+    the plain inclusion minus those under the pair's inclusion.  RK and
+    the plain images are built once per distinct K, and every
+    resolution and chain map once, to one past the top degree, so each
+    degree reads a prefix of them.  `convention` may only name the
+    route's own convention, CE_CONVENTION.
     """
     if convention != CE_CONVENTION:
         raise ValueError(f"the stable-element route uses {CE_CONVENTION!r} only")
@@ -243,111 +252,71 @@ def ce_ppart_general(
     if p_part(po, p) != po or p_part(G.order(), p) != po:
         raise ValueError("P must be a Sylow p-subgroup of G")
 
-    RP = resolution_small(P, degrees[-1] + 1)
-    relations = _normalizer_relations if P.is_abelian() else _double_coset_relations
-    return _quotients(RP, degrees, *relations(G, P, RP, degrees))
-
-
-def _add_differences(induced, con, degrees, orders, rel_cols) -> None:
-    """Append the columns induced[n] - H_n(con) to rel_cols[n]."""
+    depth = degrees[-1] + 1
+    RP = resolution_small(P, depth)
+    pels = tuple(sorted(RP.G.elements))
+    pairs = _normalizer_pairs if P.is_abelian() else _double_coset_pairs
+    # K's elements -> (RK, {n: images of the plain inclusion of K into P})
+    plain: dict = {}
+    relations: dict = {n: [] for n in degrees}
+    for kels, phi in pairs(G, P, pels):
+        if kels not in plain:
+            if len(kels) == len(pels):
+                RK = RP
+            else:  # kels is sorted, so the identity comes first
+                RK = resolution_small(PermGroup(list(kels[1:]), G.degree), depth)
+            inc = chain_map(lambda k: k, RK, RP)
+            plain[kels] = (RK, {n: homology_action(inc, n) for n in degrees})
+        RK, fixed = plain[kels]
+        con = chain_map(phi, RK, RP)
+        for n in degrees:
+            relations[n].extend(
+                [a - b for a, b in zip(u, v)]
+                for u, v in zip(fixed[n], homology_action(con, n), strict=True)
+            )
+    out = {}
     for n in degrees:
-        s1, t1, M1 = induced[n]
-        s2, t2, M2 = homology_action(con, n)
-        if s1 != s2 or t1 != t2:
-            raise InvariantViolation("induced-map coordinates disagree")
-        orders[n] = t1
-        rel_cols[n].extend(
-            [M1[r][i] - M2[r][i] for r in range(len(t1))] for i in range(len(s1))
-        )
+        out[n] = resolution_homology(RP, n, relations[n])
+        if out[n].free:
+            raise InvariantViolation("p-part of homology cannot have free rank")
+    return out
 
 
-def _normalizer_relations(G, P, RP, degrees):
-    """Relations of H_n(P)_(N_G(P)) for abelian P (Swan).
+def _normalizer_pairs(G, P, pels):
+    """(K, inclusion) pairs for abelian P, where N_G(P) controls fusion.
 
-    Only the generators of N that enlarge <P, the ones kept so far> get
-    a chain map; P itself acts trivially.  The map conjugates by x~;
+    K is P itself, included by conjugation with each generator x of
+    N_G(P) that enlarges the group generated by P and the generators
+    kept before it; P itself acts trivially.  The map conjugates by x~;
     conjugating by x would give the same image, since
     1 - c_x~ = -(1 - c_x) c_x~ with c_x~ onto.
     """
     N = subgroup_normalizer(G, P)
-    plain = chain_map(lambda k: k, RP, RP)
-    induced = {n: homology_action(plain, n) for n in degrees}
-    orders: dict = {}
-    rel_cols: dict = {n: [] for n in degrees}
     gens = list(P.generators)
     reached = P.order()
     for x in N.generators:
         if reached == N.order():
-            break
+            return
         grown = PermGroup(gens + [x], G.degree).order()
-        if grown == reached:
-            continue
-        gens.append(x)
-        reached = grown
-        con = chain_map(_conjugator(x), RP, RP)
-        _add_differences(induced, con, degrees, orders, rel_cols)
-    return orders, rel_cols
+        if grown > reached:
+            gens.append(x)
+            reached = grown
+            yield pels, _conjugator(x)
 
 
-def _double_coset_relations(G, P, RP, degrees):
-    """Stable-element relations over the double cosets PxP; RK, the
-    plain inclusion of K and its induced maps are built once per K."""
-    depth = degrees[-1] + 1
-    pels = frozenset(P.elements())
+def _double_coset_pairs(G, P, pels):
+    """(K, inclusion) pairs over the double cosets PxP: the conjugated
+    inclusion of K = P n xPx~ for each rep x != 1 with K nontrivial, and
+    K as its sorted elements."""
     idn = identity(G.degree)
-    orders: dict = {}
-    rel_cols: dict = {n: [] for n in degrees}
-    # K -> (RK, {n: induced map of the plain inclusion of K into P})
-    plain: dict = {}
+    pset = frozenset(pels)
     for x in double_cosets(G, P):
         if x == idn:
             continue
         phi = _conjugator(x)
-        kels = tuple(sorted(k for k in pels if phi(k) in pels))
-        if len(kels) == 1:
-            continue
-        if kels not in plain:
-            if len(kels) == len(pels):
-                RK = RP
-            else:
-                RK = resolution_small(
-                    PermGroup([k for k in kels if k != idn], G.degree), depth
-                )
-            inc = chain_map(lambda k: k, RK, RP)
-            plain[kels] = (RK, {n: homology_action(inc, n) for n in degrees})
-        RK, induced = plain[kels]
-        _add_differences(induced, chain_map(phi, RK, RP), degrees, orders, rel_cols)
-    return orders, rel_cols
-
-
-def _quotients(RP, degrees, orders: dict, rel_cols: dict) -> dict:
-    """{n: H_n(P) modulo rel_cols[n]}; a degree no relation reached
-    reads its orders off RP."""
-    out = {}
-    for n in degrees:
-        tor = orders.get(n)
-        if tor is None:
-            tor = resolution_homology(RP, n).torsion
-        out[n] = _quotient(tor, rel_cols[n])
-    return out
-
-
-def _quotient(orders, rel_cols: list) -> AbelianInvariants:
-    """The group with Smith orders `orders` modulo the relation columns."""
-    r = len(orders)
-    ent: dict = {}
-    for i, m in enumerate(orders):
-        if m:
-            ent[(i, i)] = m
-    for j, col in enumerate(rel_cols):
-        for i, v in enumerate(col):
-            if v:
-                ent[(i, r + j)] = v
-    diag = smith_diagonal_sparse(ent)
-    free = r - len(diag)
-    if free:
-        raise InvariantViolation("p-part of homology cannot have free rank")
-    return AbelianInvariants.from_factors(0, [d for d in diag if d > 1])
+        kels = tuple(k for k in pels if phi(k) in pset)
+        if len(kels) > 1:
+            yield kels, phi
 
 
 def ce_convention() -> str:

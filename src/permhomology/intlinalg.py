@@ -14,8 +14,9 @@ sparse.
 
 There is one Smith engine, a sparse Markowitz elimination that keeps
 the row and column transforms on request.  smith_diagonal_sparse reads
-the diagonal of a dict of entries without transforms; smith_normal_form
-runs it on dense lists with transforms and returns dense U and V.
+the diagonal of a dict of entries without transforms, and every homology
+answer comes from it; smith_normal_form runs the engine on dense lists
+with transforms and returns dense U and V, for selftest's sweep.
 """
 
 from __future__ import annotations
@@ -199,13 +200,6 @@ class ColumnSolver:
     def kernel(self) -> list:
         """A basis of the integer kernel, as sparse vectors."""
         return [dict(v) for v in self._kernel]
-
-
-def kernel_basis(A: list, n: int | None = None) -> list:
-    """Basis of {x in Z^n : A x = 0} as dense lists (the full integer
-    kernel, which is automatically saturated)."""
-    solver = ColumnSolver(A, n)
-    return [[v.get(i, 0) for i in range(solver.n)] for v in solver.kernel()]
 
 
 class ZSpan:

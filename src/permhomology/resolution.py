@@ -25,11 +25,10 @@ its ranks are the convolution of the factors' ranks.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 
 from . import errors
 from .errors import CapExceeded, InvariantViolation
-from .intlinalg import ColumnSolver, ZSpan, kernel_basis, smith_normal_form
+from .intlinalg import ColumnSolver, ZSpan
 from .perm import conj, identity, inv, mul, precompose, support
 from .permgroup import PermGroup, fingerprint
 
@@ -176,7 +175,6 @@ class FreeResolution:
         self._d = d
         self.aug = tuple(aug)
         self._h = homotopy
-        self._coords: dict = {}  # degree -> _HomologyCoords, see homology_action
         if len(self.aug) != self.ranks[0]:
             raise ValueError("augmentation must cover the degree-0 generators")
         if verify:
@@ -626,100 +624,18 @@ def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainM
     return cm
 
 
-def _unimodular_inverse(U: list) -> list:
-    n = len(U)
-    solver = ColumnSolver(U)
-    cols = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        x = solver.solve(e)
-        if x is None:
-            raise InvariantViolation("matrix is not unimodular")
-        cols.append(x)
-    return [[cols[j].get(i, 0) for j in range(n)] for i in range(n)]
+def homology_action(cm: ChainMap, k: int) -> list:
+    """Images under cm of a basis of the k-cycles of the source (x) Z.
 
-
-class _HomologyCoords:
-    """Smith coordinates on H_k = ker d_k / im d_{k+1} of R (x) Z."""
-
-    def __init__(self, R: FreeResolution, k: int):
-        if k == 0:
-            Dk = [list(R.aug)]
-        else:
-            Dk = R.boundary_matrix_z(k)
-        kb = kernel_basis(Dk, R.ranks[k])
-        self.cycles = kb
-        self.kb_solver = ColumnSolver(
-            [[v[i] for v in kb] for i in range(R.ranks[k])], len(kb)
-        )
-        Dk1 = R.boundary_matrix_z(k + 1)
-        Y = []
-        for j in range(R.ranks[k + 1]):
-            col = [Dk1[i][j] for i in range(R.ranks[k])]
-            y = self.kb_solver.solve(col)
-            if y is None:
-                raise InvariantViolation("boundary is not a cycle")
-            Y.append(y)
-        Ym = [[Y[j].get(i, 0) for j in range(len(Y))] for i in range(len(kb))]
-        diag, U, _ = smith_normal_form(Ym)
-        self.U = U
-        self.orders = [
-            diag[i] if i < len(diag) else 0 for i in range(len(kb))
-        ]
-
-    def coords(self, cycle) -> list:
-        u = self.kb_solver.solve(list(cycle))
-        if u is None:
-            raise InvariantViolation("vector is not a cycle")
-        out = []
-        for i, row in enumerate(self.U):
-            a = sum(row[j] * x for j, x in u.items())
-            m = self.orders[i]
-            out.append(a % m if m else a)
-        return out
-
-    @cached_property
-    def _U_inverse(self) -> list:
-        return _unimodular_inverse(self.U)
-
-    def representative(self, i: int) -> list:
-        Uinv = self._U_inverse
-        col = [Uinv[r][i] for r in range(len(Uinv))]
-        n = len(self.cycles[0]) if self.cycles else 0
-        return [sum(self.cycles[j][r] * col[j] for j in range(len(col))) for r in range(n)]
-
-    def invariants(self) -> tuple:
-        return tuple(m for m in self.orders if m != 1)
-
-
-def _homology_coords(R: FreeResolution, k: int) -> _HomologyCoords:
-    """The Smith coordinates of R in degree k, built once per resolution;
-    a FreeResolution's ranks, boundaries and augmentation never change
-    after it is built."""
-    coords = R._coords.get(k)
-    if coords is None:
-        coords = R._coords[k] = _HomologyCoords(R, k)
-    return coords
-
-
-def homology_action(cm: ChainMap, k: int):
-    """Matrix of the induced map on H_k, in Smith coordinates.
-
-    Returns (source invariants, target invariants, matrix); invariant 0
-    means a free summand, m > 1 a Z/m summand, and matrix columns are
-    target coordinates of the images of the source representatives.
+    Each image is a dense k-chain of the target (x) Z, one entry per
+    degree-k target generator, and their classes span the image of
+    H_k(source) in H_k(target).  The basis is the integer kernel of the
+    source's d_k, which depends on the source alone, so two chain maps
+    out of one resolution push the same cycles in the same order.
     """
-    src = _homology_coords(cm.source, k)
-    tgt = _homology_coords(cm.target, k)
+    if not 1 <= k <= cm.length:
+        raise ValueError(f"induced maps need 1 <= k <= {cm.length}, not {k}")
+    src = cm.source
+    cycles = ColumnSolver(src.boundary_matrix_z(k), src.ranks[k]).kernel()
     F = cm.matrix_z(k)
-    cols = []
-    src_pos = [i for i, m in enumerate(src.orders) if m != 1]
-    tgt_pos = [i for i, m in enumerate(tgt.orders) if m != 1]
-    for i in src_pos:
-        z = src.representative(i)
-        fz = [sum(F[r][c] * z[c] for c in range(len(z))) for r in range(len(F))]
-        co = tgt.coords(fz)
-        cols.append([co[t] for t in tgt_pos])
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt_pos))]
-    return src.invariants(), tgt.invariants(), mat
+    return [[sum(row[j] * c for j, c in z.items()) for row in F] for z in cycles]

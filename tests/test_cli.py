@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import permhomology
-from permhomology import cli, errors, homology, resolution
+from permhomology import cli, errors, homology, intlinalg
 from permhomology.catalog import group_from_cycles, lookup
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -292,6 +292,22 @@ def test_unknown_group_is_bad_input(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec", [
+    '{"degree": 2}',
+    '{"degree": "2", "generators": ["(1,2)"]}',
+    '{"degree": 2, "generators": 5}',
+    '{"degree": 2, "generators": [[2.0, 1]]}',
+    '{"degree": -1, "generators": []}',
+    '{"degree": true, "generators": []}',
+], ids=["no-generators", "string-degree", "number-generators", "float-image",
+        "negative-degree", "bool-degree"])
+def test_malformed_inline_group_is_bad_input(capsys, spec):
+    assert main(["homology", spec, "-n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "bad-input"
+
+
 def test_ppart_table_csv(capsys):
     rc, out = run(capsys, "ppart-table", "--groups", "S3,S5",
                   "--primes", "3,5", "--csv")
@@ -450,23 +466,33 @@ def test_abelian_sylow_route_takes_one_normalizer(capsys, monkeypatch):
     }
 
 
-def test_homology_action_builds_coordinates_once(capsys, monkeypatch):
-    # one set of Smith coordinates per (resolution, degree), however many
-    # double cosets and chain maps read it
-    built = []
+def test_stable_elements_take_no_smith_transform(capsys, monkeypatch):
+    # the relation cycles are extra columns of a boundary, so every
+    # answer is read off Smith diagonals; asking for U or V fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith transform was asked for")
 
-    class Counted(resolution._HomologyCoords):
-        def __init__(self, R, k):
-            built.append((id(R), k))
-            super().__init__(R, k)
+    smith = intlinalg._smith
 
-    monkeypatch.setattr(resolution, "_HomologyCoords", Counted)
-    monkeypatch.setattr(resolution, "_small_memo", {})
-    request = "homology M11 -n 1 --to 6 -p 3"
-    d = run_json(capsys, *request.split())
-    d.pop("seed")
-    assert d == _benchmark_record(request)
-    assert len(built) == len(set(built)) == 6
+    def diagonal_only(entries, U=None, V=None):
+        if U is not None or V is not None:
+            refuse()
+        return smith(entries)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(intlinalg, "_smith", diagonal_only)
+    for request in (
+        "homology M11 -n 1 --to 3 -p 2",
+        "homology M11 -n 1 --to 6 -p 3",
+        "homology M12 -n 1 --to 2 -p 3",
+        "homology M21 -n 1 --to 3 -p 3",
+    ):
+        d = run_json(capsys, *request.split())
+        d.pop("seed")
+        assert d == _benchmark_record(request)
+    d = run_json(capsys, "homology", "M12", "-n", "2", "-p", "2")
+    # the ATLAS multiplier of M12
+    assert d["results"] == [{"degree": 2, "invariants": [2], "method": "sylow-ce"}]
 
 
 @pytest.mark.parametrize("group", ["S4", "M11"])

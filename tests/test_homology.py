@@ -322,18 +322,31 @@ def test_ce_abelian_sylow_reads_the_normalizer(monkeypatch, m, top, kept, want):
     (mathieu(21), 3, (1, 2, 3)),
     (mathieu(22), 3, (2,)),
 ], ids=["A4-2", "M11-3", "M21-3", "M22-3"])
-def test_abelian_sylow_routes_agree(grp, p, degrees):
-    # the normalizer's coinvariants equal the stable elements over P\G/P
+def test_abelian_sylow_routes_agree(monkeypatch, grp, p, degrees):
+    # the normalizer's coinvariants equal the stable elements over P\G/P,
+    # each pair source fed through the same relation loop
     P = sylow_ascent(grp, p)
     assert P.is_abelian()
-    RP = resolution_small(P, degrees[-1] + 1)
-    got = [
-        homology._quotients(
-            RP, degrees, *relations(grp, P, RP, degrees)
-        )
-        for relations in (
-            homology._normalizer_relations,
-            homology._double_coset_relations,
-        )
-    ]
-    assert got[0] == got[1]
+    swan = ce_ppart_general(grp, P, degrees)
+    walked = []
+    walk = homology.double_cosets
+
+    def counted(*args):
+        walked.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(homology, "double_cosets", counted)
+    monkeypatch.setattr(homology, "_normalizer_pairs", homology._double_coset_pairs)
+    assert ce_ppart_general(grp, P, degrees) == swan
+    assert len(walked) == 1
+
+
+def test_resolution_homology_checks_each_relation_is_a_cycle():
+    R = resolution_small(symmetric(3), 4)
+    D3, D4 = R.boundary_matrix_z(3), R.boundary_matrix_z(4)
+    j = next(j for j in range(R.ranks[3]) if any(row[j] for row in D3))
+    with pytest.raises(InvariantViolation):
+        resolution_homology(R, 3, [[int(i == j) for i in range(R.ranks[3])]])
+    # a boundary as a relation leaves H_3 = Z/6 as it is
+    boundary = [row[0] for row in D4]
+    assert resolution_homology(R, 3, [boundary]) == AbelianInvariants(0, (2, 3))

@@ -12,7 +12,6 @@ from permhomology.intlinalg import (
     ColumnSolver,
     ZSpan,
     _row_echelon,
-    kernel_basis,
     smith_diagonal_sparse,
     smith_normal_form,
     xgcd,
@@ -120,6 +119,12 @@ class DenseZSpan:
 
 def as_dense(v: dict, n: int) -> list:
     return [v.get(i, 0) for i in range(n)]
+
+
+def kernel_basis(A: list, n: int | None = None) -> list:
+    """ColumnSolver's basis of the integer kernel of A, as dense lists."""
+    solver = ColumnSolver(A, n)
+    return [as_dense(v, solver.n) for v in solver.kernel()]
 
 
 def sparse_rows(A: list) -> list:

@@ -15,7 +15,7 @@ from permhomology.catalog import (
 )
 from permhomology import resolution
 from permhomology.errors import CapExceeded, InvariantViolation
-from permhomology.homology import resolution_homology
+from permhomology.homology import AbelianInvariants, resolution_homology
 from permhomology.intlinalg import ColumnSolver
 from permhomology.perm import conj, identity, inv, mul
 from permhomology.permgroup import PermGroup, fingerprint
@@ -448,51 +448,71 @@ def test_selection_short_of_the_kernel_raises(monkeypatch, scale):
 # -- chain maps and induced maps on homology -----------------------------
 
 
+def _coinvariants(cm, k, other=None):
+    """H_k of cm's target modulo the images of the source's k-cycles
+    under cm, or under cm minus the chain map other."""
+    rels = homology_action(cm, k)
+    if other is not None:
+        rels = [
+            [a - b for a, b in zip(u, v)]
+            for u, v in zip(rels, homology_action(other, k), strict=True)
+        ]
+    return resolution_homology(cm.target, k, rels)
+
+
 def test_identity_map_s3():
     R = resolution_small(symmetric(3), 4)
     cm = chain_map(lambda g: g, R, R)
-    src, tgt, mat = homology_action(cm, 1)
-    assert src == tgt == (2,)
-    assert mat == [[1]]
-    src, tgt, mat = homology_action(cm, 3)
-    assert src == tgt == (6,)
-    assert mat == [[1]]
+    for k, want in ((1, (2,)), (3, (2, 3))):
+        # the identity's images are all of H_k, and differ from themselves
+        # by nothing
+        assert _coinvariants(cm, k) == AbelianInvariants(0, ())
+        assert _coinvariants(cm, k, cm) == AbelianInvariants(0, want)
 
 
 def test_inner_automorphism_trivial_on_homology():
     grp = symmetric(3)
     R = resolution_small(grp, 4)
     t = (1, 0, 2)
+    ident = chain_map(lambda g: g, R, R)
     cm = chain_map(lambda g: mul(t, mul(g, inv(t))), R, R)
-    for k in (1, 3):
-        _, _, mat = homology_action(cm, k)
-        assert mat == [[1]]
+    for k in (1, 2, 3):
+        assert _coinvariants(ident, k, cm) == resolution_homology(R, k)
 
 
 def test_inclusion_z2_in_z4():
-    Rsub = resolution_small(cyclic(2), 3)
-    Rbig = resolution_small(cyclic(4), 3)
+    Rsub = resolution_small(cyclic(2), 4)
+    Rbig = resolution_small(cyclic(4), 4)
     sq = mul((1, 2, 3, 0), (1, 2, 3, 0))
 
     def incl(g):
         return (0, 1, 2, 3) if g == (0, 1) else sq
 
     cm = chain_map(incl, Rsub, Rbig)
-    src, tgt, mat = homology_action(cm, 1)
-    assert src == (2,) and tgt == (4,)
-    # the nontrivial element of Z2 is the square inside Z4
-    assert mat[0][0] % 4 == 2
+    # H_1 and H_3 of Z2 land on the subgroup of order 2 in Z4
+    for k in (1, 3):
+        assert _coinvariants(cm, k) == AbelianInvariants(0, (2,))
+    assert _coinvariants(cm, 2) == AbelianInvariants(0, ())
+
+
+def _power(g, m):
+    out = identity(len(g))
+    for _ in range(m):
+        out = mul(out, g)
+    return out
 
 
 def test_power_map_matches_formula():
-    for p, m in ((5, 2), (7, 3)):
-        grp = cyclic(p)
-        R = resolution_small(grp, 4)
-        cm = chain_map(lambda g: mul(g, g) if m == 2 else mul(g, mul(g, g)), R, R)
+    for p, m in ((5, 2), (5, 4), (7, 3), (7, 6)):
+        R = resolution_small(cyclic(p), 4)
+        ident = chain_map(lambda g: g, R, R)
+        cm = chain_map(lambda g: _power(g, m), R, R)
         for k in (1, 2):
-            src, tgt, mat = homology_action(cm, 2 * k - 1)
-            assert src == tgt == (p,)
-            assert mat[0][0] % p == power_map_homology_cyclic(p, m, k)
+            # x -> x^m multiplies H_{2k-1} = Z_p by m^k, so 1 - x^m
+            # leaves Z_p exactly when m^k = 1 mod p
+            fixed = power_map_homology_cyclic(p, m, k) == 1
+            want = AbelianInvariants(0, (p,) if fixed else ())
+            assert _coinvariants(ident, 2 * k - 1, cm) == want
 
 
 def test_power_map_formula_values():
