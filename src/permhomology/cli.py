@@ -9,26 +9,21 @@ output.  Caches change runtime, never results.
 Exit codes: 0 on success, 2 when a resource cap stops the run, 3 when
 an internal invariant fails.  Invariant failures are never downgraded
 to warnings.
+
+The module loads only the layers every run needs (catalog, groups,
+the Sylow route and the small resolutions).  The polytope, coxeter,
+equivariant and wall layers, `fractions` and `csv` are imported inside
+the subcommands that use them, so a run pays only for what it reaches.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
-from fractions import Fraction
 
-from . import catalog, errors, polytope
-from .coxeter import essential_poset, polygon_solid, simplex_complex, simplex_face_counts
-from .coxeter import vertex_degree as wythoff_vertex_degree
-from .equivariant import (
-    SimplexFlags,
-    expand_chain,
-    flag_edge_orbits,
-    orbit_decompose,
-)
+from . import catalog, errors
 from .errors import CapExceeded, InvariantViolation
 from .homology import (
     TRIVIAL,
@@ -44,7 +39,6 @@ from .perm import format_cycles
 from .permgroup import PermGroup, fingerprint, schreier_stabilizer
 from .resolution import bar_resolution, resolution_small
 from .sylow import sylow_ascent, weyl_exponent
-from .wall import from_cells, splice, wall_assemble
 from . import __version__
 
 MATHIEU_NAMES = "M11,M12,M21,M22,M23,M24"
@@ -98,6 +92,8 @@ def _sylow_invariants(G, p, degrees, seed):
 
 
 def _polygon_complex(G: PermGroup):
+    from .coxeter import polygon_solid
+
     m = G.degree
     if m < 3:
         raise ValueError("polygon complex needs degree >= 3")
@@ -113,6 +109,9 @@ def _polygon_complex(G: PermGroup):
 
 
 def _wall_resolution(G, base_kind, dims, n):
+    from .equivariant import SimplexFlags, orbit_decompose
+    from .wall import from_cells, splice, wall_assemble
+
     if base_kind == "polygon":
         ecc = orbit_decompose(_polygon_complex(G), G, 2)
         top = ecc.chain[-1]
@@ -220,6 +219,10 @@ def _cmd_ppart_table(args):
 
 
 def _cmd_wythoff(args):
+    from .coxeter import essential_poset, simplex_face_counts
+    from .coxeter import vertex_degree as wythoff_vertex_degree
+    from .equivariant import SimplexFlags, flag_edge_orbits, orbit_decompose
+
     G = _group(args.group)
     dims = args.dims
     poset = essential_poset(G.degree - 1, dims)
@@ -268,6 +271,10 @@ def _cmd_wythoff(args):
 
 
 def _cmd_edge_degree(args):
+    from fractions import Fraction
+
+    from . import polytope
+
     G = _group(args.group)
     try:
         v = tuple(Fraction(s) for s in args.vector.split(","))
@@ -347,6 +354,9 @@ def _check_resolutions():
 
 
 def _check_cell_boundaries():
+    from .coxeter import polygon_solid, simplex_complex
+    from .equivariant import expand_chain, orbit_decompose
+
     cases = [
         (catalog.dihedral(4), polygon_solid(4), 2),
         (catalog.alternating(4), simplex_complex(4), 3),
@@ -365,6 +375,10 @@ def _check_cell_boundaries():
 
 
 def _check_wall_oracle():
+    from .coxeter import polygon_solid
+    from .equivariant import orbit_decompose
+    from .wall import splice, wall_assemble
+
     R = resolution_small(catalog.cyclic(4), 4)
     ecc = orbit_decompose(polygon_solid(4), catalog.cyclic(4), 2)
     W = wall_assemble(splice(ecc), 3)
@@ -431,6 +445,8 @@ def _emit(args, payload):
     }
     out.update(payload)
     if args.format == "csv":
+        import csv
+
         w = csv.writer(sys.stdout)
         for row in _csv_rows(args.command, out):
             w.writerow(row)

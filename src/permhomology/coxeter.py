@@ -20,6 +20,7 @@ check the lazy route.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import product as iter_product
 from math import comb
 
@@ -51,14 +52,30 @@ def _path_mask(u: int, v: int) -> int:
     return ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
 
 
-def _closure_mask(um: int, vlist, n: int) -> int:
-    """Points s of {0..n-1} whose every path to V meets um."""
-    out = 0
+def _nearest_paths(vlist, n: int) -> list:
+    """Per point s of {0..n-1}, the paths from s to its nearest V point
+    on the left and on the right.  Where one side has no V point, the
+    other side's path stands in for it."""
+    vs = sorted(vlist)
+    out = []
     for s in range(n):
-        for v in vlist:
-            if not _path_mask(s, v) & um:
-                break
-        else:
+        i, j = bisect_right(vs, s), bisect_left(vs, s)
+        left = _path_mask(vs[i - 1], s) if i else None
+        right = _path_mask(s, vs[j]) if j < len(vs) else None
+        out.append((left or right, right or left))
+    return out
+
+
+def _closure_mask(um: int, paths) -> int:
+    """Points s whose every path to V meets um, given _nearest_paths.
+
+    Every path from s to a V point on one side contains the path to the
+    nearest V point on that side, so s is in the closure exactly when
+    both of its nearest paths meet um.
+    """
+    out = 0
+    for s, (left, right) in enumerate(paths):
+        if left & um and right & um:
             out |= 1 << s
     return out
 
@@ -195,13 +212,14 @@ def essential_poset(base, V) -> EssentialPoset:
         raise ValueError("V outside the ground set")
     closed = _closed_sets_interval(n, vlist)
 
+    paths = _nearest_paths(vlist, n)
     cores = []
     for m in closed:
         core = 0
         for s in _unmask(m):
-            if _closure_mask(m & ~(1 << s), vlist, n) != m:
+            if _closure_mask(m & ~(1 << s), paths) != m:
                 core |= 1 << s
-        if _closure_mask(core, vlist, n) != m:
+        if _closure_mask(core, paths) != m:
             raise InvariantViolation("core does not regenerate its closed set")
         cores.append(core)
 

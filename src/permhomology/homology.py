@@ -126,12 +126,13 @@ def _sparse(M) -> dict:
     }
 
 
-def chain_homology(sizes, mats) -> list:
-    """AbelianInvariants of H_0..H_top of a chain complex.
+def chain_homology(sizes, mats, start: int = 0) -> list:
+    """AbelianInvariants of H_start..H_top of a chain complex.
 
-    sizes[k] counts the degree-k generators; mats[k] is the matrix of
-    d_{k+1} with sizes[k] rows and sizes[k+1] columns.  Consecutive
-    boundaries must compose to zero.
+    sizes[k] counts the degree-(start + k) generators; mats[k] is the
+    matrix of d_{start+k+1} with sizes[k] rows and sizes[k+1] columns.
+    Consecutive boundaries must compose to zero; errors name the
+    boundaries by their degrees.
     """
     sizes = list(sizes)
     if len(mats) != len(sizes) - 1:
@@ -139,7 +140,7 @@ def chain_homology(sizes, mats) -> list:
     sp = []
     for k, M in enumerate(mats):
         if len(M) != sizes[k] or any(len(row) != sizes[k + 1] for row in M):
-            raise ValueError(f"boundary {k + 1} has the wrong shape")
+            raise ValueError(f"boundary {start + k + 1} has the wrong shape")
         sp.append(_sparse(M))
     for k in range(len(sp) - 1):
         cols: dict = {}
@@ -151,7 +152,7 @@ def chain_homology(sizes, mats) -> list:
                 key = (i, l)
                 prod[key] = prod.get(key, 0) + v * w
         if any(prod.values()):
-            raise InvariantViolation(f"d_{k + 1} d_{k + 2} != 0")
+            raise InvariantViolation(f"d_{start + k + 1} d_{start + k + 2} != 0")
     diags = [smith_diagonal_sparse(s) for s in sp]
     out = []
     for k in range(len(sizes)):
@@ -179,7 +180,7 @@ def resolution_homology(R, k: int, relations=()) -> AbelianInvariants:
     if relations:
         mats[-1] = [row + [z[i] for z in relations] for i, row in enumerate(mats[-1])]
         sizes[-1] += len(relations)
-    return chain_homology(sizes, mats)[k - lo]
+    return chain_homology(sizes, mats, lo)[k - lo]
 
 
 # -- closed-form p-part for prime-order Sylow subgroups ------------------

@@ -10,9 +10,17 @@ downstream computation reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL for one digest
+try:
+    from _sha256 import sha256  # 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from . import errors
 from .errors import CapExceeded, InvariantViolation
@@ -381,7 +389,7 @@ def fingerprint(G: PermGroup) -> str:
     """Hash of degree, order and sorted generators.  Reports print it as
     "group" and resolution_small memoizes by it, so it must not change."""
     data = json.dumps([G.degree, G.order(), sorted(G.generators)]).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
+    return sha256(data).hexdigest()[:16]
 
 
 def _pr_step(pool: list, rng) -> tuple:

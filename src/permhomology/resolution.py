@@ -175,6 +175,7 @@ class FreeResolution:
         self._d = d
         self.aug = tuple(aug)
         self._h = homotopy
+        self._cycles: dict = {}  # k -> cycle_basis(k)
         if len(self.aug) != self.ranks[0]:
             raise ValueError("augmentation must cover the degree-0 generators")
         if verify:
@@ -230,6 +231,15 @@ class FreeResolution:
             for c, _, i in self._d[k][j].terms:
                 M[i][j] += c
         return M
+
+    def cycle_basis(self, k: int) -> list:
+        """Integer kernel basis of d_k (x) Z as sparse columns, built
+        once per degree: every chain map out of this resolution pushes
+        the same cycles."""
+        if k not in self._cycles:
+            solver = ColumnSolver(self.boundary_matrix_z(k), self.ranks[k])
+            self._cycles[k] = solver.kernel()
+        return self._cycles[k]
 
     def _basis_sample(self, k: int, rng) -> list:
         G = self.G
@@ -629,13 +639,12 @@ def homology_action(cm: ChainMap, k: int) -> list:
 
     Each image is a dense k-chain of the target (x) Z, one entry per
     degree-k target generator, and their classes span the image of
-    H_k(source) in H_k(target).  The basis is the integer kernel of the
-    source's d_k, which depends on the source alone, so two chain maps
-    out of one resolution push the same cycles in the same order.
+    H_k(source) in H_k(target).  The basis is the source's cycle_basis,
+    so two chain maps out of one resolution push the same cycles in the
+    same order.
     """
     if not 1 <= k <= cm.length:
         raise ValueError(f"induced maps need 1 <= k <= {cm.length}, not {k}")
-    src = cm.source
-    cycles = ColumnSolver(src.boundary_matrix_z(k), src.ranks[k]).kernel()
     F = cm.matrix_z(k)
-    return [[sum(row[j] * c for j, c in z.items()) for row in F] for z in cycles]
+    return [[sum(row[j] * c for j, c in z.items()) for row in F]
+            for z in cm.source.cycle_basis(k)]

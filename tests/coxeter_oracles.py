@@ -13,7 +13,6 @@ from itertools import product as iter_product
 
 from permhomology.coxeter import (
     DComplex,
-    _closure_mask,
     _mask,
     _path_mask,
     _unmask,
@@ -38,16 +37,28 @@ def blocks(blocker, blocked, V) -> bool:
     return True
 
 
+def closure_mask(um, V, n) -> int:
+    """Points s of {0..n-1} whose every path to every member of V meets um."""
+    out = 0
+    for s in range(n):
+        for v in V:
+            if not _path_mask(s, v) & um:
+                break
+        else:
+            out |= 1 << s
+    return out
+
+
 def closure(U, V, n) -> frozenset:
     """Largest set blocked by U: the canonical maximal member of U's class."""
-    return frozenset(_unmask(_closure_mask(_mask(U), list(V), n)))
+    return frozenset(_unmask(closure_mask(_mask(U), V, n)))
 
 
 def closed_sets_brute(n, vlist):
     """Closed sets as the closures of every nonempty subset."""
     if n > BRUTE_GROUND_CAP:
         raise CapExceeded(f"ground set of size {n} too large for subset enumeration")
-    return sorted({_closure_mask(um, vlist, n) for um in range(1, 1 << n)})
+    return sorted({closure_mask(um, vlist, n) for um in range(1, 1 << n)})
 
 
 # -- poset and complex invariants ---------------------------------------

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import permhomology
-from permhomology import cli, errors, homology, intlinalg
+from permhomology import cli, errors, homology, intlinalg, wall
 from permhomology.catalog import group_from_cycles, lookup
 from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
@@ -134,7 +134,7 @@ def test_wall_polygon_splice_failure_is_not_rerouted(capsys, monkeypatch):
     def broken_splice(ecc):
         raise InvariantViolation("solid does not expand to a point")
 
-    monkeypatch.setattr(cli, "splice", broken_splice)
+    monkeypatch.setattr(wall, "splice", broken_splice)
     assert main(["homology", "Z4", "-n", "1", "--method", "wall"]) == 3
 
 
@@ -574,6 +574,16 @@ def test_cli_import_generates_no_record_code():
     # and tokenize and execs the methods of every record, about half of
     # the package's import time
     assert _loaded_by_cli_import("dataclasses", "inspect") == []
+
+
+def test_cli_import_defers_the_layers_a_run_may_not_reach():
+    # the Sylow route never runs them: fractions and decimal, OpenSSL
+    # behind hashlib, csv and four layers cost about 6 ms of every start
+    assert _loaded_by_cli_import(
+        "fractions", "decimal", "csv", "_hashlib",
+        "permhomology.polytope", "permhomology.coxeter",
+        "permhomology.equivariant", "permhomology.wall",
+    ) == []
 
 
 def test_resolution_report(capsys):

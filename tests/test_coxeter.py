@@ -78,6 +78,17 @@ def test_closure_operator_properties():
             assert v not in oc.closure(U, V, n)
 
 
+def test_closure_from_nearest_paths_matches_every_path():
+    # V in sample order: the nearest V points are found in sorted V
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        V = rng.sample(range(n), rng.randint(1, n))
+        paths = cx._nearest_paths(V, n)
+        for um in range(1 << n):
+            assert cx._closure_mask(um, paths) == oc.closure_mask(um, V, n)
+
+
 def test_closed_sets_interval_matches_brute():
     rng = random.Random(5)
     for _ in range(80):

@@ -108,6 +108,15 @@ def test_chain_homology_rejects():
         chain_homology((1, 1, 1), [[[1]], [[1]]])
 
 
+def test_broken_composite_names_its_real_degrees():
+    # a relation that is not a 3-cycle breaks d_3 times the extended d_4
+    R = resolution_small(symmetric(3), 4)
+    with pytest.raises(InvariantViolation, match=r"^d_3 d_4 != 0$"):
+        resolution_homology(R, 3, [[0, 0, 1, 0]])
+    with pytest.raises(InvariantViolation, match=r"^d_3 d_4 != 0$"):
+        chain_homology((1, 1, 1), [[[1]], [[1]]], start=2)
+
+
 def test_chain_homology_of_bar_z12():
     R = bar_resolution(cyclic(12), 2)
     sizes = R.ranks[:3]

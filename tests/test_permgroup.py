@@ -1,9 +1,10 @@
 import hashlib
+import json
 import random
 
 import pytest
 
-from permhomology.catalog import mathieu
+from permhomology.catalog import lookup, mathieu
 from permhomology.errors import CapExceeded
 from permhomology.perm import (
     conj,
@@ -16,7 +17,7 @@ from permhomology.perm import (
     parse_cycles,
     power,
 )
-from permhomology.permgroup import PermGroup, act_set, schreier_stabilizer
+from permhomology.permgroup import PermGroup, act_set, fingerprint, schreier_stabilizer
 from permhomology.sylow import sylow_ascent
 
 
@@ -247,3 +248,12 @@ def test_is_abelian():
     assert not sym(3).is_abelian()
     assert PermGroup([parse_cycles("(1,2,3,4)", 4)]).is_abelian()
 
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z12", "S5", "A5", "D12", "M11", "M24"])
+def test_fingerprint_is_the_hashlib_sha256_digest(name):
+    # fingerprint takes SHA-256 from CPython's built-in module; reports
+    # and the resolution memo need the digest hashlib gives
+    G = lookup(name)
+    data = json.dumps([G.degree, G.order(), sorted(G.generators)]).encode()
+    assert fingerprint(G) == hashlib.sha256(data).hexdigest()[:16]

@@ -480,6 +480,34 @@ def test_inner_automorphism_trivial_on_homology():
         assert _coinvariants(ident, k, cm) == resolution_homology(R, k)
 
 
+def test_homology_action_builds_each_cycle_basis_once(monkeypatch):
+    # the stable-element route pushes one source's cycles through many
+    # chain maps; the kernel of d_k is solved once per degree
+    R = bar_resolution(cyclic(3), 4)
+    maps = [chain_map(lambda g: g, R, R), chain_map(lambda g: mul(g, g), R, R)]
+    want = {
+        k: ColumnSolver(R.boundary_matrix_z(k), R.ranks[k]).kernel()
+        for k in (1, 2, 3)
+    }
+    builds = []
+
+    class CountingSolver(ColumnSolver):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(resolution, "ColumnSolver", CountingSolver)
+    for _ in range(2):
+        for cm in maps:
+            for k in (1, 2, 3):
+                F = cm.matrix_z(k)
+                assert homology_action(cm, k) == [
+                    [sum(row[j] * c for j, c in z.items()) for row in F]
+                    for z in want[k]
+                ]
+    assert len(builds) == 3
+
+
 def test_inclusion_z2_in_z4():
     Rsub = resolution_small(cyclic(2), 4)
     Rbig = resolution_small(cyclic(4), 4)
