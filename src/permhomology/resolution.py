@@ -2,11 +2,13 @@
 
 SmallGroup pins one enumeration of the elements (the stabilizer chain
 order) and multiplies by table lookup; everything downstream speaks
-element indices.  A ZGWord is a formal sum of (coefficient, element,
-generator) terms in canonical merged form.  FreeResolution carries the
-boundaries, a contracting homotopy, and the augmentation, and the
-constructors verify d.d = 0 and the homotopy identity before handing
-anything back.
+element indices.  A chain in a free module of rank r has one form, the
+sparse vector {j*|G| + e: coefficient} over Z^(r|G|) that ColumnSolver
+and ZSpan take and return: term e . j sits at index j*|G| + e, zero
+coefficients are left out, and the order of the terms means nothing.
+FreeResolution carries the boundaries and the contracting homotopy as
+such chains, with the augmentation, and the constructors verify
+d.d = 0 and the homotopy identity before handing anything back.
 
 Three constructions.  bar_resolution writes down the normalized bar
 complex with its textbook one-sided homotopy; it is the oracle
@@ -63,101 +65,47 @@ class SmallGroup:
         return f"SmallGroup(order={self.n}, degree={self.group.degree})"
 
 
-class ZGWord:
-    """Formal sum of (coefficient, element index, generator index) terms.
-
-    Terms are merged, nonzero, and sorted by (generator, element); the
-    empty tuple is the zero word.  Words compare and hash by value and
-    are never modified once built.
-    """
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: tuple):
-        self.degree = degree
-        self.terms = terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ZGWord):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, self.terms))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
-def word(degree: int, items) -> ZGWord:
-    acc: dict = {}
-    for c, e, g in items:
-        k = (g, e)
-        acc[k] = acc.get(k, 0) + c
-    terms = tuple(
-        (acc[k], k[1], k[0]) for k in sorted(acc) if acc[k]
-    )
-    return ZGWord(degree, terms)
-
-
-def word_add(*ws: ZGWord) -> ZGWord:
-    deg = ws[0].degree
-    items = []
-    for w in ws:
-        if w.degree != deg:
-            raise ValueError("degree mismatch")
-        items.extend(w.terms)
-    return word(deg, items)
-
-
-def word_scale(c: int, w: ZGWord) -> ZGWord:
-    if c == 0:
-        return ZGWord(w.degree, ())
-    return ZGWord(w.degree, tuple((c * a, e, g) for a, e, g in w.terms))
-
-
 def _accumulate(G: SmallGroup, terms, acc: dict) -> dict:
-    """acc plus c * (g . w) for each (c, g, w) in terms, read through the
-    rows of G's table; keys are (generator, element), and coefficients
-    that cancel stay in as zeros."""
+    """acc plus c * (g . v) for each (c, g, v) in terms, read through the
+    rows of G's table; coefficients that cancel stay in as zeros."""
     get = acc.get
-    for c, g, w in terms:
+    n = G.n
+    for c, g, v in terms:
         row = G._mul[g]
-        for a, e, j in w.terms:
-            k = (j, row[e])
+        for i, a in v.items():
+            e = i % n
+            k = i - e + row[e]
             acc[k] = get(k, 0) + c * a
     return acc
 
 
-def _word_sum(G: SmallGroup, degree: int, terms) -> ZGWord:
-    """The sum of c * (g . w) over the (c, g, w) in terms, as one word.
-
-    One dict accumulates every term and is sorted once, into the
-    canonical form word() gives.
-    """
-    acc = _accumulate(G, terms, {})
-    terms = tuple((acc[k], k[1], k[0]) for k in sorted(acc) if acc[k])
-    return ZGWord(degree, terms)
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero coefficients, in the order it has."""
+    return {i: c for i, c in acc.items() if c}
 
 
-def word_to_vec(G: SmallGroup, w: ZGWord) -> dict:
-    """w as a sparse vector {j*|G| + e: coefficient} over Z."""
-    return {j * G.n + e: c for c, e, j in w.terms}
+def _chain_sum(G: SmallGroup, terms) -> dict:
+    """The sum of c * (g . v) over the (c, g, v) in terms, as one chain."""
+    return _nonzero(_accumulate(G, terms, {}))
 
 
-def translate_vec(G: SmallGroup, g: int, w: ZGWord) -> dict:
-    """word_to_vec(G, g . w), read off g's row of the table.
+def _vector(pairs) -> dict:
+    """The chain summed from (index, coefficient) pairs."""
+    acc: dict = {}
+    for i, c in pairs:
+        acc[i] = acc.get(i, 0) + c
+    return _nonzero(acc)
 
-    Left multiplication by g permutes the elements, so the terms of the
-    canonical word w stay distinct and nonzero and need no merge.
+
+def translate_vec(G: SmallGroup, g: int, v: dict) -> dict:
+    """g . v, read off g's row of the table.
+
+    Left multiplication by g permutes the elements, so the terms of v
+    stay distinct and nonzero and need no merge.
     """
     row = G._mul[g]
     n = G.n
-    return {j * n + row[e]: c for c, e, j in w.terms}
-
-
-def vec_to_word(G: SmallGroup, degree: int, v: dict) -> ZGWord:
-    return word(degree, ((c, i % G.n, i // G.n) for i, c in v.items()))
+    return {i - i % n + row[i % n]: c for i, c in v.items()}
 
 
 class FreeResolution:
@@ -181,14 +129,14 @@ class FreeResolution:
         if verify:
             self._verify()
 
-    def boundary(self, k: int, j: int) -> ZGWord:
+    def boundary(self, k: int, j: int) -> dict:
         return self._d[k][j]
 
     def conjugate(self, q) -> FreeResolution:
         """This resolution carried over to q G q^-1 by renaming elements.
 
         Element e of G becomes conj(q, e) at the same index.  Conjugation
-        is an isomorphism and every word speaks element indices, so the
+        is an isomorphism and every chain speaks element indices, so the
         table, inverses, identity, ranks, boundaries, augmentation and
         homotopy are shared as they are.  _verify reads only that index
         data, already verified when this resolution was built, so it is
@@ -202,34 +150,27 @@ class FreeResolution:
         Gq.n, Gq.id, Gq.inverse, Gq._mul = G.n, G.id, G.inverse, G._mul
         return FreeResolution(Gq, self.ranks, self._d, self.aug, self._h, verify=False)
 
-    def h(self, k: int, elem: int, gen: int) -> ZGWord:
+    def h(self, k: int, elem: int, gen: int) -> dict:
         return self._h(k, elem, gen)
 
-    def section(self) -> ZGWord:
-        return word(0, [(1, self.G.id, 0)])
+    def apply_d(self, k: int, v: dict) -> dict:
+        d, n = self._d[k], self.G.n
+        return _chain_sum(self.G, ((c, i % n, d[i // n]) for i, c in v.items()))
 
-    def augment(self, w: ZGWord) -> int:
-        if w.degree != 0:
-            raise ValueError("augmentation applies in degree 0")
-        return sum(c * self.aug[j] for c, _, j in w.terms)
-
-    def apply_d(self, k: int, w: ZGWord) -> ZGWord:
-        d = self._d[k]
-        return _word_sum(self.G, k - 1, ((c, e, d[j]) for c, e, j in w.terms))
-
-    def apply_h(self, k: int, w: ZGWord) -> ZGWord:
+    def apply_h(self, k: int, v: dict) -> dict:
         # the homotopy is not equivariant: each term is its own image
-        one = self.G.id
-        return _word_sum(
-            self.G, k + 1, ((c, one, self._h(k, e, j)) for c, e, j in w.terms)
+        one, n, h = self.G.id, self.G.n, self._h
+        return _chain_sum(
+            self.G, ((c, one, h(k, i % n, i // n)) for i, c in v.items())
         )
 
     def boundary_matrix_z(self, k: int) -> list:
         """d_k with the group collapsed to Z (coefficient sums)."""
         M = [[0] * self.ranks[k] for _ in range(self.ranks[k - 1])]
+        n = self.G.n
         for j in range(self.ranks[k]):
-            for c, _, i in self._d[k][j].terms:
-                M[i][j] += c
+            for i, c in self._d[k][j].items():
+                M[i // n][j] += c
         return M
 
     def cycle_basis(self, k: int) -> list:
@@ -257,13 +198,13 @@ class FreeResolution:
         _basis_sample's basis elements e . j.  Each side is summed into
         one dict, with the right side subtracted, and must vanish."""
         G, d, h = self.G, self._d, self._h
-        one = G.id
+        one, n = G.id, G.n
         rng = random.Random(0)
         for k in range(2, self.length + 1):
             for e, j in self._basis_sample(k, rng):
                 # d_{k-1}(e . d_k(j)): each term c f i of d_k(j) adds c ef . d_{k-1}(i)
                 row = G._mul[e]
-                terms = ((c, row[f], d[k - 1][i]) for c, f, i in d[k][j].terms)
+                terms = ((c, row[x % n], d[k - 1][x // n]) for x, c in d[k][j].items())
                 if any(_accumulate(G, terms, {}).values()):
                     raise InvariantViolation(f"d.d != 0 at degree {k}")
         for k in range(1, self.length):
@@ -272,16 +213,17 @@ class FreeResolution:
                 # c h_{k-1}(ef . i); d_{k+1}(h_k(e . j)) is equivariant
                 row = G._mul[e]
                 acc = _accumulate(
-                    G, ((c, one, h(k - 1, row[f], i)) for c, f, i in d[k][j].terms),
-                    {(j, e): -1},
+                    G,
+                    ((c, one, h(k - 1, row[x % n], x // n)) for x, c in d[k][j].items()),
+                    {j * n + e: -1},
                 )
-                terms = ((c, f, d[k + 1][i]) for c, f, i in h(k, e, j).terms)
+                terms = ((c, x % n, d[k + 1][x // n]) for x, c in h(k, e, j).items())
                 if any(_accumulate(G, terms, acc).values()):
                     raise InvariantViolation(f"homotopy identity fails at degree {k}")
         for e, j in self._basis_sample(0, rng):
-            acc = {(j, e): -1}
-            acc[(0, one)] = acc.get((0, one), 0) + self.aug[j]
-            terms = ((c, f, d[1][i]) for c, f, i in h(0, e, j).terms)
+            acc = {j * n + e: -1}
+            acc[one] = acc.get(one, 0) + self.aug[j]
+            terms = ((c, x % n, d[1][x // n]) for x, c in h(0, e, j).items())
             if any(_accumulate(G, terms, acc).values()):
                 raise InvariantViolation("d_1 h_0 != 1 - section.augmentation")
 
@@ -317,31 +259,33 @@ def bar_resolution(G, n: int) -> FreeResolution:
 
     ranks = [(len(nonid)) ** k for k in range(n + 1)]
     ranks[0] = 1
-    d = {1: tuple(word(0, [(1, a, 0), (-1, G.id, 0)]) for a in nonid)}
+    one, size = G.id, G.n
+    d = {1: tuple({a: 1, one: -1} for a in nonid)}
     for k in range(2, n + 1):
         imgs = []
         for t in tuples(k):
-            items = [(1, t[0], gen_index(t[1:]))]
+            pairs = [(gen_index(t[1:]) * size + t[0], 1)]
             sign = -1
             for i in range(k - 1):
                 m = G.mul(t[i], t[i + 1])
-                if m != G.id:
-                    items.append((sign, G.id, gen_index(t[:i] + (m,) + t[i + 2 :])))
+                if m != one:
+                    face = gen_index(t[:i] + (m,) + t[i + 2 :])
+                    pairs.append((face * size + one, sign))
                 sign = -sign
-            items.append((sign, G.id, gen_index(t[:-1])))
-            imgs.append(word(k - 1, items))
+            pairs.append((gen_index(t[:-1]) * size + one, sign))
+            imgs.append(_vector(pairs))
         d[k] = tuple(imgs)
 
     def homotopy(k, e, j):
         # h(g.[g_1|...|g_k]) = [g|g_1|...|g_k], zero on the identity coset
-        if e == G.id:
-            return ZGWord(k + 1, ())
+        if e == one:
+            return {}
         tup = []
         for _ in range(k):
             tup.append(nonid[j % base])
             j //= base
         tup.reverse()
-        return word(k + 1, [(1, G.id, gen_index((e, *tup)))])
+        return {gen_index((e, *tup)) * size + one: 1}
 
     return FreeResolution(G, ranks, d, (1,), homotopy)
 
@@ -390,10 +334,9 @@ def _select_generators(G: SmallGroup, rank: int, kb: list):
             break
         if span.contains(v):
             continue
-        w = vec_to_word(G, 0, v)
-        chosen.append(w)
+        chosen.append(v)
         for g in range(G.n):
-            grew = span.insert(translate_vec(G, g, w))
+            grew = span.insert(translate_vec(G, g, v))
             if grew and span.rank == full[0] and _echelon_key(span) == full:
                 done = True
                 break
@@ -434,45 +377,47 @@ def resolution_small(G, n: int) -> FreeResolution:
         # over the trivial group Z is free, so ranks go (1, 0, ..., 0)
         if not chosen and G.n > 1:
             raise InvariantViolation("kernel collapsed early; finite groups never do")
-        d[k + 1] = tuple(ZGWord(k, w.terms) for w in chosen)
+        d[k + 1] = tuple(chosen)
         ranks.append(len(chosen))
         # d_{k+1} flattened: one column per (generator, element), as sparse rows
         flat = [{} for _ in range(G.n * ranks[k])]
         col = 0
-        for w in d[k + 1]:
+        for v in chosen:
             for e in range(G.n):
-                for i, c in translate_vec(G, e, w).items():
+                for i, c in translate_vec(G, e, v).items():
                     flat[i][col] = c
                 col += 1
     solvers.append(ColumnSolver(flat, G.n * ranks[n]))
 
     # homotopy, degree by degree: solve d_{k+1} y = x - h_{k-1}(d_k x),
-    # with h_{-1} d_0 = section.augmentation; only the solutions are
-    # stored as words
+    # with h_{-1} d_0 = section.augmentation; each solution is stored as
+    # the solver returns it
     table: dict = {}
 
     def homotopy(k, e, j):
         return table[(k, e, j)]
 
     res = FreeResolution(G, ranks, d, (1,), homotopy, verify=False)
+    one, size = G.id, G.n
     for k in range(n):
         solve = solvers[k + 1].solve
         for j in range(ranks[k]):
-            for e in range(G.n):
+            for e in range(size):
                 if k == 0:
-                    acc = {(j, e): 1}
-                    acc[(0, G.id)] = acc.get((0, G.id), 0) - res.aug[j]
+                    acc = {j * size + e: 1}
+                    acc[one] = acc.get(one, 0) - res.aug[j]
                 else:
                     row = G._mul[e]
                     acc = _accumulate(
                         G,
-                        ((-c, G.id, table[(k - 1, row[f], i)]) for c, f, i in d[k][j].terms),
-                        {(j, e): 1},
+                        ((-c, one, table[(k - 1, row[x % size], x // size)])
+                         for x, c in d[k][j].items()),
+                        {j * size + e: 1},
                     )
-                y = solve({i * G.n + f: c for (i, f), c in acc.items()})
+                y = solve(acc)
                 if y is None:
                     raise InvariantViolation("homotopy solve failed; kernel not spanned")
-                table[(k, e, j)] = vec_to_word(G, k + 1, y)
+                table[(k, e, j)] = y
     res._verify()
     _small_memo[memo_key] = res
     return res
@@ -512,24 +457,25 @@ def tensor_resolution(F: FreeResolution, E: FreeResolution) -> FreeResolution:
     # the index of b alone, and of a alone
     of_b, of_a = pair[A.id], [row[B.id] for row in pair]
 
+    size, na, nb = G.n, A.n, B.n
     d = {}
     for k in range(1, n + 1):
         low = pos[k - 1]
         imgs = []
         for k1, i, j in gens[k]:
-            items = []
+            pairs = []
             if k1:
-                items += [
-                    (c, of_a[a], low[(k1 - 1, i2, j)])
-                    for c, a, i2 in F.boundary(k1, i).terms
+                pairs += [
+                    (low[(k1 - 1, y // na, j)] * size + of_a[y % na], c)
+                    for y, c in F.boundary(k1, i).items()
                 ]
             if k1 < k:
                 sign = -1 if k1 % 2 else 1
-                items += [
-                    (sign * c, of_b[b], low[(k1, i, j2)])
-                    for c, b, j2 in E.boundary(k - k1, j).terms
+                pairs += [
+                    (low[(k1, i, y // nb)] * size + of_b[y % nb], sign * c)
+                    for y, c in E.boundary(k - k1, j).items()
                 ]
-            imgs.append(word(k - 1, items))
+            imgs.append(_vector(pairs))
         d[k] = tuple(imgs)
 
     table: dict = {}
@@ -537,16 +483,16 @@ def tensor_resolution(F: FreeResolution, E: FreeResolution) -> FreeResolution:
         up = pos[k + 1]
         for x, (k1, i, j) in enumerate(gens[k]):
             for e, (a, b) in enumerate(split):
-                items = [
-                    (c, pair[a2][b], up[(k1 + 1, i2, j)])
-                    for c, a2, i2 in F.h(k1, a, i).terms
+                pairs = [
+                    (up[(k1 + 1, y // na, j)] * size + pair[y % na][b], c)
+                    for y, c in F.h(k1, a, i).items()
                 ]
                 if k1 == 0:
-                    items += [
-                        (F.aug[i] * c, of_b[b2], up[(0, 0, j2)])
-                        for c, b2, j2 in E.h(k, b, j).terms
+                    pairs += [
+                        (up[(0, 0, y // nb)] * size + of_b[y % nb], F.aug[i] * c)
+                        for y, c in E.h(k, b, j).items()
                     ]
-                table[(k, e, x)] = word(k + 1, items)
+                table[(k, e, x)] = _vector(pairs)
 
     def homotopy(k, e, j):
         return table[(k, e, j)]
@@ -562,11 +508,11 @@ class ChainMap:
     """Equivariant chain map between two resolutions along phi.
 
     maps[k][j] is the image of the degree-k source generator j, a
-    ZGWord over the target group.
+    chain over the target group.
     """
 
     def __init__(self, source: FreeResolution, target: FreeResolution,
-                 elem_map: tuple, maps: tuple):
+                 elem_map: tuple, maps: list):
         self.source = source
         self.target = target
         self.elem_map = elem_map
@@ -576,21 +522,21 @@ class ChainMap:
     def length(self) -> int:
         return len(self.maps) - 1
 
-    def push(self, w: ZGWord) -> ZGWord:
-        """Image of a source word: phi on coefficients, maps on generators."""
-        return _push(self.target.G, self.elem_map, self.maps, w)
+    def push(self, k: int, v: dict) -> dict:
+        """Image of a degree-k source chain: phi on coefficients, maps on
+        generators."""
+        n, emap, imgs = self.source.G.n, self.elem_map, self.maps[k]
+        return _chain_sum(
+            self.target.G, ((c, emap[i % n], imgs[i // n]) for i, c in v.items())
+        )
 
     def matrix_z(self, k: int) -> list:
         M = [[0] * self.source.ranks[k] for _ in range(self.target.ranks[k])]
+        n = self.target.G.n
         for j in range(self.source.ranks[k]):
-            for c, _, i in self.maps[k][j].terms:
-                M[i][j] += c
+            for i, c in self.maps[k][j].items():
+                M[i // n][j] += c
         return M
-
-
-def _push(T: SmallGroup, emap, maps, w: ZGWord) -> ZGWord:
-    imgs = maps[w.degree]
-    return _word_sum(T, w.degree, ((c, emap[e], imgs[j]) for c, e, j in w.terms))
 
 
 def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainMap:
@@ -615,20 +561,19 @@ def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainM
             raise ValueError("phi is not a homomorphism")
 
     depth = min(R_source.length, R_target.length)
-    maps = [tuple(word_scale(a, R_target.section()) for a in R_source.aug)]
+    # degree 0: section . augmentation; each degree's images extend cm
+    maps = [tuple({T.id: a} if a else {} for a in R_source.aug)]
+    cm = ChainMap(R_source, R_target, emap, maps)
     for k in range(1, depth + 1):
-        imgs = []
-        for j in range(R_source.ranks[k]):
-            dx = R_source.apply_d(k, word(k, [(1, S.id, j)]))
-            imgs.append(R_target.apply_h(k - 1, _push(T, emap, maps, dx)))
-        maps.append(tuple(imgs))
-    cm = ChainMap(R_source, R_target, emap, tuple(maps))
+        maps.append(tuple(
+            R_target.apply_h(k - 1, cm.push(k - 1, R_source.boundary(k, j)))
+            for j in range(R_source.ranks[k])
+        ))
 
     for k in range(1, depth + 1):
         for j in range(R_source.ranks[k]):
-            x = word(k, [(1, S.id, j)])
             lhs = R_target.apply_d(k, cm.maps[k][j])
-            rhs = cm.push(R_source.apply_d(k, x))
+            rhs = cm.push(k - 1, R_source.boundary(k, j))
             if lhs != rhs:
                 raise InvariantViolation(f"chain map does not commute at degree {k}")
     return cm

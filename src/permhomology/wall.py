@@ -217,17 +217,17 @@ class _Column:
         """Stabilizer boundary of generator t at height q, as (c, g, t')."""
         if self.trivial:
             return ()
-        els = self.R.G.elements
-        return tuple((c, els[e], t2) for c, e, t2 in self.R.boundary(q, t).terms)
+        els, n = self.R.G.elements, self.R.G.n
+        return tuple((c, els[x % n], x // n) for x, c in self.R.boundary(q, t).items())
 
     def h(self, q: int, c: int, g, t: int):
         """Homotopy applied to one term at height q, as (c, g, t')."""
         if self.trivial:
             return ()
         r, e = self._coset(g)
-        right = self._right
+        right, n = self._right, self.R.G.n
         return tuple(
-            (c * c2, right[e2](r), t2) for c2, e2, t2 in self.R.h(q, e, t).terms
+            (c * c2, right[x % n](r), x // n) for x, c2 in self.R.h(q, e, t).items()
         )
 
 
@@ -483,9 +483,10 @@ def quotient_complex(G: PermGroup, N: PermGroup, depth: int) -> NonFreeComplex:
             if p == 0:
                 layer.append(OrbitSummand(stab, ()))
                 continue
-            els = RQ.G.elements
+            els, size = RQ.G.elements, RQ.G.n
             word = tuple(
-                (c, lift[els[e]], j2) for c, e, j2 in RQ.boundary(p, j).terms
+                (c, lift[els[x % size]], x // size)
+                for x, c in RQ.boundary(p, j).items()
             )
             layer.append(OrbitSummand(stab, word))
         layers.append(tuple(layer))

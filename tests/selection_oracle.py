@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from permhomology.errors import InvariantViolation
 from permhomology.intlinalg import ZSpan
-from permhomology.resolution import translate_vec, vec_to_word
+from permhomology.resolution import translate_vec
 
 
 def scanning_select_generators(G, rank: int, kb: list) -> list:
@@ -30,10 +30,9 @@ def scanning_select_generators(G, rank: int, kb: list) -> list:
     for v in cands:
         if span.contains(v):
             continue
-        w = vec_to_word(G, 0, v)
-        chosen.append(w)
+        chosen.append(v)
         for g in range(G.n):
-            span.insert(translate_vec(G, g, w))
+            span.insert(translate_vec(G, g, v))
     for v in cands:
         if not span.contains(v):
             raise InvariantViolation("selected generators do not span the kernel")

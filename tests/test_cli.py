@@ -138,6 +138,18 @@ def test_wall_polygon_splice_failure_is_not_rerouted(capsys, monkeypatch):
     assert main(["homology", "Z4", "-n", "1", "--method", "wall"]) == 3
 
 
+def test_free_rank_in_a_positive_degree_exits_3(capsys):
+    # the flags complex of A4 on rings 0,2 is a sphere, not a solid, so
+    # the wall route reads a free Z into H_2, where the small route gives
+    # [2]; H_n of a finite group is finite for n >= 1
+    rc = main(["homology", "A4", "-n", "1", "--to", "2", "--method", "wall",
+               "--complex", "flags", "--dims", "0,2"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "invariant-violation",
+                   "detail": "H_2 came out with free rank 1"}
+
+
 COMMON_OPTIONS = {"-h", "--help", "--seed", "--json"}
 
 # every option of every subcommand; a new option has to be added here
@@ -635,3 +647,13 @@ def test_selftest_passes_without_the_snf_sweep(capsys, monkeypatch):
         "wall-vs-oracle", "ce-convention",
     ]
     assert all(c["ok"] for c in d["checks"])
+
+
+def test_cell_boundary_check_needs_the_homology_of_a_point(monkeypatch):
+    from permhomology import equivariant
+
+    # a circle: one vertex and one edge with zero boundary, so d.d = 0
+    # holds but H_1 = Z
+    monkeypatch.setattr(equivariant, "expand_chain", lambda ecc: ([1, 1], [[[0]]]))
+    with pytest.raises(InvariantViolation, match="do not expand to a point"):
+        cli._check_cell_boundaries()

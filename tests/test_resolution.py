@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,22 +22,15 @@ from permhomology.perm import conj, identity, inv, mul
 from permhomology.permgroup import PermGroup, fingerprint
 from permhomology.sylow import sylow_ascent
 from permhomology.resolution import (
-    _word_sum,
-    ChainMap,
+    _chain_sum,
     FreeResolution,
     SmallGroup,
-    ZGWord,
     bar_resolution,
     chain_map,
     homology_action,
     resolution_small,
     tensor_resolution,
     translate_vec,
-    vec_to_word,
-    word,
-    word_add,
-    word_scale,
-    word_to_vec,
 )
 
 
@@ -56,97 +50,84 @@ def invariants_through(R, kmax):
     return [(h.free, h.torsion) for h in out]
 
 
-# -- words and the group table -------------------------------------------
+# -- chains and the group table -------------------------------------------
+#
+# A chain is the sparse vector {j*|G| + e: coefficient}.  The oracles
+# below sum formal words of terms c e.j by the definition, in a Counter.
 
 
-def test_word_canonical_form():
-    w = word(1, [(1, 0, 0), (2, 0, 0), (-3, 0, 0)])
-    assert not w and w.terms == ()
-    w = word(2, [(1, 3, 1), (1, 0, 0), (2, 3, 1)])
-    assert w.terms == ((1, 0, 0), (3, 3, 1))
-    assert word_scale(0, w).terms == ()
-    with pytest.raises(ValueError):
-        word_add(word(1, [(1, 0, 0)]), word(2, [(1, 0, 0)]))
-    # words compare and hash by value: degree and terms
-    same = word(2, [(3, 3, 1), (1, 0, 0)])
-    assert same == w and same is not w and hash(same) == hash(w)
-    assert len({w, same, ZGWord(2, w.terms)}) == 1
-    assert w != ZGWord(1, w.terms) and w != word_scale(2, w)
-    assert w != w.terms
+def nonzero(counter):
+    return {i: c for i, c in counter.items() if c}
 
 
-def test_word_vec_roundtrip():
-    G = SmallGroup(symmetric(3))
-    rng = random.Random(3)
-    for _ in range(20):
-        w = word(
-            2,
-            [
-                (rng.randrange(-4, 5), rng.randrange(G.n), rng.randrange(3))
-                for _ in range(6)
-            ],
-        )
-        v = word_to_vec(G, w)
-        assert all(0 <= i < 3 * G.n and c for i, c in v.items())
-        assert vec_to_word(G, 2, v) == w
+def act_word(G, g, v):
+    """g . v term by term: c e.j goes to c (ge).j.  The oracle for
+    translate_vec."""
+    out = Counter()
+    for i, c in v.items():
+        j, e = divmod(i, G.n)
+        out[j * G.n + G.mul(g, e)] += c
+    return nonzero(out)
 
 
-def act_word(G, g, w):
-    """g . w as one sorted word: the oracle for translate_vec and _word_sum."""
-    return word(w.degree, ((c, G.mul(g, e), j) for c, e, j in w.terms))
+def random_word(rng, G, rank, size):
+    out = Counter()
+    for _ in range(rng.randrange(size + 1)):
+        out[rng.randrange(rank) * G.n + rng.randrange(G.n)] += rng.randrange(-3, 4)
+    return nonzero(out)
 
 
 def test_act_word_inverse():
     G = SmallGroup(dihedral(4))
-    w = word(1, [(2, 1, 0), (-1, 5, 1)])
+    v = {1: 2, G.n + 5: -1}  # 2 (1 . 0) - (5 . 1)
     for g in range(G.n):
-        back = act_word(G, G.inverse[g], act_word(G, g, w))
-        assert back == w
+        assert act_word(G, G.inverse[g], act_word(G, g, v)) == v
 
 
 def test_translate_vec_matches_act_word():
-    G = SmallGroup(symmetric(4))
     rng = random.Random(5)
-    for _ in range(20):
-        w = random_word(rng, G, 1, 3, 8)
-        for g in range(G.n):
-            assert translate_vec(G, g, w) == word_to_vec(G, act_word(G, g, w))
+    for grp in (symmetric(4), dihedral(12)):
+        G = SmallGroup(grp)
+        for _ in range(20):
+            v = random_word(rng, G, 3, 8)
+            for g in range(G.n):
+                assert translate_vec(G, g, v) == act_word(G, g, v)
 
 
-# -- the one-dict merge against word_add/word_scale/act_word ---------------
+# -- the one-dict sum against the Counter oracle ---------------------------
 
 
-def word_sum_oracle(G, degree, terms):
-    """sum of c * (g . w), one sorted word per term, merged by word_add."""
-    out = [word_scale(c, act_word(G, g, w)) for c, g, w in terms]
-    return word_add(ZGWord(degree, ()), *out)
+def word_sum_oracle(G, terms):
+    """sum of c * (g . v) over the (c, g, v) in terms, one act_word per
+    term, added up in a Counter."""
+    out = Counter()
+    for c, g, v in terms:
+        for i, a in act_word(G, g, v).items():
+            out[i] += c * a
+    return nonzero(out)
 
 
-def random_word(rng, G, degree, rank, size):
-    return word(degree, [
-        (rng.randrange(-3, 4), rng.randrange(G.n), rng.randrange(rank))
-        for _ in range(rng.randrange(size + 1))
-    ])
+GROUPS = pytest.mark.parametrize(
+    "make", [lambda: symmetric(4), lambda: dihedral(12)], ids=["S4", "D12"]
+)
 
 
-@pytest.mark.parametrize("make", [lambda: symmetric(4), lambda: dihedral(12)],
-                         ids=["S4", "D12"])
+@GROUPS
 def test_word_sum_matches_word_oracle(make):
     G = SmallGroup(make())
     rng = random.Random(5)
     for _ in range(200):
         terms = [
-            (rng.randrange(-3, 4), rng.randrange(G.n), random_word(rng, G, 2, 3, 6))
+            (rng.randrange(-3, 4), rng.randrange(G.n), random_word(rng, G, 3, 6))
             for _ in range(rng.randrange(6))
         ]
-        assert _word_sum(G, 2, terms) == word_sum_oracle(G, 2, terms)
-    # terms that cancel leave the zero word
-    w = random_word(rng, G, 1, 2, 5)
-    assert _word_sum(G, 1, [(2, 3, w), (-1, 3, w), (-1, 3, w)]).terms == ()
+        assert _chain_sum(G, terms) == word_sum_oracle(G, terms)
+    # terms that cancel leave the zero chain, with no zero entries
+    v = random_word(rng, G, 2, 5)
+    assert _chain_sum(G, [(2, 3, v), (-1, 3, v), (-1, 3, v)]) == {}
 
 
-@pytest.mark.parametrize("make", [lambda: symmetric(4), lambda: dihedral(12)],
-                         ids=["S4", "D12"])
+@GROUPS
 def test_apply_and_push_match_word_oracle(make):
     grp = make()
     R = resolution_small(grp, 3)
@@ -156,21 +137,20 @@ def test_apply_and_push_match_word_oracle(make):
     rng = random.Random(7)
     for k in range(R.length + 1):
         for _ in range(40):
-            w = random_word(rng, G, k, R.ranks[k], 8)
+            v = random_word(rng, G, R.ranks[k], 8)
+            terms = [(c, *divmod(i, G.n)) for i, c in v.items()]  # (c, j, e)
             if k >= 1:
-                want = word_sum_oracle(G, k - 1, [
-                    (c, e, R.boundary(k, j)) for c, e, j in w.terms
-                ])
-                assert R.apply_d(k, w) == want
+                want = word_sum_oracle(G, [(c, e, R.boundary(k, j))
+                                           for c, j, e in terms])
+                assert R.apply_d(k, v) == want
             if k < R.length:
-                want = word_add(ZGWord(k + 1, ()), *[
-                    word_scale(c, R.h(k, e, j)) for c, e, j in w.terms
-                ])
-                assert R.apply_h(k, w) == want
-            want = word_sum_oracle(G, k, [
-                (c, cm.elem_map[e], cm.maps[k][j]) for c, e, j in w.terms
-            ])
-            assert cm.push(w) == want
+                want = word_sum_oracle(G, [(c, G.id, R.h(k, e, j))
+                                           for c, j, e in terms])
+                assert R.apply_h(k, v) == want
+            want = word_sum_oracle(
+                G, [(c, cm.elem_map[e], cm.maps[k][j]) for c, j, e in terms]
+            )
+            assert cm.push(k, v) == want
 
 
 def test_small_group_table():
@@ -305,20 +285,19 @@ def test_homotopy_identity_public():
     for k in (1, 2):
         for j in range(R.ranks[k]):
             for e in range(G.n):
-                x = word(k, [(1, e, j)])
-                got = word_add(
-                    R.apply_h(k - 1, R.apply_d(k, x)),
-                    R.apply_d(k + 1, R.apply_h(k, x)),
-                )
-                assert got == x
+                x = {j * G.n + e: 1}
+                got = Counter(R.apply_h(k - 1, R.apply_d(k, x)))
+                got.update(R.apply_d(k + 1, R.apply_h(k, x)))
+                assert nonzero(got) == x
 
 
 def test_boundary_lands_in_augmentation_kernel():
     R = resolution_small(symmetric(3), 2)
+    n = R.G.n
     for j in range(R.ranks[1]):
-        for e in range(R.G.n):
-            img = R.apply_d(1, word(1, [(1, e, j)]))
-            assert R.augment(img) == 0
+        for e in range(n):
+            img = R.apply_d(1, {j * n + e: 1})
+            assert img and sum(c * R.aug[i // n] for i, c in img.items()) == 0
 
 
 def _stabilizer_in_s6(points):
@@ -331,6 +310,12 @@ def _stabilizer_in_s6(points):
     )
 
 
+def _terms(G, v):
+    """The chain v as [coefficient, element, generator] terms, sorted by
+    flat index, which is (generator, element) order."""
+    return [[v[i], i % G.n, i // G.n] for i in sorted(v)]
+
+
 def save_resolution(R: FreeResolution, path: str):
     """R as JSON: fingerprint, ranks, augmentation, boundaries and the
     homotopy table, in the layout the pinned hashes below were taken in."""
@@ -339,11 +324,11 @@ def save_resolution(R: FreeResolution, path: str):
         "ranks": list(R.ranks),
         "aug": list(R.aug),
         "d": {
-            str(k): [[list(t) for t in R.boundary(k, j).terms] for j in range(R.ranks[k])]
+            str(k): [_terms(R.G, R.boundary(k, j)) for j in range(R.ranks[k])]
             for k in range(1, R.length + 1)
         },
         "h": [
-            [k, e, j, [list(t) for t in R.h(k, e, j).terms]]
+            [k, e, j, _terms(R.G, R.h(k, e, j))]
             for k in range(R.length)
             for j in range(R.ranks[k])
             for e in range(R.G.n)
@@ -371,11 +356,27 @@ def test_small_resolutions_are_pinned(tmp_path, make, depth, ranks, sha256):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+# sha256 of the save_resolution JSON, recorded while chains were still
+# stored as sorted term tuples; the flat chains reproduce them bit for bit
+@pytest.mark.parametrize("build, ranks, sha256", [
+    (lambda: bar_resolution(symmetric(3), 3), (1, 5, 25, 125),
+     "053a045a23039e1fceeded25718e7ffdac9566f40c3b219e5e9efef9d0dce4ee"),
+    (lambda: tensor_resolution(*s2_and_s3()), (1, 3, 6, 10),
+     "810f38d96b7c64a1dc8a920eb4d40d347cdbdcd031c47819a5da45bfa69cf67d"),
+], ids=["bar-S3", "tensor-S2xS3"])
+def test_bar_and_tensor_resolutions_are_pinned(tmp_path, build, ranks, sha256):
+    R = build()
+    assert R.ranks == ranks
+    path = tmp_path / "res.json"
+    save_resolution(R, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
 def test_verify_catches_a_broken_boundary():
     R = resolution_small(symmetric(3), 3)
     # d_2 of generator 0 replaced by a degree-1 generator, which is no cycle
     d = dict(R._d)
-    d[2] = (word(1, [(1, R.G.id, 0)]),) + d[2][1:]
+    d[2] = ({R.G.id: 1},) + d[2][1:]
     with pytest.raises(InvariantViolation, match="d.d != 0 at degree 2"):
         FreeResolution(R.G, R.ranks, d, R.aug, R.h)
     # the resolution itself passes the same check
@@ -387,7 +388,8 @@ def test_verify_catches_a_perturbed_homotopy(k):
     R = resolution_small(symmetric(3), 4)
     e, j = R.G.n - 1, 0
     # one entry of h_k gains a term; h_0 and h_1 are first read at degree 1
-    bad = word_add(R.h(k, e, j), word(k + 1, [(1, R.G.id, 0)]))
+    bad = Counter(R.h(k, e, j))
+    bad[R.G.id] += 1
 
     def h(k2, e2, j2):
         return bad if (k2, e2, j2) == (k, e, j) else R.h(k2, e2, j2)
@@ -613,15 +615,17 @@ def product_boundaries(F, E, P, koszul=True):
         low = gens[k - 1].index
         imgs = []
         for k1, i, j in gens[k]:
-            items = []
+            img = Counter()
             if k1:
-                items += [(c, at(a, B.id), low((k1 - 1, i2, j)))
-                          for c, a, i2 in F.boundary(k1, i).terms]
+                for y, c in F.boundary(k1, i).items():
+                    i2, a = divmod(y, A.n)
+                    img[low((k1 - 1, i2, j)) * P.G.n + at(a, B.id)] += c
             if k1 < k:
                 s = (-1) ** k1 if koszul else 1
-                items += [(s * c, at(A.id, b), low((k1, i, j2)))
-                          for c, b, j2 in E.boundary(k - k1, j).terms]
-            imgs.append(word(k - 1, items))
+                for y, c in E.boundary(k - k1, j).items():
+                    j2, b = divmod(y, B.n)
+                    img[low((k1, i, j2)) * P.G.n + at(A.id, b)] += s * c
+            imgs.append(nonzero(img))
         d[k] = tuple(imgs)
     return d
 
@@ -643,7 +647,7 @@ def test_tensor_homotopy_needs_the_section_term():
     # h_E = 0 leaves h = h_F (x) 1, without section.aug_F (x) h_E
     F, E = s2_and_s3()
     flat = FreeResolution(E.G, E.ranks, E._d, E.aug,
-                          lambda k, e, j: ZGWord(k + 1, ()), verify=False)
+                          lambda k, e, j: {}, verify=False)
     with pytest.raises(InvariantViolation, match="homotopy identity|d_1 h_0"):
         tensor_resolution(F, flat)
 
