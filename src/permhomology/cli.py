@@ -289,7 +289,13 @@ def _cmd_edge_degree(args):
     if not 0 <= i < len(pts):
         raise ValueError(f"--vertex must be in 0..{len(pts) - 1}")
     if args.dump_points:
-        with open(args.dump_points, "w", newline="") as fh:
+        try:
+            fh = open(args.dump_points, "w", newline="")
+        except OSError as exc:
+            raise ValueError(
+                f"--dump-points cannot open {args.dump_points}: {exc.strerror}"
+            ) from None
+        with fh:
             polytope.points_csv(pts, fh)
     stab = schreier_stabilizer(G, G.orbit_data(pts[i], polytope.act_vec))
     deg = polytope.vertex_degree(pts, i, stab.generators)

@@ -685,7 +685,8 @@ def expand_chain(ecc: EquivariantCellComplex):
     the independent cross-check that the orbit records really describe
     a complex (the matrices multiply to zero, and a solid base comes
     out with the homology of a point).  Returns (sizes, mats) with
-    mats[k] mapping dimension k+1 to dimension k, entries plain ints.
+    mats[k] mapping dimension k+1 to dimension k, as one sparse column
+    {cell: coefficient} per (k+1)-cell, in chain_homology's form.
     """
     if sum(ecc.chain_counts) > errors.EXPAND_CAP:
         raise CapExceeded(f"{sum(ecc.chain_counts)} cells is too many to expand")
@@ -707,15 +708,17 @@ def expand_chain(ecc: EquivariantCellComplex):
         orbits.append(ods)
     mats = []
     for k in range(1, len(ecc.chain)):
-        M = [[0] * len(index[k]) for _ in range(len(index[k - 1]))]
+        # cells come in the order index[k] numbered them
+        cols = []
         for o, od in zip(ecc.chain[k], orbits[k]):
             for cell in od.states:
                 u = od.transporter(cell)
-                col = index[k][cell]
+                col: dict = {}
                 for s, g, j in o.boundary:
-                    target = act_cell(mul(u, g), ecc.chain[k - 1][j].rep)
-                    M[index[k - 1][target]][col] += s
-        mats.append(M)
+                    i = index[k - 1][act_cell(mul(u, g), ecc.chain[k - 1][j].rep)]
+                    col[i] = col.get(i, 0) + s
+                cols.append(col)
+        mats.append(cols)
     return [len(ix) for ix in index], mats
 
 

@@ -2,8 +2,8 @@
 
 AbelianInvariants is the canonical output form everywhere: free rank
 plus prime-power torsion sorted by (prime, power), so Z12 prints as
-[4, 3].  chain_homology reads a complex off its boundary matrices
-after checking consecutive products vanish.
+[4, 3].  chain_homology reads a complex off its boundary matrices,
+given as sparse columns, after checking consecutive products vanish.
 
 Two reductions compute the p-part of H_n(G) without resolving G
 itself.  cyclic_sylow_ppart is the closed form for a Sylow subgroup
@@ -50,6 +50,7 @@ from .errors import InvariantViolation
 from .perm import identity, inv, mul, precompose
 from .permgroup import PermGroup
 from .resolution import (
+    _vector,
     chain_map,
     homology_action,
     resolution_small,
@@ -120,40 +121,37 @@ TRIVIAL = AbelianInvariants(0, ())
 # -- homology straight from boundary matrices ----------------------------
 
 
-def _sparse(M) -> dict:
-    return {
-        (i, j): v for i, row in enumerate(M) for j, v in enumerate(row) if v
-    }
-
-
 def chain_homology(sizes, mats, start: int = 0) -> list:
     """AbelianInvariants of H_start..H_top of a chain complex.
 
     sizes[k] counts the degree-(start + k) generators; mats[k] is the
-    matrix of d_{start+k+1} with sizes[k] rows and sizes[k+1] columns.
-    Consecutive boundaries must compose to zero; errors name the
-    boundaries by their degrees.
+    matrix of d_{start+k+1} as its sizes[k+1] sparse columns, each
+    {row: value} with rows in range(sizes[k]).  Consecutive boundaries
+    must compose to zero; errors name the boundaries by their degrees.
     """
     sizes = list(sizes)
     if len(mats) != len(sizes) - 1:
         raise ValueError("need one boundary matrix per adjacent degree pair")
-    sp = []
-    for k, M in enumerate(mats):
-        if len(M) != sizes[k] or any(len(row) != sizes[k + 1] for row in M):
+    for k, cols in enumerate(mats):
+        if len(cols) != sizes[k + 1] or any(
+            not 0 <= i < sizes[k] for col in cols for i in col
+        ):
             raise ValueError(f"boundary {start + k + 1} has the wrong shape")
-        sp.append(_sparse(M))
-    for k in range(len(sp) - 1):
-        cols: dict = {}
-        for (i, j), v in sp[k].items():
-            cols.setdefault(j, []).append((i, v))
-        prod: dict = {}
-        for (j, l), w in sp[k + 1].items():
-            for i, v in cols.get(j, ()):
-                key = (i, l)
-                prod[key] = prod.get(key, 0) + v * w
-        if any(prod.values()):
-            raise InvariantViolation(f"d_{start + k + 1} d_{start + k + 2} != 0")
-    diags = [smith_diagonal_sparse(s) for s in sp]
+    for k in range(len(mats) - 1):
+        lower = mats[k]
+        for col in mats[k + 1]:
+            image: dict = {}
+            for j, w in col.items():
+                for i, v in lower[j].items():
+                    image[i] = image.get(i, 0) + v * w
+            if any(image.values()):
+                raise InvariantViolation(f"d_{start + k + 1} d_{start + k + 2} != 0")
+    diags = [
+        smith_diagonal_sparse(
+            {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+        )
+        for cols in mats
+    ]
     out = []
     for k in range(len(sizes)):
         rin = len(diags[k]) if k < len(diags) else 0
@@ -169,8 +167,9 @@ def resolution_homology(R, k: int, relations=()) -> AbelianInvariants:
 
     Reads ranks k-1..k+1 and the boundaries d_k, d_{k+1} through
     chain_homology, so their composite is checked too; needs k < length.
-    Each relation is a dense k-chain, appended to d_{k+1} as one more
-    column, so it is checked to be a cycle the same way.
+    Each relation is a sparse k-chain {generator: coefficient}, appended
+    to d_{k+1} as one more column, so it is checked to be a cycle, and
+    its indices to lie below the rank, the same way.
     """
     if not 0 <= k < R.length:
         raise ValueError(f"homology degree {k} needs boundaries up to {k + 1}")
@@ -178,7 +177,7 @@ def resolution_homology(R, k: int, relations=()) -> AbelianInvariants:
     mats = [R.boundary_matrix_z(i) for i in range(lo + 1, k + 2)]
     sizes = list(R.ranks[lo : k + 2])
     if relations:
-        mats[-1] = [row + [z[i] for z in relations] for i, row in enumerate(mats[-1])]
+        mats[-1] = mats[-1] + list(relations)
         sizes[-1] += len(relations)
     return chain_homology(sizes, mats, lo)[k - lo]
 
@@ -272,7 +271,7 @@ def ce_ppart_general(
         con = chain_map(phi, RK, RP)
         for n in degrees:
             relations[n].extend(
-                [a - b for a, b in zip(u, v)]
+                _vector([*u.items(), *((i, -c) for i, c in v.items())])
                 for u, v in zip(fixed[n], homology_action(con, n), strict=True)
             )
     out = {}

@@ -1,22 +1,23 @@
 """Integer linear algebra: Smith and Hermite forms, kernels, span tracking,
 and the prime factorisation the other modules read primes from.
 
-Plain Python ints throughout (no overflow), matrices as lists of rows.
-An m x n matrix maps Z^n to Z^m acting on column vectors.
+Plain Python ints throughout (no overflow).  Vectors are sparse
+{index: value} dicts holding their nonzero entries, and an m x n matrix,
+which maps Z^n to Z^m acting on column vectors, is the list of its n
+columns in that form: cols[j] = {row: value} is the image of basis
+vector j.  The free-module boundaries fed in are almost all zeros.
 
-The echelon engine behind ColumnSolver and ZSpan keeps its rows sparse,
-as {column: value} dicts holding the nonzero entries: the free-module
-boundaries it is fed are almost all zeros.  It takes the same pivots,
-swaps, divmod and xgcd steps and sign normalisation a dense echelon
-would, so every result is the one dense rows would give.  Dense vectors
-and rows passed to it are converted on the way in; results come back
-sparse.
+The echelon engine behind ColumnSolver and ZSpan keeps its rows sparse.
+It takes the same pivots, swaps, divmod and xgcd steps and sign
+normalisation a dense echelon would, so every result is the one dense
+rows would give.
 
 There is one Smith engine, a sparse Markowitz elimination that keeps
 the row and column transforms on request.  smith_diagonal_sparse reads
-the diagonal of a dict of entries without transforms, and every homology
-answer comes from it; smith_normal_form runs the engine on dense lists
-with transforms and returns dense U and V, for selftest's sweep.
+the diagonal of a dict of entries {(i, j): value} without transforms,
+and every homology answer comes from it; smith_normal_form, the one
+dense entry point, runs the engine on lists of rows with transforms and
+returns dense U and V, for selftest's sweep.
 """
 
 from __future__ import annotations
@@ -57,18 +58,12 @@ def xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _sparse(v, n: int) -> dict:
-    """v as a sparse row {index: value} of Z^n holding its nonzero
-    entries.  v is a dense sequence of length n or a dict with indices in
-    range(n); anything else raises ValueError."""
-    if isinstance(v, dict):
-        if any(not 0 <= i < n for i in v):
-            raise ValueError(f"sparse vector has an index outside range({n})")
-        return {i: a for i, a in v.items() if a}
-    v = list(v)
-    if len(v) != n:
-        raise ValueError(f"vector of length {len(v)}, expected {n}")
-    return {i: a for i, a in enumerate(v) if a}
+def _sparse(v: dict, n: int) -> dict:
+    """The sparse vector v {index: value} of Z^n without its zero
+    entries, as a new dict; an index outside range(n) raises ValueError."""
+    if any(not 0 <= i < n for i in v):
+        raise ValueError(f"sparse vector has an index outside range({n})")
+    return {i: a for i, a in v.items() if a}
 
 
 def _sub_multiple(v: dict, f: int, row: dict) -> None:
@@ -150,24 +145,16 @@ class ColumnSolver:
     against the same matrix are cheap.  ``solve`` returns the unique
     echelon-determined solution (or None), so results are reproducible.
 
-    The rows of A may be dense lists or sparse {column: value} dicts, and
-    so may the right-hand sides; dense input is converted on the way in.
-    Inside, H and V are kept as sparse columns and transformed by the
-    same xgcd operations, in the same order, as a dense echelon would.
-    Solutions and kernel vectors come back sparse.
+    A is given as its n sparse columns {row: value} and its row count m;
+    right-hand sides, solutions and kernel vectors are sparse vectors.
+    The echelon runs on the columns as rows of A^T, so H and V are kept
+    as sparse columns and transformed by the same xgcd operations, in the
+    same order, as a dense echelon would.
     """
 
-    def __init__(self, A: list, n: int | None = None):
-        m = len(A)
-        if n is None:
-            if A and isinstance(A[0], dict):
-                raise ValueError("sparse rows need the column count n")
-            n = len(A[0]) if A else 0
-        At = [{} for _ in range(n)]
-        for i, row in enumerate(A):
-            for j, a in _sparse(row, n).items():
-                At[j][i] = a
-        Ht, Ut, pivots = _row_echelon(At, m)
+    def __init__(self, cols: list, m: int):
+        n = len(cols)
+        Ht, Ut, pivots = _row_echelon([_sparse(c, m) for c in cols], m)
         self.m, self.n = m, n
         # A V = H with V = Ut^T and H = Ht^T column echelon, so column c
         # of H (of V) is row c of Ht (of Ut)
@@ -176,7 +163,7 @@ class ColumnSolver:
         self._vcols = {c: Ut[c] for _, c in self.pivots}
         self._kernel = Ut[len(pivots):]
 
-    def solve(self, b) -> dict | None:
+    def solve(self, b: dict) -> dict | None:
         """The sparse x with A x = b, or None when there is none over Z."""
         b = _sparse(b, self.m)
         hits = []
@@ -208,9 +195,9 @@ class ZSpan:
     Rows are stored with strictly increasing leading columns, leading
     entries positive.  Insertion gcd-combines with the stored row of the
     same leading column, so membership testing is a single left-to-right
-    reduction pass.  Vectors may be dense lists or sparse {index: value}
-    dicts; rows are stored sparse, and the reductions are the same
-    divmod and xgcd steps a dense row would take.
+    reduction pass.  Vectors and the stored rows are sparse {index: value}
+    dicts, and the reductions are the same divmod and xgcd steps a dense
+    row would take.
     """
 
     __slots__ = ("n", "rows", "leads")
@@ -224,7 +211,7 @@ class ZSpan:
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains(self, v) -> bool:
+    def contains(self, v: dict) -> bool:
         v = _sparse(v, self.n)
         while v:
             p = min(v)
@@ -239,7 +226,7 @@ class ZSpan:
             _sub_multiple(v, q, row)
         return True
 
-    def insert(self, v) -> bool:
+    def insert(self, v: dict) -> bool:
         """Add v to the span; True if the span grew."""
         v = _sparse(v, self.n)
         grew = False

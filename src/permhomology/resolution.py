@@ -165,20 +165,17 @@ class FreeResolution:
         )
 
     def boundary_matrix_z(self, k: int) -> list:
-        """d_k with the group collapsed to Z (coefficient sums)."""
-        M = [[0] * self.ranks[k] for _ in range(self.ranks[k - 1])]
+        """d_k with the group collapsed to Z (coefficient sums), as one
+        sparse column {generator: coefficient} per degree-k generator."""
         n = self.G.n
-        for j in range(self.ranks[k]):
-            for i, c in self._d[k][j].items():
-                M[i // n][j] += c
-        return M
+        return [_vector((i // n, c) for i, c in v.items()) for v in self._d[k]]
 
     def cycle_basis(self, k: int) -> list:
-        """Integer kernel basis of d_k (x) Z as sparse columns, built
+        """Integer kernel basis of d_k (x) Z as sparse vectors, built
         once per degree: every chain map out of this resolution pushes
         the same cycles."""
         if k not in self._cycles:
-            solver = ColumnSolver(self.boundary_matrix_z(k), self.ranks[k])
+            solver = ColumnSolver(self.boundary_matrix_z(k), self.ranks[k - 1])
             self._cycles[k] = solver.kernel()
         return self._cycles[k]
 
@@ -368,9 +365,11 @@ def resolution_small(G, n: int) -> FreeResolution:
     ranks = [1]
     d: dict = {}
     solvers = []
-    flat = [[1] * G.n]  # the augmentation, flattened
+    # d_k flattened to its columns, one per (generator, element), with
+    # m rows; d_0 is the augmentation
+    flat, m = [{0: 1} for _ in range(G.n)], 1
     for k in range(n):
-        solver = ColumnSolver(flat, G.n * ranks[k])
+        solver = ColumnSolver(flat, m)
         solvers.append(solver)
         kb = solver.kernel()
         chosen = _select_generators(G, ranks[k], kb)
@@ -379,15 +378,9 @@ def resolution_small(G, n: int) -> FreeResolution:
             raise InvariantViolation("kernel collapsed early; finite groups never do")
         d[k + 1] = tuple(chosen)
         ranks.append(len(chosen))
-        # d_{k+1} flattened: one column per (generator, element), as sparse rows
-        flat = [{} for _ in range(G.n * ranks[k])]
-        col = 0
-        for v in chosen:
-            for e in range(G.n):
-                for i, c in translate_vec(G, e, v).items():
-                    flat[i][col] = c
-                col += 1
-    solvers.append(ColumnSolver(flat, G.n * ranks[n]))
+        flat = [translate_vec(G, e, v) for v in chosen for e in range(G.n)]
+        m = G.n * ranks[k]
+    solvers.append(ColumnSolver(flat, m))
 
     # homotopy, degree by degree: solve d_{k+1} y = x - h_{k-1}(d_k x),
     # with h_{-1} d_0 = section.augmentation; each solution is stored as
@@ -531,12 +524,11 @@ class ChainMap:
         )
 
     def matrix_z(self, k: int) -> list:
-        M = [[0] * self.source.ranks[k] for _ in range(self.target.ranks[k])]
+        """The degree-k map with both groups collapsed to Z, as one
+        sparse column {target generator: coefficient} per source
+        generator."""
         n = self.target.G.n
-        for j in range(self.source.ranks[k]):
-            for i, c in self.maps[k][j].items():
-                M[i // n][j] += c
-        return M
+        return [_vector((i // n, c) for i, c in v.items()) for v in self.maps[k]]
 
 
 def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainMap:
@@ -582,14 +574,13 @@ def chain_map(phi, R_source: FreeResolution, R_target: FreeResolution) -> ChainM
 def homology_action(cm: ChainMap, k: int) -> list:
     """Images under cm of a basis of the k-cycles of the source (x) Z.
 
-    Each image is a dense k-chain of the target (x) Z, one entry per
-    degree-k target generator, and their classes span the image of
-    H_k(source) in H_k(target).  The basis is the source's cycle_basis,
-    so two chain maps out of one resolution push the same cycles in the
-    same order.
+    Each image is a sparse k-chain {generator: coefficient} of the
+    target (x) Z, and their classes span the image of H_k(source) in
+    H_k(target).  The basis is the source's cycle_basis, so two chain
+    maps out of one resolution push the same cycles in the same order.
     """
     if not 1 <= k <= cm.length:
         raise ValueError(f"induced maps need 1 <= k <= {cm.length}, not {k}")
     F = cm.matrix_z(k)
-    return [[sum(row[j] * c for j, c in z.items()) for row in F]
+    return [_vector((i, c * a) for j, c in z.items() for i, a in F[j].items())
             for z in cm.source.cycle_basis(k)]

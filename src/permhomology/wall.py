@@ -48,7 +48,7 @@ from .errors import CapExceeded, InvariantViolation
 from .homology import chain_homology
 from .perm import conj, identity, inv, mul, precompose
 from .permgroup import PermGroup
-from .resolution import FreeResolution, resolution_small, tensor_resolution
+from .resolution import FreeResolution, _vector, resolution_small, tensor_resolution
 
 
 class OrbitSummand:
@@ -160,11 +160,9 @@ class AssembledResolution:
         return len(self.gens) - 1
 
     def boundary_matrix_z(self, k: int) -> list:
-        M = [[0] * len(self.gens[k]) for _ in range(len(self.gens[k - 1]))]
-        for j, word in enumerate(self.d[k - 1]):
-            for c, _, i in word:
-                M[i][j] += c
-        return M
+        """d_k collapsed to Z, as one sparse column {generator:
+        coefficient} per degree-k generator."""
+        return [_vector((i, c) for c, _, i in word) for word in self.d[k - 1]]
 
 
 class _Column:

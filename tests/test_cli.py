@@ -150,6 +150,22 @@ def test_free_rank_in_a_positive_degree_exits_3(capsys):
                    "detail": "H_2 came out with free rank 1"}
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the flags complex on d points is a (d-2)-sphere, so the wall "
+    "route reads H_1 of a group of degree 3 from a complex that is not "
+    "exact there and prints [2, 2]",
+)
+@pytest.mark.parametrize("group", ["S3", '{"degree": 3, "generators": ["(1,2)"]}'],
+                         ids=["S3", "Z2-on-3-points"])
+def test_flags_wall_route_h1_on_three_points(capsys, group):
+    # H_1 = Z/2 for both groups; a fixed route either stops (exit 2) or
+    # prints [2]
+    rc = main(["homology", group, "-n", "1", "--method", "wall", "--complex", "flags"])
+    out = capsys.readouterr().out
+    assert rc == 2 or (rc == 0 and json.loads(out)["results"][0]["invariants"] == [2])
+
+
 COMMON_OPTIONS = {"-h", "--help", "--seed", "--json"}
 
 # every option of every subcommand; a new option has to be added here
@@ -371,6 +387,19 @@ def test_edge_degree_hexagon(capsys, tmp_path):
     assert d["degree"] == 2
     assert d["edges"] == 6
     assert len(dump.read_text().strip().splitlines()) == 6
+
+
+def test_edge_degree_unwritable_dump_path_is_bad_input(capsys, tmp_path):
+    # an OSError opening the path is bad input, exit 2, not a traceback
+    dump = tmp_path / "missing" / "points.csv"
+    rc = main(["edge-degree", "S4", "--vector", "1,2,3,4", "--dump-points", str(dump)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "bad-input"
+    assert "--dump-points" in err["detail"]
+    assert not dump.parent.exists()
 
 
 def test_edge_degree_vertex_range(capsys):
@@ -654,6 +683,6 @@ def test_cell_boundary_check_needs_the_homology_of_a_point(monkeypatch):
 
     # a circle: one vertex and one edge with zero boundary, so d.d = 0
     # holds but H_1 = Z
-    monkeypatch.setattr(equivariant, "expand_chain", lambda ecc: ([1, 1], [[[0]]]))
+    monkeypatch.setattr(equivariant, "expand_chain", lambda ecc: ([1, 1], [[{}]]))
     with pytest.raises(InvariantViolation, match="do not expand to a point"):
         cli._check_cell_boundaries()

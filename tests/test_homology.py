@@ -87,34 +87,37 @@ def test_sum_of_pparts_reconstructs():
 
 
 def test_chain_homology_circle():
-    H = chain_homology((1, 1), [[[0]]])
+    H = chain_homology((1, 1), [[{}]])
     assert H == [AbelianInvariants(1, ()), AbelianInvariants(1, ())]
 
 
 def test_chain_homology_torsion_placement():
     # disk glued along a double cover of the circle
-    H = chain_homology((1, 1, 1), [[[0]], [[2]]])
+    H = chain_homology((1, 1, 1), [[{}], [{0: 2}]])
     assert H[0] == AbelianInvariants(1, ())
     assert H[1] == AbelianInvariants(0, (2,))
     assert H[2] == TRIVIAL
 
 
 def test_chain_homology_rejects():
-    with pytest.raises(ValueError):
-        chain_homology((2, 1), [[[1]]])
+    # d_3 from 1 generator to 2: a row index at the row count or below
+    # zero, one column too many or too few
+    for cols in ([{0: 1, 2: 1}], [{-1: 1}], [{0: 1}, {1: 1}], []):
+        with pytest.raises(ValueError, match="^boundary 3 has the wrong shape$"):
+            chain_homology((2, 1), [cols], start=2)
     with pytest.raises(ValueError):
         chain_homology((1, 1), [])
     with pytest.raises(InvariantViolation):
-        chain_homology((1, 1, 1), [[[1]], [[1]]])
+        chain_homology((1, 1, 1), [[{0: 1}], [{0: 1}]])
 
 
 def test_broken_composite_names_its_real_degrees():
     # a relation that is not a 3-cycle breaks d_3 times the extended d_4
     R = resolution_small(symmetric(3), 4)
     with pytest.raises(InvariantViolation, match=r"^d_3 d_4 != 0$"):
-        resolution_homology(R, 3, [[0, 0, 1, 0]])
+        resolution_homology(R, 3, [{2: 1}])
     with pytest.raises(InvariantViolation, match=r"^d_3 d_4 != 0$"):
-        chain_homology((1, 1, 1), [[[1]], [[1]]], start=2)
+        chain_homology((1, 1, 1), [[{0: 1}], [{0: 1}]], start=2)
 
 
 def test_chain_homology_of_bar_z12():
@@ -353,9 +356,11 @@ def test_abelian_sylow_routes_agree(monkeypatch, grp, p, degrees):
 def test_resolution_homology_checks_each_relation_is_a_cycle():
     R = resolution_small(symmetric(3), 4)
     D3, D4 = R.boundary_matrix_z(3), R.boundary_matrix_z(4)
-    j = next(j for j in range(R.ranks[3]) if any(row[j] for row in D3))
+    j = next(j for j in range(R.ranks[3]) if D3[j])
     with pytest.raises(InvariantViolation):
-        resolution_homology(R, 3, [[int(i == j) for i in range(R.ranks[3])]])
+        resolution_homology(R, 3, [{j: 1}])
+    # a relation naming a generator past the rank is the wrong shape
+    with pytest.raises(ValueError, match="^boundary 4 has the wrong shape$"):
+        resolution_homology(R, 3, [{R.ranks[3]: 1}])
     # a boundary as a relation leaves H_3 = Z/6 as it is
-    boundary = [row[0] for row in D4]
-    assert resolution_homology(R, 3, [boundary]) == AbelianInvariants(0, (2, 3))
+    assert resolution_homology(R, 3, [D4[0]]) == AbelianInvariants(0, (2, 3))

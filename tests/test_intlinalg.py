@@ -121,14 +121,29 @@ def as_dense(v: dict, n: int) -> list:
     return [v.get(i, 0) for i in range(n)]
 
 
+def as_sparse(v) -> dict:
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def sparse_cols(A: list, n: int | None = None) -> list:
+    """The columns of the dense m x n matrix A, in ColumnSolver's form."""
+    if n is None:
+        n = len(A[0])
+    return [as_sparse(row[j] for row in A) for j in range(n)]
+
+
+def solver_of(A: list, n: int | None = None) -> ColumnSolver:
+    return ColumnSolver(sparse_cols(A, n), len(A))
+
+
 def kernel_basis(A: list, n: int | None = None) -> list:
     """ColumnSolver's basis of the integer kernel of A, as dense lists."""
-    solver = ColumnSolver(A, n)
+    solver = solver_of(A, n)
     return [as_dense(v, solver.n) for v in solver.kernel()]
 
 
 def sparse_rows(A: list) -> list:
-    return [{j: a for j, a in enumerate(row) if a} for row in A]
+    return [as_sparse(row) for row in A]
 
 
 def det(A):
@@ -290,22 +305,22 @@ def test_solver_finds_integer_solutions():
         A = rand_matrix(rng, m, n)
         x0 = [rng.randint(-5, 5) for _ in range(n)]
         b = mat_vec(A, x0)
-        x = ColumnSolver(A).solve(b)
+        x = solver_of(A).solve(as_sparse(b))
         assert x is not None
         assert mat_vec(A, as_dense(x, n)) == b
 
 
 def test_solver_rejects_unsolvable():
-    assert ColumnSolver([[2]]).solve([1]) is None
-    assert ColumnSolver([[1, 0], [0, 0]]).solve([3, 1]) is None
+    assert solver_of([[2]]).solve({0: 1}) is None
+    assert solver_of([[1, 0], [0, 0]]).solve({0: 3, 1: 1}) is None
     # solvable over Q but not Z
-    assert ColumnSolver([[2, 0], [0, 3]]).solve([1, 3]) is None
+    assert solver_of([[2, 0], [0, 3]]).solve({0: 1, 1: 3}) is None
 
 
 def test_solver_deterministic():
     A = [[1, 2, 3], [0, 0, 0]]
-    b = [6, 0]
-    assert ColumnSolver(A).solve(b) == ColumnSolver(A).solve(b)
+    b = {0: 6}
+    assert solver_of(A).solve(b) == solver_of(A).solve(b)
 
 
 def test_kernel_basis():
@@ -331,7 +346,7 @@ def test_zspan_membership_matches_brute_force():
         vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         span = ZSpan(n)
         for v in vecs:
-            span.insert(v)
+            span.insert(as_sparse(v))
         # brute force: all small integer combinations
         combos = set()
         for coeffs in itertools.product(range(-4, 5), repeat=len(vecs)):
@@ -339,22 +354,22 @@ def test_zspan_membership_matches_brute_force():
             combos.add(w)
         for w in combos:
             if all(abs(a) <= 6 for a in w):
-                assert span.contains(w)
+                assert span.contains(as_sparse(w))
         for _ in range(20):
-            w = [rng.randint(-6, 6) for _ in range(n)]
+            w = as_sparse(rng.randint(-6, 6) for _ in range(n))
             got = span.contains(w)
             # cross-check via integer solvability of (vecs)^T x = w
-            At = [[v[i] for v in vecs] for i in range(n)]
-            assert got == (ColumnSolver(At).solve(w) is not None)
+            solver = ColumnSolver([as_sparse(v) for v in vecs], n)
+            assert got == (solver.solve(w) is not None)
 
 
 def test_zspan_insert_reports_growth():
     span = ZSpan(3)
-    assert span.insert([2, 0, 0])
-    assert not span.insert([4, 0, 0])
-    assert span.insert([1, 0, 0])  # refines the existing row
-    assert not span.insert([3, 0, 0])
-    assert span.insert([0, 0, 5])
+    assert span.insert({0: 2})
+    assert not span.insert({0: 4})
+    assert span.insert({0: 1})  # refines the existing row
+    assert not span.insert({0: 3})
+    assert span.insert({2: 5})
     assert span.rank == 2
 
 
@@ -365,22 +380,20 @@ def test_identity_matrix():
 
 def test_vectors_of_the_wrong_length_are_rejected():
     span = ZSpan(3)
-    span.insert([1, 0, 0])
+    span.insert({0: 1})
     with pytest.raises(ValueError):
-        span.contains([1, 0, 0, 5])
+        span.contains({0: 1, 3: 5})
     with pytest.raises(ValueError):
-        span.insert([0, 0, 0, 7])
+        span.insert({3: 7})
     with pytest.raises(ValueError):
         span.contains({3: 1})
     assert span.rows == [{0: 1}]
     with pytest.raises(ValueError):
-        ColumnSolver([[1, 0], [0, 1]]).solve([1, 1, 0])
+        solver_of([[1, 0], [0, 1]]).solve({0: 1, 1: 1, 2: 0})
     with pytest.raises(ValueError):
-        ColumnSolver([[1, 0], [0, 1]]).solve({2: 1})
+        solver_of([[1, 0], [0, 1]]).solve({2: 1})
     with pytest.raises(ValueError):
-        ColumnSolver([[1, 0], [0, 1, 0]])
-    with pytest.raises(ValueError):
-        ColumnSolver([{0: 1}])  # sparse rows carry no column count
+        ColumnSolver([{0: 1}, {2: 1}], 2)  # a row index past the row count
 
 
 # -- the sparse engine against the dense reference -------------------------
@@ -394,7 +407,8 @@ def assert_echelon_matches(A: list, n: int):
     assert pivots == pivots0
     assert [as_dense(row, n) for row in H] == H0
     assert [as_dense(row, len(A)) for row in U] == U0
-    # ColumnSolver echelons the transpose: its kernel is read from U
+    # ColumnSolver echelons the columns, the rows of the transpose: its
+    # kernel is read from U
     At = [[A[i][j] for i in range(len(A))] for j in range(n)]
     _, Ut, pivots_t = row_echelon_dense(At)
     assert kernel_basis(A, n) == Ut[len(pivots_t):]
@@ -433,7 +447,7 @@ def test_sparse_span_matches_dense_reference():
         n = rng.randint(1, 8)
         span, ref = ZSpan(n), DenseZSpan(n)
         for v in random_sparse_matrix(rng, rng.randint(1, 10), n):
-            assert span.insert(v) == ref.insert(v)
+            assert span.insert(as_sparse(v)) == ref.insert(v)
             assert [as_dense(row, n) for row in span.rows] == ref.rows
             assert span.leads == ref.leads
 
@@ -443,9 +457,9 @@ def _record_resolution_small(monkeypatch, G, depth):
     vectors inserted into it, while resolution_small(G, depth) runs."""
     solved, spans = [], []
 
-    def solver(A, n=None):
-        solved.append((A, n))
-        return ColumnSolver(A, n)
+    def solver(cols, m):
+        solved.append((cols, m))
+        return ColumnSolver(cols, m)
 
     class RecordingSpan(ZSpan):
         def __init__(self, n):
@@ -470,10 +484,10 @@ def test_sparse_engine_matches_dense_reference_on_resolution_boundaries(
 ):
     solved, spans = _record_resolution_small(monkeypatch, G, depth)
     assert len(solved) == depth + 1
-    for A, n in solved:
-        rows = [as_dense(r, n) if isinstance(r, dict) else list(r) for r in A]
-        # ColumnSolver echelons the transpose of the flattened boundary
-        assert_echelon_matches([[row[j] for row in rows] for j in range(n)], len(rows))
+    for cols, m in solved:
+        # ColumnSolver echelons the columns of the flattened boundary, the
+        # rows of its transpose
+        assert_echelon_matches([as_dense(c, m) for c in cols], m)
     # per degree, one span echelons the kernel basis and one the translates
     assert len(spans) == 2 * depth
     for span in spans:
