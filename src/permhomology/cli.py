@@ -115,9 +115,10 @@ def _wall_resolution(G, base_kind, dims, n):
 
     if base_kind == "polygon":
         ecc = orbit_decompose(_polygon_complex(G), G, 2)
-        top = ecc.chain[-1]
-        # a one-orbit top cell fixed by all of G closes up periodically
-        if len(top) == 1 and top[0].stab.order() == G.order():
+        top = ecc.orbits[-1]
+        # a one-orbit top cell fixed by all of G, orientation and all,
+        # closes up periodically
+        if len(top) == 1 and top[0].stab.order() == G.order() and -1 not in top[0].chi:
             return wall_assemble(splice(ecc), n)
         return wall_assemble(from_cells(ecc), n)
     flags = SimplexFlags(G.degree, dims if dims is not None else (0, 1))
@@ -262,10 +263,9 @@ def _cmd_wythoff(args):
     if args.orbit_dim is not None:
         ecc = orbit_decompose(SimplexFlags(G.degree, dims), G, args.orbit_dim)
         payload["orbits"] = {
-            "counts": [len(layer) for layer in ecc.raw],
-            "chain_ranks": list(ecc.chain_ranks()),
+            "counts": [len(layer) for layer in ecc.orbits],
             "stabilizer_orders": [
-                list(ecc.stab_orders(k)) for k in range(len(ecc.raw))
+                list(ecc.stab_orders(k)) for k in range(len(ecc.orbits))
             ],
         }
     return payload

@@ -1,19 +1,11 @@
 """Orbit structure of a group action on a cell complex.
 
-`orbit_decompose` returns two views of the same complex.  The `raw`
-layer has one record per cell orbit: a representative, its stabilizer,
-the orientation character of the stabilizer, and a signed boundary
-written as (coefficient, translating element, target orbit).  The
-`chain` layer is what resolution assembly consumes: every orbit whose
-stabilizer reverses orientation has been replaced there by the cone
-over its boundary from a fresh apex vertex, so all chain-layer
-stabilizers act with trivial character and the boundary maps are
-honestly equivariant.
-
-One pass over the dimensions suffices: a cone piece is determined by
-its base cell and one boundary cell, its stabilizer fixes both, and a
-boundary cell of a piece already survived the reversal check at its
-own dimension.
+`orbit_decompose` returns one record per cell orbit: a representative,
+its stabilizer, the orientation character of the stabilizer, and a
+signed boundary written as (coefficient, translating element, target
+orbit).  An orbit whose stabilizer reverses the orientation of its cell
+is kept as it is: its chain module is the permutation module Z[G/H]
+twisted by that character, which is how resolution assembly takes it.
 
 A cell has one encoding throughout, the one `CellOrbit.rep` publishes
 and `act_cell` moves.  A cell of an explicit `DComplex`, whose labels
@@ -22,16 +14,15 @@ are frozensets of points, is its label as a sorted tuple.  A cell of a
 type, each a sorted tuple; these are never materialized, and orbits
 come from descending the stabilizer chain one subset size at a time,
 which is what keeps groups like M24 (5.1M vertices, 58.7M edges) down
-to a handful of orbit records.  Subdivision pieces are ("apex", base)
-and ("cone", base, boundary cell).
+to a handful of orbit records.
 
 Orientations follow the flag-coloring convention: the maximal internal
 flags of a cell are 2-colored so adjacent flags differ, the
 lexicographically least flag is +1, and every sign (incidence numbers,
 characters, relative orientations of translated cells) is read off the
-coloring.  All of it is re-verified numerically: d^2 = 0 on both
-layers, coefficient sums vanish on edges, cone pieces tile their cell,
-and the Euler characteristic survives subdivision.
+coloring.  All of it is re-verified numerically: d^2 = 0 with relative
+orientations, coefficient sums vanish on edges, and orbit sizes sum to
+the cell counts.
 """
 
 from __future__ import annotations
@@ -45,25 +36,9 @@ from .perm import identity, inv, mul
 from .permgroup import OrbitData, PermGroup, act_point, act_set, schreier_stabilizer
 
 
-def _is_composite(cell) -> bool:
-    return len(cell) > 0 and type(cell[0]) is str
-
-
-def _key(cell):
-    """Sort key over all cells: plain cells first, then apexes, then cones."""
-    if _is_composite(cell):
-        return (cell[0],) + tuple(_key(c) for c in cell[1:])
-    return ("", cell)
-
-
 def act_cell(g, rep):
-    """Apply a group element to a cell.
-
-    Works on all three shapes that appear in CellOrbit.rep: a label
-    tuple of points, a chain of such tuples, or an apex/cone composite.
-    """
-    if _is_composite(rep):
-        return (rep[0],) + tuple(act_cell(g, r) for r in rep[1:])
+    """Apply a group element to a cell: a label tuple of points, or a
+    chain of such tuples."""
     if rep and type(rep[0]) is tuple:
         return tuple(act_set(g, p) for p in rep)
     return act_set(g, rep)
@@ -310,58 +285,65 @@ class CellOrbit:
     """One orbit of cells: representative, stabilizer, character, boundary.
 
     `rep` is the cell in the engine's own encoding: a sorted label tuple
-    for an explicit complex, a chain of sorted tuples for a flag complex,
-    and ("apex", base) or ("cone", base, boundary cell) for subdivision
-    pieces; `act_cell` moves any of them.  `chi` lists the orientation
-    character on stab.generators; `boundary` holds (coefficient,
-    translating element, orbit index one dimension down).  `kind` is
-    "cell" for geometric orbits, "apex" or "cone" for subdivision
-    pieces; `source` points back at the raw orbit a piece came from.
+    for an explicit complex, a chain of sorted tuples for a flag complex;
+    `act_cell` moves either.  `chi` lists the orientation character on
+    stab.generators; `boundary` holds (coefficient, translating element,
+    orbit index one dimension down).
     """
 
     def __init__(self, dim: int, rep, stab: PermGroup, chi: tuple, size: int,
-                 boundary: tuple, kind: str = "cell", source: int | None = None):
+                 boundary: tuple):
         self.dim = dim
         self.rep = rep
         self.stab = stab
         self.chi = chi
         self.size = size
         self.boundary = boundary
-        self.kind = kind
-        self.source = source
 
     @property
     def stab_order(self) -> int:
         return self.stab.order()
 
+    def character(self) -> dict:
+        """The orientation character {element: +-1} on every element of
+        stab, walked out from chi on the generators; a walk that reaches
+        one element with both signs is no homomorphism and raises."""
+        one = identity(self.stab.degree)
+        chi = {one: 1}
+        queue = [one]
+        for x in queue:
+            for g, s in zip(self.stab.generators, self.chi):
+                y = mul(x, g)
+                if y not in chi:
+                    chi[y] = chi[x] * s
+                    queue.append(y)
+                elif chi[y] != chi[x] * s:
+                    raise InvariantViolation("orientation character is not a homomorphism")
+        return chi
+
 
 class EquivariantCellComplex:
-    def __init__(self, group: PermGroup, max_dim: int, raw: tuple, chain: tuple,
-                 counts: tuple, chain_counts: tuple, replaced: tuple):
+    """The cell orbits of each dimension, `orbits[k]`, and the number of
+    cells they cover, `counts[k]`."""
+
+    def __init__(self, group: PermGroup, orbits: tuple, counts: tuple):
         self.group = group
-        self.max_dim = max_dim
-        self.raw = raw
-        self.chain = chain
+        self.orbits = orbits
         self.counts = counts
-        self.chain_counts = chain_counts
-        self.replaced = replaced
 
     def stab_orders(self, k: int) -> tuple:
-        return tuple(o.stab_order for o in self.raw[k])
-
-    def chain_ranks(self) -> tuple:
-        return tuple(len(layer) for layer in self.chain)
+        return tuple(o.stab_order for o in self.orbits[k])
 
 
 # -- the decomposition engine -------------------------------------------
 
 
 class _Rec:
-    """Mutable orbit record while the layers are under construction."""
+    """Mutable orbit record while the orbits are under construction."""
 
-    __slots__ = ("rep", "stab", "size", "chi", "boundary", "ref", "col", "kind", "source")
+    __slots__ = ("rep", "stab", "size", "chi", "boundary", "ref", "col")
 
-    def __init__(self, rep, stab, size, kind="cell", source=None):
+    def __init__(self, rep, stab, size):
         self.rep = rep
         self.stab = stab
         self.size = size
@@ -369,8 +351,6 @@ class _Rec:
         self.boundary = ()
         self.ref = None
         self.col = None
-        self.kind = kind
-        self.source = source
 
 
 class _Engine:
@@ -378,84 +358,31 @@ class _Engine:
         self.action = action
         self.group = group
         self.max_dim = min(max_dim, action.top_dim)
-        self.raw = []
-        self.chain = []
-        self.layers = {"raw": self.raw, "chain": self.chain}
-        self.kept = {}
-        self.repl = {}
-        self._bcells = {}
-        self._cfacets = {}
+        self.recs = []
         self._flags = {}
-
-    # -- cells, composite or not ----------------------------------------
-
-    def _dim(self, cell) -> int:
-        if _is_composite(cell):
-            if cell[0] == "apex":
-                return 0
-            return self._dim(cell[2]) + 1
-        return self.action.dim(cell)
 
     def _act_flag(self, g, flag):
         return tuple(act_cell(g, c) for c in flag)
 
-    # -- chain-layer face structure -------------------------------------
-
-    def _boundary_cells(self, cell):
-        """Chain-layer facets of an original cell: replaced facets expand
-        into the top cone pieces that tile them."""
-        if cell in self._bcells:
-            return self._bcells[cell]
-        out = []
-        for f in self.action.facets(cell):
-            slot, _ = self.action.identify(f)
-            if slot in self.repl:
-                out.extend(("cone", f, t) for t in self._boundary_cells(f))
-            else:
-                out.append(f)
-        self._bcells[cell] = out
-        return out
-
-    def _chain_facets(self, cell):
-        if cell in self._cfacets:
-            return self._cfacets[cell]
-        if _is_composite(cell):
-            if cell[0] == "apex":
-                out = []
-            else:
-                _, base, sub = cell
-                if self._dim(sub) == 0:
-                    out = [("apex", base), sub]
-                else:
-                    out = [sub] + [("cone", base, t) for t in self._chain_facets(sub)]
-        else:
-            out = self._boundary_cells(cell)
-        self._cfacets[cell] = out
-        return out
-
-    def _facets(self, cell, layer):
-        return self.action.facets(cell) if layer == "raw" else self._chain_facets(cell)
-
     # -- flags and colorings --------------------------------------------
 
-    def _flags_of(self, cell, layer):
-        k = (layer, cell)
-        if k in self._flags:
-            return self._flags[k]
-        if self._dim(cell) == 0:
+    def _flags_of(self, cell):
+        if cell in self._flags:
+            return self._flags[cell]
+        if self.action.dim(cell) == 0:
             out = ((cell,),)
         else:
             out = tuple(
-                fl + (cell,) for f in self._facets(cell, layer) for fl in self._flags_of(f, layer)
+                fl + (cell,) for f in self.action.facets(cell) for fl in self._flags_of(f)
             )
             if len(out) > errors.FLAG_CAP:
                 raise CapExceeded(f"{len(out)} internal flags in one cell")
-        self._flags[k] = out
+        self._flags[cell] = out
         return out
 
-    def _coloring(self, cell, layer):
+    def _coloring(self, cell):
         """2-coloring of the maximal internal flags; least flag is +1."""
-        flags = self._flags_of(cell, layer)
+        flags = self._flags_of(cell)
         if len(flags) == 1:
             return flags[0], {flags[0]: 1}
         depth = len(flags[0]) - 1
@@ -482,75 +409,45 @@ class _Engine:
                     raise InvariantViolation("flag graph of a cell is not bipartite")
         if len(color) != len(flags):
             raise InvariantViolation("flag graph of a cell is disconnected")
-        ref = min(flags, key=lambda fl: tuple(_key(c) for c in fl))
+        ref = min(flags)
         if color[ref] < 0:
             color = {fl: -c for fl, c in color.items()}
         return ref, color
 
     # -- records and signed boundaries ----------------------------------
 
-    def _finish(self, rec: _Rec, layer, dim, reversal=None) -> int:
-        """Orient rec, file it in its layer, then sign and check its
-        boundary; returns its position.  A character that is not trivial
-        raises `reversal` when that is given."""
-        rec.ref, rec.col = self._coloring(rec.rep, layer)
+    def _finish(self, rec: _Rec, dim):
+        """Orient rec and file it, then sign and check its boundary."""
+        rec.ref, rec.col = self._coloring(rec.rep)
         rec.chi = tuple(self._rel_orientation(rec, g) for g in rec.stab.generators)
-        if reversal and -1 in rec.chi:
-            raise InvariantViolation(reversal)
-        recs = self.layers[layer][dim]
-        recs.append(rec)
+        self.recs[dim].append(rec)
         if dim >= 1:
-            rec.boundary = self._boundary_terms(rec, layer, dim)
+            rec.boundary = self._boundary_terms(rec, dim)
             if dim == 1 and sum(s for s, _, _ in rec.boundary) != 0:
-                raise InvariantViolation(f"{layer} edge boundary does not augment to zero")
+                raise InvariantViolation("edge boundary does not augment to zero")
             if dim >= 2:
-                self._check_dd(layer, dim, rec)
-        return len(recs) - 1
+                self._check_dd(dim, rec)
 
-    def _boundary_terms(self, rec: _Rec, layer, dim):
-        """(coeff, g, pos) over the one-lower layer; sign from rec's coloring."""
+    def _boundary_terms(self, rec: _Rec, dim):
+        """(coeff, g, pos) over the orbits one dimension down; sign from
+        rec's coloring."""
         terms = []
-        for f in self._facets(rec.rep, layer):
-            if layer == "raw":
-                (fd, pos), g = self.action.identify(f)
-                if fd != dim - 1:
-                    raise InvariantViolation("facet dimension mismatch")
-            else:
-                pos, g = self._identify_chain(f, dim - 1)
-            target = self.layers[layer][dim - 1][pos]
+        for f in self.action.facets(rec.rep):
+            (fd, pos), g = self.action.identify(f)
+            if fd != dim - 1:
+                raise InvariantViolation("facet dimension mismatch")
+            target = self.recs[dim - 1][pos]
             sign = rec.col[self._act_flag(g, target.ref) + (rec.rep,)]
             terms.append((sign, g, pos))
         return tuple(terms)
-
-    def _identify_chain(self, cell, dim):
-        if _is_composite(cell):
-            base = cell[1]
-            slot, u = self.action.identify(base)
-            if slot not in self.repl:
-                raise InvariantViolation("cone piece over a cell that was not replaced")
-            apex_pos, table = self.repl[slot]
-            if cell[0] == "apex":
-                return apex_pos, u
-            t = act_cell(inv(u), cell[2])
-            try:
-                pos, od = table[t]
-            except KeyError:
-                raise InvariantViolation("cone piece outside its replacement closure")
-            return pos, mul(u, od.transporter(t))
-        slot, g = self.action.identify(cell)
-        if slot not in self.kept:
-            raise InvariantViolation("boundary reached a replaced orbit directly")
-        if slot[0] != dim:
-            raise InvariantViolation("facet dimension mismatch on the chain layer")
-        return self.kept[slot], g
 
     def _rel_orientation(self, rec: _Rec, u) -> int:
         """Sign of u's action on rec's orientation; u must stabilize the cell."""
         return rec.col[self._act_flag(u, rec.ref)]
 
-    def _accumulate(self, acc, layer, dim, pos, transport, coeff):
+    def _accumulate(self, acc, dim, pos, transport, coeff):
         """Add coeff * transport(orbit rep) to an oriented cell chain."""
-        rec = self.layers[layer][dim][pos]
+        rec = self.recs[dim][pos]
         cell = act_cell(transport, rec.rep)
         k = (dim, pos, cell)
         if k in acc:
@@ -560,141 +457,58 @@ class _Engine:
         else:
             acc[k] = (transport, coeff)
 
-    def _expand_boundary(self, acc, layer, dim, pos, transport, coeff):
-        rec = self.layers[layer][dim][pos]
-        for s, g, j in rec.boundary:
-            self._accumulate(acc, layer, dim - 1, j, mul(transport, g), coeff * s)
-
-    def _check_dd(self, layer, dim, rec):
+    def _check_dd(self, dim, rec):
         acc = {}
         for s, g, j in rec.boundary:
-            self._expand_boundary(acc, layer, dim - 1, j, g, s)
+            for s2, g2, i in self.recs[dim - 1][j].boundary:
+                self._accumulate(acc, dim - 2, i, mul(g, g2), s * s2)
         if any(c for _, c in acc.values()):
-            raise InvariantViolation(f"d^2 != 0 on a {layer} orbit of dimension {dim}")
-
-    # -- subdivision -----------------------------------------------------
-
-    def _replace(self, k, raw_pos, rec: _Rec):
-        """Cone rec's orbit over its (already emitted) boundary cells."""
-        _, col = self._coloring(rec.rep, "chain")
-        apex = _Rec(("apex", rec.rep), rec.stab, rec.size, kind="apex", source=raw_pos)
-        table = {}
-        self.repl[(k, raw_pos)] = (self._finish(apex, "chain", 0), table)
-
-        closure = {}
-        frontier = self._boundary_cells(rec.rep)
-        while frontier:
-            nxt = []
-            for c in frontier:
-                d = self._dim(c)
-                if c not in closure.setdefault(d, set()):
-                    closure[d].add(c)
-                    nxt.extend(self._chain_facets(c))
-            frontier = nxt
-
-        gorder = self.group.order()
-        for j in sorted(closure):
-            seeds = sorted(closure[j], key=_key)
-            filed = self.chain[j + 1]
-            for seed, pstab, _ in _new_orbits(seeds, rec.stab, act_cell, table, filed):
-                piece = _Rec(("cone", rec.rep, seed), pstab, gorder // pstab.order(),
-                             kind="cone", source=raw_pos)
-                self._finish(piece, "chain", j + 1, "a cone piece reversed orientation")
-
-        self._check_tiling(k, rec.rep, col)
-
-    def _check_tiling(self, k, cell, col):
-        """The signed cone pieces must tile the cell: sum of their
-        boundaries equals the boundary of the replaced cell itself."""
-        acc = {}
-        for tau in self._boundary_cells(cell):
-            pos_t, g_t = self._identify_chain(tau, k - 1)
-            facet = self.chain[k - 1][pos_t]
-            s_cell = col[self._act_flag(g_t, facet.ref) + (cell,)]
-            self._accumulate(acc, "chain", k - 1, pos_t, g_t, -s_cell)
-            ppos, g_p = self._identify_chain(("cone", cell, tau), k)
-            coeff_tau = 0
-            for s, g, j in self.chain[k][ppos].boundary:
-                if j != pos_t:
-                    continue
-                h = mul(g_p, g)
-                if act_cell(h, facet.rep) != tau:
-                    continue
-                rel = 1 if h == g_t else self._rel_orientation(facet, mul(inv(g_t), h))
-                coeff_tau += s * rel
-            if coeff_tau not in (1, -1):
-                raise InvariantViolation("cone piece does not meet its base facet once")
-            self._expand_boundary(acc, "chain", k, ppos, g_p, s_cell * coeff_tau)
-        if any(c for _, c in acc.values()):
-            raise InvariantViolation("cone pieces do not tile the replaced cell")
+            raise InvariantViolation(f"d^2 != 0 on an orbit of dimension {dim}")
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> EquivariantCellComplex:
         counts = []
         for k in range(self.max_dim + 1):
-            self.raw.append([])
-            self.chain.append([])
+            self.recs.append([])
             total = 0
             for rep, stab, size in self.action.decompose(k):
                 total += size
-                rec = _Rec(rep, stab, size)
-                raw_pos = self._finish(rec, "raw", k)
-                if -1 in rec.chi:
-                    self._replace(k, raw_pos, rec)
-                else:
-                    self.kept[(k, raw_pos)] = self._finish(
-                        _Rec(rep, stab, size, source=raw_pos), "chain", k,
-                        "kept orbit reverses on the chain layer",
-                    )
+                self._finish(_Rec(rep, stab, size), k)
             if total != self.action.cell_count(k):
                 raise InvariantViolation(
                     f"orbit sizes sum to {total} cells in dimension {k}, "
                     f"complex has {self.action.cell_count(k)}"
                 )
             counts.append(total)
-
-        chain_counts = tuple(sum(r.size for r in lay) for lay in self.chain)
-        euler_raw = sum((-1) ** k * c for k, c in enumerate(counts))
-        euler_chain = sum((-1) ** k * c for k, c in enumerate(chain_counts))
-        if euler_raw != euler_chain:
-            raise InvariantViolation("subdivision changed the Euler characteristic")
-
-        def publish(layer):
-            return tuple(
-                tuple(CellOrbit(k, r.rep, r.stab, r.chi, r.size, r.boundary, r.kind, r.source)
-                      for r in lay)
-                for k, lay in enumerate(layer)
-            )
-
-        return EquivariantCellComplex(
-            group=self.group,
-            max_dim=self.max_dim,
-            raw=publish(self.raw),
-            chain=publish(self.chain),
-            counts=tuple(counts),
-            chain_counts=chain_counts,
-            replaced=tuple(sorted(self.repl)),
+        orbits = tuple(
+            tuple(CellOrbit(k, r.rep, r.stab, r.chi, r.size, r.boundary) for r in lay)
+            for k, lay in enumerate(self.recs)
         )
+        return EquivariantCellComplex(self.group, orbits, tuple(counts))
 
 
 def expand_chain(ecc: EquivariantCellComplex):
-    """Cell-level boundary matrices of the chain layer.
+    """Cell-level boundary matrices of the complex.
 
     Enumerates every cell, so this is for small complexes only: it is
     the independent cross-check that the orbit records really describe
     a complex (the matrices multiply to zero, and a solid base comes
-    out with the homology of a point).  Returns (sizes, mats) with
-    mats[k] mapping dimension k+1 to dimension k, as one sparse column
-    {cell: coefficient} per (k+1)-cell, in chain_homology's form.
+    out with the homology of a point).  Each cell is oriented as u(rep),
+    u the transporter of its orbit to it, so a face reached as v(rep)
+    with v = u h, h in the face's stabilizer, enters with the sign
+    chi(h).  Returns
+    (sizes, mats) with mats[k] mapping dimension k+1 to dimension k, as
+    one sparse column {cell: coefficient} per (k+1)-cell, in
+    chain_homology's form.
     """
-    if sum(ecc.chain_counts) > errors.EXPAND_CAP:
-        raise CapExceeded(f"{sum(ecc.chain_counts)} cells is too many to expand")
+    if sum(ecc.counts) > errors.EXPAND_CAP:
+        raise CapExceeded(f"{sum(ecc.counts)} cells is too many to expand")
     gens = ecc.group.generators
     deg = ecc.group.degree
     index = []
     orbits = []
-    for layer in ecc.chain:
+    for layer in ecc.orbits:
         idx = {}
         ods = []
         for o in layer:
@@ -703,19 +517,23 @@ def expand_chain(ecc: EquivariantCellComplex):
                 raise InvariantViolation("orbit size does not match its record")
             for st in od.states:
                 idx[st] = len(idx)
-            ods.append(od)
+            ods.append((od, o.character()))
         index.append(idx)
         orbits.append(ods)
     mats = []
-    for k in range(1, len(ecc.chain)):
+    for k in range(1, len(ecc.orbits)):
         # cells come in the order index[k] numbered them
         cols = []
-        for o, od in zip(ecc.chain[k], orbits[k]):
+        for o, (od, _) in zip(ecc.orbits[k], orbits[k]):
             for cell in od.states:
                 u = od.transporter(cell)
                 col: dict = {}
                 for s, g, j in o.boundary:
-                    i = index[k - 1][act_cell(mul(u, g), ecc.chain[k - 1][j].rep)]
+                    v = mul(u, g)
+                    face = act_cell(v, ecc.orbits[k - 1][j].rep)
+                    od_j, chi_j = orbits[k - 1][j]
+                    s *= chi_j[mul(inv(od_j.transporter(face)), v)]
+                    i = index[k - 1][face]
                     col[i] = col.get(i, 0) + s
                 cols.append(col)
         mats.append(cols)
@@ -726,12 +544,10 @@ def orbit_decompose(base, group: PermGroup, max_dim: int):
     """Decompose a complex with a group action into cell orbits.
 
     `base` is either an explicit DComplex whose labels are frozensets of
-    points, or a SimplexFlags descriptor for the lazy route.  Both
-    layers of the result are deterministic: orbits appear in descent
-    (respectively label) order, subdivision pieces right after the
-    orbit they replace, appended by dimension and representative key.
-    Subdivided cells of flag complexes can be flag-heavy; FLAG_CAP
-    bounds the coloring work per cell.
+    points, or a SimplexFlags descriptor for the lazy route.  The result
+    is deterministic: orbits appear in descent (respectively label)
+    order.  A cell of a flag complex can carry many internal flags;
+    FLAG_CAP bounds the coloring work per cell.
     """
     if isinstance(base, SimplexFlags):
         action = _SimplexFlagAction(base, group)
@@ -740,8 +556,6 @@ def orbit_decompose(base, group: PermGroup, max_dim: int):
     else:
         raise TypeError("base must be a DComplex or a SimplexFlags descriptor")
     return _Engine(action, group, max_dim).run()
-
-
 
 
 def flag_edge_orbits(G: PermGroup, dims) -> dict:

@@ -1,9 +1,13 @@
 """Free resolutions assembled from complexes of permutation modules.
 
 A NonFreeComplex is a chain complex whose degree-p module is a direct
-sum of coset modules Z[G/H], one per cell orbit, with boundary
-coefficients carrying explicit group elements.  Each summand is
-resolved by a free resolution of its stabilizer; inducing that up to G
+sum of coset modules Z[G/H] (x) Z_chi, one per cell orbit, twisted by
+the character chi by which H acts on the orientation of its cell, with
+boundary coefficients carrying explicit group elements (Wall 1961;
+Ellis 2004, "Computing group resolutions").  Each summand is resolved
+by a free resolution R of its stabilizer, twisted: R (x) Z_chi is R
+conjugated by the Z-linear map h.e -> chi(h) h.e, so it has the same
+free generators and a contracting homotopy.  Inducing that up to G
 gives a vertical strip of free modules per orbit, and the assembled
 resolution in total degree n is the direct sum of the blocks with
 p + q = n.
@@ -34,7 +38,7 @@ the flags complexes are, and takes the tensor product of the factors'
 resolutions (Ellis 2004); any other stabilizer goes to
 resolution_small.
 
-Solid complexes with a rank-one top module splice into a periodic
+Solid complexes with a trivial rank-one top module splice into a periodic
 complex (the top cell's boundary re-enters below degree zero), and a
 group extension feeds in as the quotient's resolution viewed as a
 complex of Z[G/N]-modules, every orbit stabilized by N: the assembled
@@ -52,12 +56,14 @@ from .resolution import FreeResolution, _vector, resolution_small, tensor_resolu
 
 
 class OrbitSummand:
-    """One Z[G/H] summand: sorted stabilizer elements and the boundary
-    word ((coeff, g, orbit_below), ...) of its generating coset."""
+    """One Z[G/H] (x) Z_chi summand: sorted stabilizer elements, the
+    boundary word ((coeff, g, orbit_below), ...) of its generating
+    coset, and the character {element: +-1} of H, None when trivial."""
 
-    def __init__(self, stab: tuple, boundary: tuple):
+    def __init__(self, stab: tuple, boundary: tuple, chi=None):
         self.stab = stab
         self.boundary = boundary
+        self.chi = chi
 
 
 class NonFreeComplex:
@@ -100,7 +106,8 @@ class NonFreeComplex:
 def _summands(layers) -> list:
     return [
         tuple(
-            OrbitSummand(tuple(sorted(c.stab.elements())), tuple(c.boundary))
+            OrbitSummand(tuple(sorted(c.stab.elements())), tuple(c.boundary),
+                         c.character() if -1 in c.chi else None)
             for c in layer
         )
         for layer in layers
@@ -108,25 +115,25 @@ def _summands(layers) -> list:
 
 
 def from_cells(ecc) -> NonFreeComplex:
-    """Orbit complex from an equivariant cell decomposition (its
-    untwisted chain layers)."""
-    return NonFreeComplex(ecc.group, _summands(ecc.chain))
+    """Orbit complex from an equivariant cell decomposition."""
+    return NonFreeComplex(ecc.group, _summands(ecc.orbits))
 
 
 def splice(ecc) -> NonFreeComplex:
     """Periodic complex from a solid whose top module is Z.
 
-    The top chain layer must be one orbit stabilized by all of G; its
-    boundary word becomes the splice map.  The window is checked to be
-    exact by expanding to integer matrices (homology of a point).
+    The top cells must be one orbit stabilized by all of G with trivial
+    character; its boundary word becomes the splice map.  The window is
+    checked to be exact by expanding to integer matrices (homology of a
+    point).
     """
     from .equivariant import expand_chain
 
-    top = ecc.chain[-1]
-    if len(ecc.chain) < 2 or len(top) != 1:
+    top = ecc.orbits[-1]
+    if len(ecc.orbits) < 2 or len(top) != 1:
         raise InvariantViolation("splice needs a single top cell orbit")
     cell = top[0]
-    if cell.stab.order() != ecc.group.order():
+    if cell.stab.order() != ecc.group.order() or -1 in cell.chi:
         raise InvariantViolation("top module is not trivial of rank one")
     sizes, mats = expand_chain(ecc)
     H = chain_homology(sizes, mats)
@@ -134,7 +141,7 @@ def splice(ecc) -> NonFreeComplex:
     if H[0].as_list() != [0] or not all(point[1:]):
         raise InvariantViolation("solid does not expand to a point")
     return NonFreeComplex(
-        ecc.group, _summands(ecc.chain[:-1]), splice_word=tuple(cell.boundary)
+        ecc.group, _summands(ecc.orbits[:-1]), splice_word=tuple(cell.boundary)
     )
 
 
@@ -166,66 +173,62 @@ class AssembledResolution:
 
 
 class _Column:
-    """Induced vertical strip over one orbit: Z[G] (x)_{ZH} R^H.
+    """Induced vertical strip over one orbit: Z[G] (x)_{ZH} (R^H (x) Z_chi).
 
-    Wraps the stabilizer resolution with coset bookkeeping; a trivial
-    stabilizer needs no resolution at all (rank 1 in degree 0, zero
-    homotopy).  R comes from resolve, which hands every stabilizer with
+    R^H (x) Z_chi has R^H's free generators; every boundary, homotopy
+    and section term is multiplied by chi of the stabilizer element it
+    carries.  R comes from resolve, which hands every stabilizer with
     the same standard form one shared resolution, carried over by
-    conjugation (see _shared_resolver).
+    conjugation (see _shared_resolver); a trivial stabilizer resolves
+    to rank 1 in degree 0 with a zero homotopy.
     """
 
-    def __init__(self, stab: tuple, depth: int, resolve):
+    def __init__(self, stab: tuple, depth: int, resolve, chi):
         self.stab = stab
-        self.trivial = len(stab) == 1
         self._cosets: dict = {}
-        if self.trivial:
-            self.R = None
-        else:
-            # depth 0 would leave the stabilizer resolution without a
-            # homotopy level; one extra degree is cheap and memoized
-            self.R = resolve(stab, max(depth, 1))
-            if self.R.ranks[0] != 1 or self.R.aug != (1,):
-                raise InvariantViolation("column resolution must augment Z[G/H]")
-            # g -> mul(g, h) for each h, in the resolution's element order
-            self._right = [precompose(h) for h in self.R.G.elements]
+        # depth 0 would leave the stabilizer resolution without a
+        # homotopy level; one extra degree is cheap and memoized
+        self.R = resolve(stab, max(depth, 1))
+        if self.R.ranks[0] != 1 or self.R.aug != (1,):
+            raise InvariantViolation("column resolution must augment Z[G/H]")
+        els = self.R.G.elements
+        # g -> mul(g, h) for each h, in the resolution's element order
+        self._right = [precompose(h) for h in els]
+        self._chi = [chi[h] for h in els] if chi else [1] * len(els)
 
     def rank(self, q: int) -> int:
-        if self.trivial:
-            return 1 if q == 0 else 0
         return self.R.ranks[q] if q < len(self.R.ranks) else 0
 
     def _coset(self, g):
         """(r, e): r the least element of gH, e the index of r^-1 g."""
         hit = self._cosets.get(g)
         if hit is None:
-            if self.trivial:
-                hit = (g, None)
-            else:
-                # r = g h for exactly one h, so r^-1 g is h^-1
-                r, i = min((f(g), i) for i, f in enumerate(self._right))
-                hit = (r, self.R.G.inverse[i])
-            self._cosets[g] = hit
+            # r = g h for exactly one h, so r^-1 g is h^-1
+            r, i = min((f(g), i) for i, f in enumerate(self._right))
+            hit = self._cosets[g] = (r, self.R.G.inverse[i])
         return hit
 
-    def rep(self, g):
-        return self._coset(g)[0]
+    def section(self, g):
+        """(sign, r) with g (x) 1 = sign * r (x) 1 and r the least
+        element of gH."""
+        r, e = self._coset(g)
+        return self._chi[e], r
 
     def d0(self, q: int, t: int):
         """Stabilizer boundary of generator t at height q, as (c, g, t')."""
-        if self.trivial:
-            return ()
-        els, n = self.R.G.elements, self.R.G.n
-        return tuple((c, els[x % n], x // n) for x, c in self.R.boundary(q, t).items())
+        els, n, chi = self.R.G.elements, self.R.G.n, self._chi
+        return tuple(
+            (c * chi[x % n], els[x % n], x // n) for x, c in self.R.boundary(q, t).items()
+        )
 
     def h(self, q: int, c: int, g, t: int):
         """Homotopy applied to one term at height q, as (c, g, t')."""
-        if self.trivial:
-            return ()
         r, e = self._coset(g)
-        right, n = self._right, self.R.G.n
+        right, n, chi = self._right, self.R.G.n, self._chi
+        c *= chi[e]
         return tuple(
-            (c * c2, right[x % n](r), x // n) for x, c2 in self.R.h(q, e, t).items()
+            (c * c2 * chi[x % n], right[x % n](r), x // n)
+            for x, c2 in self.R.h(q, e, t).items()
         )
 
 
@@ -341,7 +344,7 @@ def wall_assemble(
         if not C.available(p):
             break
         depth = top - p
-        cols.append([_Column(s.stab, depth, resolve) for s in C.layer(p)])
+        cols.append([_Column(s.stab, depth, resolve, s.chi) for s in C.layer(p)])
 
     gens: list = [[] for _ in range(top + 1)]
     for p in range(len(cols)):
@@ -388,10 +391,11 @@ def wall_assemble(
                     for i in range(1, p + 1):
                         if i == 1 and q == 0:
                             # section . boundary . augmentation
-                            word = _merge(
-                                (c, cols[p - 1][o2].rep(g), (p - 1, 0, o2, 0))
-                                for c, g, o2 in C.boundary(p, o)
-                            )
+                            terms = []
+                            for c, g, o2 in C.boundary(p, o):
+                                sign, r = cols[p - 1][o2].section(g)
+                                terms.append((c * sign, r, (p - 1, 0, o2, 0)))
+                            word = _merge(terms)
                         else:
                             x = ((1, idn, key),)
                             acc = []

@@ -12,6 +12,10 @@ N_G(P), of index 70,840.  The Sylow 3-subgroup 3^{1+2} of M24 is not
 abelian: its double cosets need the index 9,067,520, past the
 double-coset cap, so that request must stop with exit 2.  So must the
 normalizer route when its conjugation orbit outgrows its cap.
+H_3(M11) and the whole of H_2(M12) also come from the paper's second
+method, with no Sylow subgroup and so no seed: Wall assembly over the
+flag complex with rings 0..4, each cell orbit entering as a permutation
+module twisted by its orientation character.
 """
 
 import json
@@ -27,6 +31,8 @@ from permhomology.cli import main
     ("homology M11 -n 3 -p 2", 3, [8]),
     ("homology M23 -n 5 --p-min 5", 5, [7]),
     ("homology M12 -n 2 -p 2 --seed 0", 2, [2]),
+    ("homology M11 -n 3 --method wall --complex flags --dims 0,1,2,3,4", 3, [8]),
+    ("homology M12 -n 2 --method wall --complex flags --dims 0,1,2,3,4", 2, [2]),
 ])
 def test_known_value(capsys, request_, degree, want):
     assert main(request_.split()) == 0

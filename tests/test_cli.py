@@ -364,11 +364,21 @@ def test_wythoff_orbit_mode(capsys):
                  "--orbit-dim", "0")
     orbits = d["orbits"]
     assert orbits["counts"] == [1]
-    assert len(orbits["chain_ranks"]) == 1
     assert orbits["stabilizer_orders"] == [[48]]
     for k, stabs in enumerate(orbits["stabilizer_orders"]):
         assert len(stabs) == orbits["counts"][k]
         assert sum(d["order"] // s for s in stabs) == d["f_vector"][str(k)]
+
+
+def test_wythoff_orbit_mode_keeps_reversing_orbits_whole(capsys):
+    # 17 orbits, 16 of them reversing their cells' orientation, and
+    # each one record
+    d = run_json(capsys, "wythoff", "M11", "--rings", "0,1", "--orbit-dim", "5")
+    assert d["orbits"] == {
+        "counts": [1, 2, 2, 3, 5, 4],
+        "stabilizer_orders": [[72], [16, 144], [6, 48], [4, 24, 24],
+                              [4, 20, 20, 20, 120], [4, 24, 20, 120]],
+    }
 
 
 def test_wythoff_orbit_dim_range(capsys):

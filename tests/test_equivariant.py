@@ -17,6 +17,7 @@ from permhomology.catalog import (
     symmetric,
 )
 from permhomology.equivariant import (
+    CellOrbit,
     SimplexFlags,
     _compatible_chains,
     act_cell,
@@ -69,25 +70,23 @@ def check_matrices(sizes, mats):
 
 def test_triangle_trivial_group():
     ecc = orbit_decompose(oc.simplex_boundary(3), PermGroup([], 3), 1)
-    assert [len(layer) for layer in ecc.raw] == [3, 3]
+    assert [len(layer) for layer in ecc.orbits] == [3, 3]
     assert ecc.stab_orders(0) == (1, 1, 1)
     assert ecc.stab_orders(1) == (1, 1, 1)
     assert ecc.counts == (3, 3)
-    assert ecc.replaced == ()
-    assert all(o.kind == "cell" for layer in ecc.chain for o in layer)
-    for o in ecc.raw[1]:
+    for o in ecc.orbits[1]:
         assert sum(s for s, _, _ in o.boundary) == 0
         assert {s for s, _, _ in o.boundary} == {1, -1}
 
 
-def test_segment_z2_subdivided():
+def test_segment_z2_twisted():
     g = PermGroup([(1, 0)], 2)
     ecc = orbit_decompose(cx.simplex_complex(2), g, 1)
-    edge = ecc.raw[1][0]
+    edge = ecc.orbits[1][0]
     assert edge.chi == (-1,)
-    assert ecc.replaced == ((1, 0),)
-    kinds = [(o.kind, o.stab_order, o.size) for layer in ecc.chain for o in layer]
-    assert kinds == [("cell", 1, 2), ("apex", 2, 1), ("cone", 1, 2)]
+    assert edge.character() == {(0, 1): 1, (1, 0): -1}
+    inv = [(o.stab_order, o.size) for layer in ecc.orbits for o in layer]
+    assert inv == [(1, 2), (2, 1)]
     sizes, mats = expand_dense(ecc)
     check_matrices(sizes, mats)
     assert homology_of(sizes, mats) == [(1, ()), (0, ())]
@@ -95,30 +94,36 @@ def test_segment_z2_subdivided():
 
 def test_square_rotations_untouched():
     ecc = orbit_decompose(cx.polygon_solid(4), cyclic(4), 2)
-    assert ecc.chain_ranks() == (1, 1, 1)
-    assert ecc.replaced == ()
-    assert ecc.raw[2][0].chi == (1,)
-    assert ecc.chain_counts == (4, 4, 1)
+    assert [len(layer) for layer in ecc.orbits] == [1, 1, 1]
+    assert ecc.orbits[2][0].chi == (1,)
+    assert set(ecc.orbits[2][0].character().values()) == {1}
+    assert ecc.counts == (4, 4, 1)
 
 
 def test_square_dihedral_inventory():
     ecc = orbit_decompose(cx.polygon_solid(4), dihedral(4), 2)
-    assert [o.chi for layer in ecc.raw for o in layer] == [(1,), (-1,), (1, -1)]
-    assert ecc.replaced == ((1, 0), (2, 0))
-    inv = [[(o.kind, o.stab_order, o.size) for o in layer] for layer in ecc.chain]
-    assert inv[0] == [("cell", 2, 4), ("apex", 2, 4), ("apex", 8, 1)]
-    assert inv[1] == [("cone", 1, 8), ("cone", 2, 4), ("cone", 2, 4)]
-    assert inv[2] == [("cone", 1, 8)]
-    assert ecc.chain_counts == (9, 16, 8)
-    for layer in ecc.chain:
-        for o in layer:
-            assert -1 not in o.chi
+    assert [o.chi for layer in ecc.orbits for o in layer] == [(1,), (-1,), (1, -1)]
+    inv = [[(o.stab_order, o.size) for o in layer] for layer in ecc.orbits]
+    assert inv == [[(2, 4)], [(2, 4)], [(8, 1)]]
+    # the rotations keep the square's orientation, the reflections reverse it
+    rotations = set(cyclic(4).elements())
+    chi = ecc.orbits[2][0].character()
+    assert set(chi) == set(dihedral(4).elements())
+    assert all(s == (1 if h in rotations else -1) for h, s in chi.items())
+
+
+def test_character_must_be_a_homomorphism():
+    # a 3-cycle cannot reverse an orientation: its cube is the identity
+    c3 = cyclic(3)
+    assert CellOrbit(0, (0,), c3, (1,), 1, ()).character() == dict.fromkeys(c3.elements(), 1)
+    with pytest.raises(InvariantViolation, match="homomorphism"):
+        CellOrbit(0, (0,), c3, (-1,), 1, ()).character()
 
 
 def test_square_klein_four():
     ecc = orbit_decompose(cx.polygon_solid(4), klein_four(), 2)
-    assert len(ecc.replaced) == 3
-    assert ecc.chain_counts == (9, 16, 8)
+    assert ecc.counts == (4, 4, 1)
+    assert [o.chi for layer in ecc.orbits for o in layer] == [(), (-1,), (-1,), (-1, 1)]
     sizes, mats = expand_dense(ecc)
     check_matrices(sizes, mats)
     assert homology_of(sizes, mats) == [(1, ()), (0, ()), (0, ())]
@@ -127,10 +132,8 @@ def test_square_klein_four():
 def test_tetrahedron_a4():
     ecc = orbit_decompose(cx.simplex_complex(4), alternating(4), 3)
     assert ecc.counts == (4, 6, 4, 1)
-    assert ecc.raw[1][0].chi == (-1,)
-    assert ecc.replaced == ((1, 0),)
-    assert ecc.chain_counts == (10, 12, 4, 1)
-    assert ecc.raw[3][0].chi == (1, 1)
+    assert ecc.orbits[1][0].chi == (-1,)
+    assert ecc.orbits[3][0].chi == (1, 1)
     sizes, mats = expand_dense(ecc)
     check_matrices(sizes, mats)
     assert homology_of(sizes, mats) == [(1, ()), (0, ()), (0, ()), (0, ())]
@@ -141,9 +144,9 @@ def test_hexagon_s3():
     assert g.order() == 6
     ecc = orbit_decompose(cx.polygon_solid(6), g, 2)
     assert ecc.stab_orders(0) == (1,)
-    assert -1 not in ecc.raw[0][0].chi
-    assert len(ecc.replaced) == 3
-    assert ecc.chain_counts == (13, 24, 12)
+    assert -1 not in ecc.orbits[0][0].chi
+    assert [o.chi for o in ecc.orbits[1]] == [(-1,), (-1,)]
+    assert ecc.orbits[2][0].chi == (1, -1)
     sizes, mats = expand_dense(ecc)
     check_matrices(sizes, mats)
     assert homology_of(sizes, mats) == [(1, ()), (0, ()), (0, ())]
@@ -171,19 +174,18 @@ def test_lazy_counts_match_materialized():
         ecc = orbit_decompose(sf, PermGroup([], 5), top)
         W = oc.wythoff_complex(oc.simplex_boundary(5), V)
         assert list(ecc.counts) == [len(W.faces_of_dim(k)) for k in range(top + 1)]
-        assert all(o.stab_order == 1 for layer in ecc.raw for o in layer)
+        assert all(o.stab_order == 1 for layer in ecc.orbits for o in layer)
 
 
 def test_lazy_group_orbits():
     for g in [symmetric(5), alternating(5), cyclic(5)]:
         ecc = orbit_decompose(SimplexFlags(5, (0, 2)), g, 3)
         assert ecc.counts == (30, 90, 80, 20)
-        for k, layer in enumerate(ecc.raw):
+        for k, layer in enumerate(ecc.orbits):
             assert sum(o.size for o in layer) == ecc.counts[k]
     # odd order rules out orientation reversal outright
     ecc = orbit_decompose(SimplexFlags(5, (0, 2)), cyclic(5), 3)
-    assert ecc.replaced == ()
-    assert ecc.chain_ranks() == tuple(len(layer) for layer in ecc.raw)
+    assert all(-1 not in o.chi for layer in ecc.orbits for o in layer)
 
 
 def test_a5_full_flags_sphere():
@@ -196,14 +198,14 @@ def test_a5_full_flags_sphere():
 
 def test_m23_vertex_orbits():
     ecc = orbit_decompose(SimplexFlags(23, (0, 1, 2, 3, 4)), mathieu(23), 0)
-    assert len(ecc.raw[0]) == 2
+    assert len(ecc.orbits[0]) == 2
     assert sorted(ecc.stab_orders(0)) == [3, 16]
     assert ecc.counts[0] == 23 * 22 * 21 * 20 * 19
 
 
 def test_m22_vertex_orbit():
     ecc = orbit_decompose(SimplexFlags(22, (0, 1, 2)), mathieu(22), 0)
-    assert len(ecc.raw[0]) == 1
+    assert len(ecc.orbits[0]) == 1
     assert ecc.stab_orders(0) == (48,)
     assert ecc.counts[0] == 22 * 21 * 20
 
@@ -234,10 +236,9 @@ def test_json_export():
     ecc = orbit_decompose(cx.polygon_solid(4), dihedral(4), 2)
     assert ecc.group.order() == 8
     assert ecc.counts == (4, 4, 1)
-    assert ecc.chain_counts == (9, 16, 8)
-    assert len(ecc.raw) == 3
-    o = ecc.chain[1][0]
-    assert o.kind == "cone" and o.stab_order == 1
+    assert len(ecc.orbits) == 3
+    o = ecc.orbits[1][0]
+    assert o.stab_order == 2 and o.chi == (-1,)
     for c, g, j in o.boundary:
         assert c in (1, -1) and len(g) == 4 and isinstance(j, int)
 
@@ -246,8 +247,6 @@ def test_act_cell_shapes():
     g = (1, 2, 0)
     assert act_cell(g, (0, 1)) == (1, 2)
     assert act_cell(g, ((0,), (0, 2))) == ((1,), (0, 1))
-    assert act_cell(g, ("apex", (0, 1))) == ("apex", (1, 2))
-    assert act_cell(g, ("cone", (0, 1, 2), ((0,),))) == ("cone", (0, 1, 2), ((1,),))
 
 
 def test_materialized_rejects_bad_input():
@@ -262,31 +261,30 @@ def test_materialized_rejects_bad_input():
 
 
 def _published(ecc) -> str:
-    """Every published field of both layers, and `replaced`, as JSON."""
+    """Every published field of the orbit records, as JSON."""
     def rec(o):
         return [o.dim, o.rep, [list(g) for g in o.stab.generators], o.chi, o.size,
-                [[s, list(g), j] for s, g, j in o.boundary], o.kind, o.source]
-    return json.dumps({"raw": [[rec(o) for o in lay] for lay in ecc.raw],
-                       "chain": [[rec(o) for o in lay] for lay in ecc.chain],
-                       "replaced": ecc.replaced}, separators=(",", ":"))
+                [[s, list(g), j] for s, g, j in o.boundary]]
+    return json.dumps([[rec(o) for o in lay] for lay in ecc.orbits], separators=(",", ":"))
 
 
-# sha256 of _published, recorded before the cell encoding, orbit walk
-# and record path were merged; same seeds in the same order must give
-# the same stabilizer generators, transporters and boundary words
-@pytest.mark.parametrize("make, ranks, sha256", [
-    (lambda: orbit_decompose(cx.polygon_solid(12), dihedral(12), 2), (3, 3, 1),
-     "6b1cdcd34cd2e420b626a90a8b4fd5e361bc815dcf871bd4a07b23d197c1cac5"),
+# sha256 of _published, recorded while the reversing orbits were still
+# also coned into a second layer; same seeds in the same order must give
+# the same stabilizer generators, characters, transporters and boundary
+# words
+@pytest.mark.parametrize("make, counts, sha256", [
+    (lambda: orbit_decompose(cx.polygon_solid(12), dihedral(12), 2), (1, 1, 1),
+     "21a1b71591a723c9e5bc8cd752b818b2b3594a79e66a752a45ff6bb7293ea111"),
     (lambda: orbit_decompose(cx.polygon_solid(4), cyclic(4), 2), (1, 1, 1),
-     "5f01c878e23f659114a25a36839d1216c387065918c375c519d0bdce25887eb6"),
-    (lambda: orbit_decompose(cx.simplex_complex(4), alternating(4), 3), (2, 1, 1, 1),
-     "22ae0c548f18a0a0931c2e38fca0693d4335e0202e68ed632f1b840403f9bff8"),
-    (lambda: orbit_decompose(SimplexFlags(5, (0, 1)), symmetric(5), 4), (7, 15, 13, 4),
-     "560dacbfbc1704ff7cf297e1f670b992e1e92bd84196cd9e536719d203908449"),
-    (lambda: orbit_decompose(SimplexFlags(5, (1, 2)), alternating(5), 4), (5, 6, 3, 2),
-     "204844ca59e71de223beaf3d6cff5201b697ae43cb705231bb0cb986872d381b"),
+     "702464a828ea923df49774abab2bbaa4a0b43b1ecfab81fa6c77eadf11f263f5"),
+    (lambda: orbit_decompose(cx.simplex_complex(4), alternating(4), 3), (1, 1, 1, 1),
+     "c7fbe692f1a048d4c420280f8a5951215b38d71e9c07941b7148407b8ac7b10c"),
+    (lambda: orbit_decompose(SimplexFlags(5, (0, 1)), symmetric(5), 4), (1, 2, 2, 2),
+     "2e349e3a3493367b96881a7ed89370bc149b131e5d170881fd059ab7f1feddef"),
+    (lambda: orbit_decompose(SimplexFlags(5, (1, 2)), alternating(5), 4), (1, 2, 3, 2),
+     "cc399be40d20095cb6671263f91e8f000dc9cf632c5f808ed94efcf9872ac34a"),
 ], ids=["D12-polygon", "C4-polygon", "A4-simplex", "S5-flags-01", "A5-flags-12"])
-def test_published_records_are_pinned(make, ranks, sha256):
+def test_published_records_are_pinned(make, counts, sha256):
     ecc = make()
-    assert ecc.chain_ranks() == ranks
+    assert tuple(len(layer) for layer in ecc.orbits) == counts
     assert hashlib.sha256(_published(ecc).encode()).hexdigest() == sha256
