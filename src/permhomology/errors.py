@@ -24,6 +24,9 @@ SMALL_GROUP_CAP = 128
 BAR_RANK_CAP = 20_000
 # assembled rank of a wall resolution in any one degree
 WALL_RANK_CAP = 50_000
+# bits of any entry of a row, or of its transform, that an echelon span
+# (intlinalg.ZSpan, behind resolution_small) stores
+SPAN_BITS_CAP = 1024
 
 # maximal internal flags of one cell when orienting it
 FLAG_CAP = 500_000

@@ -7,10 +7,14 @@ which maps Z^n to Z^m acting on column vectors, is the list of its n
 columns in that form: cols[j] = {row: value} is the image of basis
 vector j.  The free-module boundaries fed in are almost all zeros.
 
-The echelon engine behind ColumnSolver and ZSpan keeps its rows sparse.
-It takes the same pivots, swaps, divmod and xgcd steps and sign
-normalisation a dense echelon would, so every result is the one dense
-rows would give.
+The echelon engines behind ColumnSolver and ZSpan keep their rows
+sparse.  They take the same pivots, swaps, divmod and xgcd steps and
+sign normalisation a dense echelon would, so every result is the one
+dense rows would give.  ColumnSolver echelons a whole matrix at once.
+ZSpan grows one vector at a time, each row carrying its combination of
+the inserted vectors and reduced at the pivots below it, so that it
+both tests membership and solves; a stored coefficient past
+errors.SPAN_BITS_CAP bits raises CapExceeded.
 
 There is one Smith engine, a sparse Markowitz elimination that keeps
 the row and column transforms on request.  smith_diagonal_sparse reads
@@ -23,7 +27,9 @@ returns dense U and V, for selftest's sweep.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+
+from . import errors
+from .errors import CapExceeded
 
 
 def factor(n: int) -> dict:
@@ -190,65 +196,124 @@ class ColumnSolver:
 
 
 class ZSpan:
-    """Subgroup of Z^n spanned by inserted vectors, kept in echelon form.
+    """Subgroup of Z^n spanned by tagged vectors, kept in echelon form.
 
-    Rows are stored with strictly increasing leading columns, leading
-    entries positive.  Insertion gcd-combines with the stored row of the
-    same leading column, so membership testing is a single left-to-right
-    reduction pass.  Vectors and the stored rows are sparse {index: value}
-    dicts, and the reductions are the same divmod and xgcd steps a dense
-    row would take.
+    Rows are keyed by their leading column, leading entries positive,
+    and each row carries its transform: the combination {tag: coefficient}
+    of the inserted vectors that it equals.  Insertion gcd-combines with
+    the stored row of the same leading column.  Whenever a row is stored
+    or changed, its entries at the leading columns further right are
+    reduced into [0, that row's leading entry), in column order, and its
+    transform with it; this is what keeps coefficients from swelling.
+    A stored row or transform with an entry past errors.SPAN_BITS_CAP
+    bits raises CapExceeded.  Membership and solving are one left-to-right
+    reduction pass.  Vectors, rows and transforms are sparse dicts.
     """
 
-    __slots__ = ("n", "rows", "leads")
+    __slots__ = ("n", "rows", "transforms")
 
     def __init__(self, n: int):
         self.n = n
-        self.rows = []  # sparse, sorted by leading column
-        self.leads = []  # cached leading column of each row
+        self.rows = {}  # leading column -> sparse row
+        self.transforms = {}  # leading column -> the row's transform
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: dict) -> bool:
-        v = _sparse(v, self.n)
+    def _reduce(self, v: dict):
+        """Reduce v to zero by the rows in place: the (leading column,
+        quotient) steps taken, or None when v is not in the span."""
+        rows = self.rows
+        steps = []
         while v:
             p = min(v)
-            pos = bisect_left(self.leads, p)
-            # rows led further right never reach column p
-            if pos == len(self.leads) or self.leads[pos] != p:
-                return False
-            row = self.rows[pos]
+            row = rows.get(p)
+            if row is None:
+                return None
             q, rem = divmod(v[p], row[p])
             if rem:
-                return False
+                return None
             _sub_multiple(v, q, row)
-        return True
+            steps.append((p, q))
+        return steps
 
-    def insert(self, v: dict) -> bool:
-        """Add v to the span; True if the span grew."""
+    def contains(self, v: dict) -> bool:
+        return self._reduce(_sparse(v, self.n)) is not None
+
+    def solve(self, b: dict) -> dict | None:
+        """The combination {tag: coefficient} of the inserted vectors
+        that sums to b, or None when b is not in the span."""
+        steps = self._reduce(_sparse(b, self.n))
+        if steps is None:
+            return None
+        x: dict = {}
+        for p, q in steps:
+            _sub_multiple(x, -q, self.transforms[p])
+        return x
+
+    def insert(self, v: dict, t) -> bool:
+        """Add v, tagged t, to the span; True if the span grew."""
         v = _sparse(v, self.n)
+        s = {t: 1}
+        # s -= q * transforms[p] for each (p, q), applied only when s is
+        # read: a vector that reduces to zero needs no transform
+        steps = []
+        rows, transforms = self.rows, self.transforms
         grew = False
         while v:
             p = min(v)
-            pos = bisect_left(self.leads, p)
-            if pos == len(self.leads) or self.leads[pos] != p:
+            row = rows.get(p)
+            if row is None or v[p] % row[p]:
+                for c, q in steps:
+                    _sub_multiple(s, q, transforms[c])
+                steps = []
+            if row is None:
                 if v[p] < 0:
-                    v = _negate(v)
-                self.rows.insert(pos, v)
-                self.leads.insert(pos, p)
+                    v, s = _negate(v), _negate(s)
+                self._store(p, v, s)
                 return True
-            match = self.rows[pos]
-            q, rem = divmod(v[p], match[p])
+            q, rem = divmod(v[p], row[p])
             if rem == 0:
-                _sub_multiple(v, q, match)
+                _sub_multiple(v, q, row)
+                steps.append((p, q))
             else:
-                g, x, y = xgcd(match[p], v[p])
-                a, b = match[p] // g, v[p] // g
-                self.rows[pos], v = _combine(match, v, x, y, -b, a)
+                g, x, y = xgcd(row[p], v[p])
+                a, b = row[p] // g, v[p] // g
+                row, v = _combine(row, v, x, y, -b, a)
+                r, s = _combine(transforms[p], s, x, y, -b, a)
+                self._store(p, row, r)
                 grew = True
         return grew
+
+    def _store(self, p: int, row: dict, r: dict) -> None:
+        """Store row, led at column p with transform r, after reducing
+        its entries at the leading columns right of p."""
+        rows, transforms = self.rows, self.transforms
+        later = [c for c in row if c > p and c in rows]
+        heapq.heapify(later)
+        last = p
+        while later:
+            c = heapq.heappop(later)
+            a = row.get(c)
+            if c == last or a is None:
+                continue
+            last = c
+            pivot = rows[c]
+            q = a // pivot[c]
+            if q:
+                _sub_multiple(row, q, pivot)
+                _sub_multiple(r, q, transforms[c])
+                for c2 in pivot:
+                    if c2 > c and c2 in rows:
+                        heapq.heappush(later, c2)
+        top = max(max(map(abs, row.values())), max(map(abs, r.values()), default=0))
+        if top.bit_length() > errors.SPAN_BITS_CAP:
+            raise CapExceeded(
+                f"span coefficient of {top.bit_length()} bits exceeds "
+                f"{errors.SPAN_BITS_CAP}"
+            )
+        rows[p], transforms[p] = row, r
 
 
 def _smith(entries: dict, U: dict | None = None, V: dict | None = None) -> list:

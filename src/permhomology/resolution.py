@@ -13,12 +13,13 @@ d.d = 0 and the homotopy identity before handing anything back.
 Three constructions.  bar_resolution writes down the normalized bar
 complex with its textbook one-sided homotopy; it is the oracle
 everything else is compared against.  resolution_small builds a much
-smaller resolution degree by degree: integer kernel basis of the
-flattened boundary, then ZG-generators picked greedily by support
-until their translates span the kernel (equal echelon rank and
-leading-entry product), then the homotopy solved from a column Hermite
-form.  Exactness is by construction (the selected ZG-span is the whole
-kernel) and is re-checked anyway.  tensor_resolution resolves a direct product of
+smaller resolution degree by degree from its own homotopy: the kernel
+of d_k is spanned by the cycles x - h_{k-1}(d_k x), and each one, in a
+fixed order, is solved on one ZSpan of the translates of the
+generators chosen so far; the solution is h_k(x), and a cycle with no
+solution becomes the next generator.  Exactness is by construction
+(every cycle lies in the span) and is re-checked anyway.
+tensor_resolution resolves a direct product of
 two groups on disjoint points as the tensor product of their
 resolutions, with the product homotopy written down (Ellis 2004);
 its ranks are the convolution of the factors' ranks.
@@ -287,59 +288,18 @@ def bar_resolution(G, n: int) -> FreeResolution:
     return FreeResolution(G, ranks, d, (1,), homotopy)
 
 
-# -- small resolutions by kernel generators ------------------------------
+# -- small resolutions from their own homotopy ---------------------------
 
 
-def _echelon_key(span: ZSpan) -> tuple:
-    """(rank, product of the leading entries) of an echelon span.
-
-    For lattices L inside K of the same rank, K's index over L is the
-    quotient of their leading-entry products, so equal keys mean L = K.
-    """
-    prod = 1
-    for row, lead in zip(span.rows, span.leads):
-        prod *= row[lead]
-    return span.rank, prod
-
-
-def _select_generators(G: SmallGroup, rank: int, kb: list):
-    """Greedy ZG-generators of the integer span of kb, smallest support first.
-
-    A candidate already in the span of the translates chosen so far is
-    skipped.  The translates span a lattice inside the kernel (d is
-    equivariant, and _verify checks d.d = 0), so the selection stops as
-    soon as that lattice's echelon key equals the kernel's: every later
-    candidate would lie in the span.  A span that never reaches the
-    kernel's key does not cover the kernel and raises.
-    """
-    size = G.n * rank
-    cands = []
-    kernel = ZSpan(size)
-    for v in kb:
-        if v[min(v)] < 0:
-            v = {i: -a for i, a in v.items()}
-        cands.append(v)
-        kernel.insert(v)
-    full = _echelon_key(kernel)
-    # ties in support size go by the dense vectors' lexicographic order
-    cands.sort(key=lambda v: (len(v), [v.get(i, 0) for i in range(size)]))
-    span = ZSpan(size)
-    chosen = []
-    done = not kb  # a zero kernel needs no generators
-    for v in cands:
-        if done:
-            break
-        if span.contains(v):
-            continue
-        chosen.append(v)
-        for g in range(G.n):
-            grew = span.insert(translate_vec(G, g, v))
-            if grew and span.rank == full[0] and _echelon_key(span) == full:
-                done = True
-                break
-    if not done:
-        raise InvariantViolation("selected generators do not span the kernel")
-    return chosen
+def _element_orders(G: SmallGroup) -> list:
+    """The order of each element, by index."""
+    out = []
+    for g in range(G.n):
+        k, x, row = 1, g, G._mul[g]
+        while x != G.id:
+            x, k = row[x], k + 1
+        out.append(k)
+    return out
 
 
 _small_memo: dict = {}
@@ -352,6 +312,8 @@ def resolution_small(G, n: int) -> FreeResolution:
     generators, same resolution.  Results are memoized within a process,
     keyed by the fingerprint of the PermGroup and n, and the memo is
     read before the multiplication table of a SmallGroup is built.
+    A span coefficient past errors.SPAN_BITS_CAP bits raises CapExceeded
+    with the ranks of the degrees finished as ``attained``.
     """
     if n < 1:
         raise ValueError(f"resolution length must be at least 1, not {n}")
@@ -362,56 +324,65 @@ def resolution_small(G, n: int) -> FreeResolution:
     if isinstance(G, PermGroup):
         G = SmallGroup(G)
 
+    one, size = G.id, G.n
     ranks = [1]
     d: dict = {}
-    solvers = []
-    # d_k flattened to its columns, one per (generator, element), with
-    # m rows; d_0 is the augmentation
-    flat, m = [{0: 1} for _ in range(G.n)], 1
-    for k in range(n):
-        solver = ColumnSolver(flat, m)
-        solvers.append(solver)
-        kb = solver.kernel()
-        chosen = _select_generators(G, ranks[k], kb)
-        # over the trivial group Z is free, so ranks go (1, 0, ..., 0)
-        if not chosen and G.n > 1:
-            raise InvariantViolation("kernel collapsed early; finite groups never do")
-        d[k + 1] = tuple(chosen)
-        ranks.append(len(chosen))
-        flat = [translate_vec(G, e, v) for v in chosen for e in range(G.n)]
-        m = G.n * ranks[k]
-    solvers.append(ColumnSolver(flat, m))
-
-    # homotopy, degree by degree: solve d_{k+1} y = x - h_{k-1}(d_k x),
-    # with h_{-1} d_0 = section.augmentation; each solution is stored as
-    # the solver returns it
     table: dict = {}
+    try:
+        for k in range(n):
+            # pi(e . j) = e . j - h_{k-1}(d_k(e . j)), with h_{-1} d_0 =
+            # section.augmentation; the pi span the kernel of d_k
+            cands = []
+            for j in range(ranks[k]):
+                for e in range(size):
+                    if k == 0:
+                        acc = {e: 1}
+                        acc[one] = acc.get(one, 0) - 1
+                    else:
+                        row = G._mul[e]
+                        acc = _accumulate(
+                            G,
+                            ((-c, one, table[(k - 1, row[x % size], x // size)])
+                             for x, c in d[k][j].items()),
+                            {j * size + e: 1},
+                        )
+                    cands.append((e, j, _nonzero(acc)))
+            # one fixed order, the only one measured that stalled on no
+            # case: unsorted, A5 to depth 3 took 13 s, and sorted by the
+            # dense vectors, D12 to depth 8 ran past 15 s
+            if k == 0:
+                order = _element_orders(G)
+                cands.sort(key=lambda c: (-order[c[0]], c[0]))
+            else:
+                cands.sort(key=lambda c: (len(c[2]), c[1], c[0]))
+            # h_k(e . j) solves d_{k+1} y = pi(e . j) on the translates
+            # of the generators so far, each tagged with its index in
+            # R_{k+1}; a pi outside their span is the next generator
+            span = ZSpan(size * ranks[k])
+            chosen = []
+            for e, j, v in cands:
+                y = span.solve(v)
+                if y is None:
+                    g = len(chosen) * size
+                    chosen.append(v)
+                    for a in range(size):
+                        span.insert(translate_vec(G, a, v), g + a)
+                    y = {g + one: 1}
+                table[(k, e, j)] = y
+            # over the trivial group Z is free, so ranks go (1, 0, ..., 0)
+            if not chosen and size > 1:
+                raise InvariantViolation("kernel collapsed early; finite groups never do")
+            d[k + 1] = tuple(chosen)
+            ranks.append(len(chosen))
+    except CapExceeded as exc:
+        raise CapExceeded(
+            f"{exc} resolving degree {len(ranks)}", attained=list(ranks)
+        ) from None
 
     def homotopy(k, e, j):
         return table[(k, e, j)]
 
-    res = FreeResolution(G, ranks, d, (1,), homotopy, verify=False)
-    one, size = G.id, G.n
-    for k in range(n):
-        solve = solvers[k + 1].solve
-        for j in range(ranks[k]):
-            for e in range(size):
-                if k == 0:
-                    acc = {j * size + e: 1}
-                    acc[one] = acc.get(one, 0) - res.aug[j]
-                else:
-                    row = G._mul[e]
-                    acc = _accumulate(
-                        G,
-                        ((-c, one, table[(k - 1, row[x % size], x // size)])
-                         for x, c in d[k][j].items()),
-                        {j * size + e: 1},
-                    )
-                y = solve(acc)
-                if y is None:
-                    raise InvariantViolation("homotopy solve failed; kernel not spanned")
-                table[(k, e, j)] = y
-    res._verify()
+    res = FreeResolution(G, ranks, d, (1,), homotopy)
     _small_memo[memo_key] = res
     return res
 

@@ -2,9 +2,10 @@
 
 H_2(M22) = Z/12 is the ATLAS Schur multiplier, so its 3-part is Z/3.
 The ATLAS multiplier H_2(M12) = Z/2 is its own 2-part; it is read off
-the double cosets of a nonabelian Sylow 2-subgroup of order 64.  That
-request pins seed 0: seeds 1, 6 and 10 of 0-11 run past 20 s, with
-the coefficients of their resolutions swelling.
+the double cosets of a nonabelian Sylow 2-subgroup of order 64, under
+seed 0 and under seed 1; the second ran past 90 s while the small
+resolutions picked kernel generators by support, and H_3(M11) under
+seed 245 past 150 s.
 H_3(M11) = Z/8 and H_5(M23) = Z/7 are named in the paper.  With the
 ATLAS multiplier H_2(M23) = 1 they make the 3-part of H_n(M23) trivial
 for n = 1..5; the Sylow 3-subgroup 3^2 is abelian, so that is read off
@@ -19,6 +20,7 @@ module twisted by its orientation character.
 """
 
 import json
+import time
 
 import pytest
 
@@ -39,6 +41,18 @@ def test_known_value(capsys, request_, degree, want):
     out = json.loads(capsys.readouterr().out)
     got = {r["degree"]: r["invariants"] for r in out["results"]}
     assert got == {degree: want}
+
+
+@pytest.mark.parametrize("request_, want, bound", [
+    ("homology M11 -n 1 --to 3 -p 2 --seed 245", {1: [], 2: [], 3: [8]}, 5.0),
+    ("homology M12 -n 2 -p 2 --seed 1", {2: [2]}, 30.0),
+])
+def test_seeds_that_stalled_finish(capsys, request_, want, bound):
+    start = time.perf_counter()
+    assert main(request_.split()) == 0
+    assert time.perf_counter() - start < bound
+    out = json.loads(capsys.readouterr().out)
+    assert {r["degree"]: r["invariants"] for r in out["results"]} == want
 
 
 def test_m23_three_part_is_trivial_to_degree_five(capsys):

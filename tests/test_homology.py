@@ -112,10 +112,12 @@ def test_chain_homology_rejects():
 
 
 def test_broken_composite_names_its_real_degrees():
-    # a relation that is not a 3-cycle breaks d_3 times the extended d_4
+    # a relation that is not a 3-cycle breaks d_3 times the extended d_4:
+    # any degree-3 generator whose column of d_3 (x) Z is nonzero
     R = resolution_small(symmetric(3), 4)
+    j = next(j for j, col in enumerate(R.boundary_matrix_z(3)) if col)
     with pytest.raises(InvariantViolation, match=r"^d_3 d_4 != 0$"):
-        resolution_homology(R, 3, [{2: 1}])
+        resolution_homology(R, 3, [{j: 1}])
     with pytest.raises(InvariantViolation, match=r"^d_3 d_4 != 0$"):
         chain_homology((1, 1, 1), [[{0: 1}], [{0: 1}]], start=2)
 

@@ -83,15 +83,27 @@ def rank_int(A: list) -> int:
 
 
 class DenseZSpan:
-    """ZSpan's echelon insertion on dense rows."""
+    """ZSpan's echelon insertion on dense rows of length n, with dense
+    transforms over the tags range(m).  A row stored or changed is
+    reduced at the leading column of every row below it, top down."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
         self.rows = []
+        self.transforms = []
         self.leads = []
 
-    def insert(self, v) -> bool:
+    def _store(self, pos, row, t):
+        for k in range(pos + 1, len(self.rows)):
+            c = self.leads[k]
+            q = row[c] // self.rows[k][c]
+            row = [a - q * b for a, b in zip(row, self.rows[k])]
+            t = [a - q * b for a, b in zip(t, self.transforms[k])]
+        self.rows[pos], self.transforms[pos] = row, t
+
+    def insert(self, v, tag) -> bool:
         v = list(v)
+        t = [int(i == tag) for i in range(self.m)]
         grew = False
         while True:
             p = next((i for i, a in enumerate(v) if a), None)
@@ -100,21 +112,33 @@ class DenseZSpan:
             pos = bisect_left(self.leads, p)
             if pos == len(self.leads) or self.leads[pos] != p:
                 if v[p] < 0:
-                    v = [-a for a in v]
-                self.rows.insert(pos, v)
+                    v, t = [-a for a in v], [-a for a in t]
+                self.rows.insert(pos, None)
+                self.transforms.insert(pos, None)
                 self.leads.insert(pos, p)
+                self._store(pos, v, t)
                 return True
-            match = self.rows[pos]
+            match, tm = self.rows[pos], self.transforms[pos]
             q, rem = divmod(v[p], match[p])
             if rem == 0:
                 v = [a - q * b for a, b in zip(v, match)]
+                t = [a - q * b for a, b in zip(t, tm)]
             else:
                 g, x, y = xgcd(match[p], v[p])
                 a, b = match[p] // g, v[p] // g
-                new = [x * s + y * t for s, t in zip(match, v)]
-                v = [-b * s + a * t for s, t in zip(match, v)]
-                self.rows[pos] = new
+                new = [x * r + y * u for r, u in zip(match, v)]
+                v = [-b * r + a * u for r, u in zip(match, v)]
+                tn = [x * r + y * u for r, u in zip(tm, t)]
+                t = [-b * r + a * u for r, u in zip(tm, t)]
+                self._store(pos, new, tn)
                 grew = True
+
+
+def assert_span_matches(span, ref):
+    """The sparse span holds the reference's rows and transforms."""
+    assert sorted(span.rows) == ref.leads
+    assert [as_dense(span.rows[c], ref.n) for c in ref.leads] == ref.rows
+    assert [as_dense(span.transforms[c], ref.m) for c in ref.leads] == ref.transforms
 
 
 def as_dense(v: dict, n: int) -> list:
@@ -345,8 +369,8 @@ def test_zspan_membership_matches_brute_force():
         n = rng.randint(1, 4)
         vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         span = ZSpan(n)
-        for v in vecs:
-            span.insert(as_sparse(v))
+        for t, v in enumerate(vecs):
+            span.insert(as_sparse(v), t)
         # brute force: all small integer combinations
         combos = set()
         for coeffs in itertools.product(range(-4, 5), repeat=len(vecs)):
@@ -361,15 +385,22 @@ def test_zspan_membership_matches_brute_force():
             # cross-check via integer solvability of (vecs)^T x = w
             solver = ColumnSolver([as_sparse(v) for v in vecs], n)
             assert got == (solver.solve(w) is not None)
+            # solve names a combination of the inserted vectors summing to w
+            x = span.solve(w)
+            assert got == (x is not None)
+            if got:
+                total = [sum(x.get(t, 0) * v[i] for t, v in enumerate(vecs))
+                         for i in range(n)]
+                assert as_sparse(total) == w
 
 
 def test_zspan_insert_reports_growth():
     span = ZSpan(3)
-    assert span.insert({0: 2})
-    assert not span.insert({0: 4})
-    assert span.insert({0: 1})  # refines the existing row
-    assert not span.insert({0: 3})
-    assert span.insert({2: 5})
+    assert span.insert({0: 2}, 0)
+    assert not span.insert({0: 4}, 1)
+    assert span.insert({0: 1}, 2)  # refines the existing row
+    assert not span.insert({0: 3}, 3)
+    assert span.insert({2: 5}, 4)
     assert span.rank == 2
 
 
@@ -380,14 +411,16 @@ def test_identity_matrix():
 
 def test_vectors_of_the_wrong_length_are_rejected():
     span = ZSpan(3)
-    span.insert({0: 1})
+    span.insert({0: 1}, 0)
     with pytest.raises(ValueError):
         span.contains({0: 1, 3: 5})
     with pytest.raises(ValueError):
-        span.insert({3: 7})
+        span.insert({3: 7}, 1)
     with pytest.raises(ValueError):
         span.contains({3: 1})
-    assert span.rows == [{0: 1}]
+    with pytest.raises(ValueError):
+        span.solve({3: 1})
+    assert span.rows == {0: {0: 1}} and span.transforms == {0: {0: 1}}
     with pytest.raises(ValueError):
         solver_of([[1, 0], [0, 1]]).solve({0: 1, 1: 1, 2: 0})
     with pytest.raises(ValueError):
@@ -445,21 +478,17 @@ def test_sparse_span_matches_dense_reference():
     rng = random.Random(10)
     for _ in range(60):
         n = rng.randint(1, 8)
-        span, ref = ZSpan(n), DenseZSpan(n)
-        for v in random_sparse_matrix(rng, rng.randint(1, 10), n):
-            assert span.insert(as_sparse(v)) == ref.insert(v)
-            assert [as_dense(row, n) for row in span.rows] == ref.rows
-            assert span.leads == ref.leads
+        vecs = random_sparse_matrix(rng, rng.randint(1, 10), n)
+        span, ref = ZSpan(n), DenseZSpan(n, len(vecs))
+        for t, v in enumerate(vecs):
+            assert span.insert(as_sparse(v), t) == ref.insert(v, t)
+            assert_span_matches(span, ref)
 
 
 def _record_resolution_small(monkeypatch, G, depth):
-    """Every matrix handed to ColumnSolver and every ZSpan, with the
-    vectors inserted into it, while resolution_small(G, depth) runs."""
-    solved, spans = [], []
-
-    def solver(cols, m):
-        solved.append((cols, m))
-        return ColumnSolver(cols, m)
+    """Every ZSpan that resolution_small(G, depth) builds, with the
+    (vector, tag) pairs inserted into it, and the resolution."""
+    spans = []
 
     class RecordingSpan(ZSpan):
         def __init__(self, n):
@@ -467,31 +496,33 @@ def _record_resolution_small(monkeypatch, G, depth):
             self.inserted = []
             spans.append(self)
 
-        def insert(self, v):
-            self.inserted.append(dict(v))
-            return super().insert(v)
+        def insert(self, v, t):
+            self.inserted.append((dict(v), t))
+            return super().insert(v, t)
 
     monkeypatch.setattr(resolution, "_small_memo", {})
-    monkeypatch.setattr(resolution, "ColumnSolver", solver)
     monkeypatch.setattr(resolution, "ZSpan", RecordingSpan)
-    resolution.resolution_small(G, depth)
-    return solved, spans
+    return resolution.resolution_small(G, depth), spans
 
 
 @pytest.mark.parametrize("G, depth", [(symmetric(4), 3), (dihedral(12), 4)])
 def test_sparse_engine_matches_dense_reference_on_resolution_boundaries(
     monkeypatch, G, depth
 ):
-    solved, spans = _record_resolution_small(monkeypatch, G, depth)
-    assert len(solved) == depth + 1
-    for cols, m in solved:
-        # ColumnSolver echelons the columns of the flattened boundary, the
-        # rows of its transpose
+    R, spans = _record_resolution_small(monkeypatch, G, depth)
+    n = R.G.n
+    for k in range(1, depth + 1):
+        # the translates of d_k's generators, one column per (generator,
+        # element), with the rows of R_{k-1}
+        cols = [resolution.translate_vec(R.G, e, R.boundary(k, j))
+                for j in range(R.ranks[k]) for e in range(n)]
+        m = n * R.ranks[k - 1]
         assert_echelon_matches([as_dense(c, m) for c in cols], m)
-    # per degree, one span echelons the kernel basis and one the translates
-    assert len(spans) == 2 * depth
-    for span in spans:
-        ref = DenseZSpan(span.n)
-        for v in span.inserted:
-            ref.insert(as_dense(v, span.n))
-        assert [as_dense(row, span.n) for row in span.rows] == ref.rows
+    # one span per degree, holding the translates of the generators
+    # chosen so far, each tagged with its index in the next module
+    assert len(spans) == depth
+    for k, span in enumerate(spans):
+        ref = DenseZSpan(span.n, n * R.ranks[k + 1])
+        for v, t in span.inserted:
+            ref.insert(as_dense(v, span.n), t)
+        assert_span_matches(span, ref)

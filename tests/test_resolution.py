@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -14,7 +15,8 @@ from permhomology.catalog import (
     mathieu,
     symmetric,
 )
-from permhomology import resolution
+from permhomology import errors, resolution
+from permhomology.cli import main
 from permhomology.errors import CapExceeded, InvariantViolation
 from permhomology.homology import AbelianInvariants, resolution_homology
 from permhomology.intlinalg import ColumnSolver
@@ -279,6 +281,40 @@ def test_small_agrees_with_bar():
         assert invariants_through(small, 3) == invariants_through(bar, 3)
 
 
+# H_0..H_5 from the small resolution to depth 6, against the bar
+# resolution as deep as it is cheap and the known values above that:
+# H_q(D_2n) for n even is Z/2^2, Z/2, Z/2^2 + Z/n, Z/2^2, Z/2^4 (Handel),
+# and S3, C6 are periodic of period 4 and 2
+@pytest.mark.parametrize("make, bar_depth, want", [
+    (lambda: symmetric(3), 4, [(2,), (), (2, 3), (), (2,)]),
+    (lambda: cyclic(6), 4, [(2, 3), (), (2, 3), (), (2, 3)]),
+    (lambda: dihedral(4), 4, [(2, 2), (2,), (2, 2, 4), (2, 2), (2, 2, 2, 2)]),
+    (lambda: alternating(4), 3, [(3,), (2,), (2, 3), (), (2, 2, 3)]),
+    (lambda: symmetric(4), 2, [(2,), (2,), (2, 4, 3), (2,), (2, 2, 2)]),
+    (lambda: dihedral(12), 2, [(2, 2), (2,), (2, 2, 4, 3), (2, 2), (2, 2, 2, 2)]),
+], ids=["S3", "C6", "D8", "A4", "S4", "D12"])
+def test_small_homology_to_degree_five(make, bar_depth, want):
+    grp = make()
+    got = invariants_through(resolution_small(grp, 6), 5)
+    assert got == [(1, ())] + [(0, t) for t in want]
+    assert got[:bar_depth] == invariants_through(bar_resolution(grp, bar_depth), bar_depth - 1)
+
+
+# depths at which the kernel-generator selection ran past 20 s (S4) and
+# 22 s (D12); building from the homotopy takes 0.1 s for each
+@pytest.mark.parametrize("make, depth, ranks, bound", [
+    (lambda: symmetric(4), 5, (1, 2, 3, 4, 6, 9), 2.0),
+    (lambda: dihedral(12), 8, (1, 2, 3, 4, 5, 6, 7, 8, 9), 3.0),
+], ids=["S4-5", "D12-8"])
+def test_small_resolutions_that_stalled_finish(monkeypatch, make, depth, ranks, bound):
+    grp = make()
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    start = time.perf_counter()
+    R = resolution_small(grp, depth)
+    assert time.perf_counter() - start < bound
+    assert R.ranks == ranks
+
+
 def test_homotopy_identity_public():
     R = resolution_small(klein_four(), 4)
     G = R.G
@@ -338,35 +374,44 @@ def save_resolution(R: FreeResolution, path: str):
         json.dump(data, f)
 
 
-# sha256 of the save_resolution JSON, recorded before the echelon engine
-# went sparse; the engine must reproduce every resolution bit for bit
-@pytest.mark.parametrize("make, depth, ranks, sha256", [
-    (lambda: symmetric(4), 3, (1, 3, 6, 10),
-     "dd6a9fef3bd86bb9cb550cceb9755644cc15977014c09654f0adfaf2f5667eb2"),
-    (lambda: _stabilizer_in_s6((0, 1)), 3, (1, 4, 10, 20),
-     "7ee719a57a46f3c40d3e4d0ae37a8a5c7dd3cecf995be4590dc4665f0fdc1c6b"),
-    (lambda: _stabilizer_in_s6((0, 1, 2, 3)), 3, (1, 4, 10, 21),
-     "c96c4ed8574951f82ea14e56e5deb3fb646495f93929793f322ba3a1053dd350"),
+# sha256 of the save_resolution JSON, recorded when resolution_small
+# came to take its generators and homotopy from one span per degree;
+# the invariants are checked against the bar resolution to degree 1
+# and against their known values above that
+@pytest.mark.parametrize("make, depth, ranks, invariants, sha256", [
+    (lambda: symmetric(4), 3, (1, 2, 3, 4), [(1, ()), (0, (2,)), (0, (2,))],
+     "6303cd93e6c2caac78b258ea308a975c6096eb0896882fead972ca707162db8c"),
+    (lambda: _stabilizer_in_s6((0, 1)), 3, (1, 3, 7, 13),
+     [(1, ()), (0, (2, 2)), (0, (2, 2))],
+     "59fbb1596d24cfcc15dafc4c5874aacc3e5ca732e924260528ac9317b2329954"),
+    (lambda: _stabilizer_in_s6((0, 1, 2, 3)), 3, (1, 3, 7, 13),
+     [(1, ()), (0, (2, 2)), (0, (2, 2))],
+     "fe2abbf1eda9530188484a4026ed9dcb619e79adca9754f2fb93c871fe049006"),
 ], ids=["S4", "S6-stab-pair", "S6-stab-4set"])
-def test_small_resolutions_are_pinned(tmp_path, make, depth, ranks, sha256):
-    R = resolution_small(make(), depth)
+def test_small_resolutions_are_pinned(tmp_path, make, depth, ranks, invariants, sha256):
+    grp = make()
+    R = resolution_small(grp, depth)
     assert R.ranks == ranks
+    assert invariants_through(R, depth - 1) == invariants
+    assert invariants[:2] == invariants_through(bar_resolution(grp, 2), 1)
     path = tmp_path / "res.json"
     save_resolution(R, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
-# sha256 of the save_resolution JSON, recorded while chains were still
-# stored as sorted term tuples; the flat chains reproduce them bit for bit
+# sha256 of the save_resolution JSON: bar-S3 recorded while chains were
+# still stored as sorted term tuples, tensor-S2xS3 when its small
+# factors came to be built from their own homotopy
 @pytest.mark.parametrize("build, ranks, sha256", [
     (lambda: bar_resolution(symmetric(3), 3), (1, 5, 25, 125),
      "053a045a23039e1fceeded25718e7ffdac9566f40c3b219e5e9efef9d0dce4ee"),
     (lambda: tensor_resolution(*s2_and_s3()), (1, 3, 6, 10),
-     "810f38d96b7c64a1dc8a920eb4d40d347cdbdcd031c47819a5da45bfa69cf67d"),
+     "c67c89df43c0a50bf60abd7331f171183efa46db3e26bbbc20268c414848e61e"),
 ], ids=["bar-S3", "tensor-S2xS3"])
 def test_bar_and_tensor_resolutions_are_pinned(tmp_path, build, ranks, sha256):
     R = build()
     assert R.ranks == ranks
+    assert invariants_through(R, 2) == invariants_through(bar_resolution(R.G.group, 3), 2)
     path = tmp_path / "res.json"
     save_resolution(R, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
@@ -400,23 +445,6 @@ def test_verify_catches_a_perturbed_homotopy(k):
         FreeResolution(R.G, R.ranks, R._d, R.aug, h)
 
 
-def _record_selections(monkeypatch, G, depth):
-    """(the package's choice, the full scan's choice) for every degree of
-    resolution_small(G, depth)."""
-    pairs = []
-    select = resolution._select_generators
-
-    def both(SG, rank, kb):
-        chosen = select(SG, rank, kb)
-        pairs.append((chosen, scanning_select_generators(SG, rank, kb)))
-        return chosen
-
-    monkeypatch.setattr(resolution, "_small_memo", {})
-    monkeypatch.setattr(resolution, "_select_generators", both)
-    resolution_small(G, depth)
-    return pairs
-
-
 @pytest.mark.parametrize("make, depth", [
     (lambda: symmetric(4), 3),
     (lambda: alternating(5), 3),
@@ -424,27 +452,42 @@ def _record_selections(monkeypatch, G, depth):
     (lambda: sylow_ascent(mathieu(12), 3), 3),
 ], ids=["S4", "A5", "D12", "M12-Sylow3"])
 def test_select_generators_matches_the_full_scan(monkeypatch, make, depth):
-    pairs = _record_selections(monkeypatch, make(), depth)
-    assert len(pairs) == depth
-    for chosen, scanned in pairs:
-        assert chosen == scanned
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    R = resolution_small(make(), depth)
+    for k in range(depth):
+        chosen = [R.boundary(k + 1, j) for j in range(R.ranks[k + 1])]
+        assert chosen == scanning_select_generators(R, k)
 
 
 @pytest.mark.parametrize("scale", [0, 2], ids=["zero", "doubled"])
-def test_selection_short_of_the_kernel_raises(monkeypatch, scale):
-    G = SmallGroup(symmetric(3))
-    kb = ColumnSolver([{0: 1} for _ in range(G.n)], 1).kernel()
-    assert len(resolution._select_generators(G, 1, kb)) == 2
-    # zero translates leave the span at rank 0; doubled ones give it the
-    # kernel's rank but index 2^5 in it
-    translate = resolution.translate_vec
+def test_a_wrong_span_solution_fails_verification(monkeypatch, scale):
+    # the homotopy values are the span's solutions as they come; zero or
+    # doubled ones break d_1 h_0 = 1 - section.augmentation, and then the
+    # next degree's generators x - h_0(d_1 x) are no cycles
+    solve = resolution.ZSpan.solve
 
-    def scaled(G, g, w):
-        return {i: scale * c for i, c in translate(G, g, w).items() if scale}
+    def scaled(span, b):
+        y = solve(span, b)
+        return y if y is None else {t: scale * c for t, c in y.items() if scale}
 
-    monkeypatch.setattr(resolution, "translate_vec", scaled)
-    with pytest.raises(InvariantViolation, match="do not span the kernel"):
-        resolution._select_generators(G, 1, kb)
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    monkeypatch.setattr(resolution.ZSpan, "solve", scaled)
+    with pytest.raises(InvariantViolation, match="d_1 h_0 != 1 - section.augmentation"):
+        resolution_small(symmetric(3), 1)
+    with pytest.raises(InvariantViolation, match="d.d != 0 at degree 2"):
+        resolution_small(symmetric(3), 3)
+
+
+def test_span_bits_cap_stops_the_resolution(monkeypatch, capsys):
+    # S4's span coefficients pass 2 bits in degree 4, after degrees 0..3
+    monkeypatch.setattr(resolution, "_small_memo", {})
+    monkeypatch.setattr(errors, "SPAN_BITS_CAP", 2)
+    with pytest.raises(CapExceeded, match="exceeds 2 resolving degree 4") as exc:
+        resolution_small(symmetric(4), 4)
+    assert exc.value.attained == [1, 2, 3, 4]
+    assert main(["resolution", "S4", "--length", "4"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "cap-exceeded" and err["attained"] == [1, 2, 3, 4]
 
 
 # -- chain maps and induced maps on homology -----------------------------
