@@ -1,27 +1,27 @@
 """Essential posets, explicit face complexes, and Wythoff cell counts.
 
 The ground set {0..n-1} is the node set of a path-shaped Coxeter
-diagram, or the dimension range of a face complex; paths between
-points are integer intervals, which is all the blocking relation
-needs.  Edge orders play no part in blocking, so the A and B diagrams
-of one rank share a ground set.  Equivalence classes of subsets under
-mutual blocking have a unique largest member (the closure) and a
-unique smallest one (the core); cores index the faces of the Wythoff
-complex, with class height as face dimension.
+diagram, or the dimension range of a face complex; edge orders play no
+part, so the A and B diagrams of one rank share a ground set.  With
+ringed nodes V, the faces of the Wythoff complex are in closed form
+(Coxeter, Regular Polytopes; Champagne, Kjiri, Patera and Sharp 1995):
+one class per proper node set J whose every connected component holds
+a point of V, of height (face dimension) |J|.  Its core, the face type,
+is V - J with the nodes next to J; its closed set is the complement of
+J.  These are the smallest and largest members of the classes of
+subsets that block each other; the blocking definitions stay in
+tests/coxeter_oracles.py as the reference that checks the closed form.
 
 The module holds what the program runs: `essential_poset`, the
 `DComplex` face posets that `equivariant` decomposes (simplices and
 polygons), and closed-form counts of Wythoff cells over the simplex
 boundary.  Every count is one flag count, `flag_extension_count`.  The
-materialized Wythoff construction, the brute-force closure and the
-small polytope fixtures live in tests/coxeter_oracles.py, where they
-check the lazy route.
+materialized Wythoff construction and the small polytope fixtures live
+in the same test file, where they check the lazy route.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import product as iter_product
 from math import comb
 
 from . import errors
@@ -46,120 +46,6 @@ def _unmask(m: int) -> tuple:
     return tuple(out)
 
 
-def _path_mask(u: int, v: int) -> int:
-    """The path between u and v on the ground {0..n-1}: an integer interval."""
-    lo, hi = (u, v) if u <= v else (v, u)
-    return ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
-
-
-def _nearest_paths(vlist, n: int) -> list:
-    """Per point s of {0..n-1}, the paths from s to its nearest V point
-    on the left and on the right.  Where one side has no V point, the
-    other side's path stands in for it."""
-    vs = sorted(vlist)
-    out = []
-    for s in range(n):
-        i, j = bisect_right(vs, s), bisect_left(vs, s)
-        left = _path_mask(vs[i - 1], s) if i else None
-        right = _path_mask(s, vs[j]) if j < len(vs) else None
-        out.append((left or right, right or left))
-    return out
-
-
-def _closure_mask(um: int, paths) -> int:
-    """Points s whose every path to V meets um, given _nearest_paths.
-
-    Every path from s to a V point on one side contains the path to the
-    nearest V point on that side, so s is in the closure exactly when
-    both of its nearest paths meet um.
-    """
-    out = 0
-    for s, (left, right) in enumerate(paths):
-        if left & um and right & um:
-            out |= 1 << s
-    return out
-
-
-def _closed_sets_interval(n, vlist):
-    """Closed sets on a path ground, by region shape.
-
-    Membership of a non-V point s is decided by the two nearest V points,
-    so a closed set decomposes as: an arbitrary W inside V, a prefix left
-    of min(V), a suffix right of max(V), and per gap between consecutive
-    V points an interval attached to whichever endpoints lie in W.  Full
-    regions are forced when the adjacent V point is present.
-    """
-    vs = sorted(vlist)
-    lo, hi = vs[0], vs[-1]
-
-    def prefixes(a, b, anchored):
-        # contents of [a, b) that hug its left end
-        full = _mask(range(a, b))
-        if anchored:
-            return [full]
-        opts = [0]
-        m = 0
-        for t in range(a, b):
-            m |= 1 << t
-            opts.append(m)
-        return opts
-
-    def suffixes(a, b, anchored):
-        full = _mask(range(a, b))
-        if anchored:
-            return [full]
-        opts = [0]
-        m = 0
-        for t in range(b - 1, a - 1, -1):
-            m |= 1 << t
-            opts.append(m)
-        return opts
-
-    def gap_options(a, b, left_in, right_in):
-        # interior (a, b); a, b are consecutive members of V
-        if left_in and right_in:
-            return [_mask(range(a + 1, b))]
-        if left_in:
-            return prefixes(a + 1, b, False)
-        if right_in:
-            return suffixes(a + 1, b, False)
-        opts = [0]
-        for x in range(a + 1, b):
-            for y in range(x, b):
-                opts.append(_mask(range(x, y + 1)))
-        return opts
-
-    out = []
-    k = len(vs)
-    for wbits in range(1 << k):
-        wmask = 0
-        inw = []
-        for i in range(k):
-            if wbits >> i & 1:
-                wmask |= 1 << vs[i]
-                inw.append(True)
-            else:
-                inw.append(False)
-        spaces = [prefixes(0, lo, inw[0])]
-        for i in range(k - 1):
-            spaces.append(gap_options(vs[i], vs[i + 1], inw[i], inw[i + 1]))
-        spaces.append(suffixes(hi + 1, n, inw[-1]))
-        total = 1
-        for sp in spaces:
-            total *= len(sp)
-        if total > errors.CLOSED_SET_CAP:
-            raise CapExceeded(f"closed-set enumeration would exceed {errors.CLOSED_SET_CAP}")
-        for choice in iter_product(*spaces):
-            m = wmask
-            for c in choice:
-                m |= c
-            if m:
-                out.append(m)
-        if len(out) > errors.CLOSED_SET_CAP:
-            raise CapExceeded(f"closed-set enumeration exceeded {errors.CLOSED_SET_CAP}")
-    return sorted(set(out))
-
-
 class EssentialClass:
     def __init__(self, core: tuple, closed: tuple, height: int):
         self.core = core
@@ -168,12 +54,14 @@ class EssentialClass:
 
 
 class EssentialPoset:
-    """Classes of mutually blocking subsets, ordered with V's class at the bottom.
+    """Essential classes of (n, V), ordered with V's class at the bottom.
 
-    One class per closed set; `core` is the smallest member and is the
-    face type used by Wythoff complexes, `height` doubles as the face
-    dimension.  Class i < class j iff closed(j) is a proper subset of
-    closed(i).
+    A class is a proper subset J of the path {0..n-1} whose every
+    connected component holds a point of V.  `closed` is the complement
+    of J, `core` is (V - J) with the nodes outside J next to J, and is
+    the face type used by Wythoff complexes; `height` is |J| and doubles
+    as the face dimension.  Class i < class j iff J_i is a proper subset
+    of J_j, that is, closed(j) is a proper subset of closed(i).
     """
 
     def __init__(self, n, V, classes):
@@ -198,6 +86,21 @@ class EssentialPoset:
         return [i for i, c in enumerate(self.classes) if c.height == h]
 
 
+def _class_count(n: int, vmask: int) -> int:
+    """Proper subsets of the path {0..n-1} whose every component meets V.
+
+    One pass over the nodes, counting the prefixes that end outside J,
+    inside a component that has met V, and inside one that has not.
+    """
+    out, ringed, bare = 1, 0, 0
+    for s in range(n):
+        if vmask >> s & 1:
+            out, ringed, bare = out + ringed, out + ringed + bare, 0
+        else:
+            out, ringed, bare = out + ringed, ringed, out + bare
+    return out + ringed - 1
+
+
 def essential_poset(base, V) -> EssentialPoset:
     """Essential-class poset of (base, V); base is the ground-set size."""
     if isinstance(base, bool) or not isinstance(base, int):
@@ -210,42 +113,37 @@ def essential_poset(base, V) -> EssentialPoset:
         raise ValueError("V must be nonempty")
     if vlist[0] < 0 or vlist[-1] >= n:
         raise ValueError("V outside the ground set")
-    closed = _closed_sets_interval(n, vlist)
-
-    paths = _nearest_paths(vlist, n)
-    cores = []
-    for m in closed:
-        core = 0
-        for s in _unmask(m):
-            if _closure_mask(m & ~(1 << s), paths) != m:
-                core |= 1 << s
-        if _closure_mask(core, paths) != m:
-            raise InvariantViolation("core does not regenerate its closed set")
-        cores.append(core)
-
-    # height = longest chain below, walking proper supersets of the closed set
-    order = sorted(range(len(closed)), key=lambda i: -bin(closed[i]).count("1"))
-    height = [0] * len(closed)
-    for pos, i in enumerate(order):
-        best = -1
-        for j in order[:pos]:
-            if closed[i] != closed[j] and closed[i] & ~closed[j] == 0:
-                if height[j] > best:
-                    best = height[j]
-        height[i] = best + 1
+    vmask = _mask(vlist)
+    count = _class_count(n, vmask)
+    if count > errors.CLOSED_SET_CAP:
+        raise CapExceeded(f"{count} essential classes exceed CLOSED_SET_CAP "
+                          f"{errors.CLOSED_SET_CAP}")
 
     full = (1 << n) - 1
-    if closed.count(full) != 1:
-        raise InvariantViolation("the full ground set must be the unique bottom closure")
-    bottom_pos = closed.index(full)
-    if cores[bottom_pos] != _mask(vlist) or height[bottom_pos] != 0:
-        raise InvariantViolation("V must be the height-0 core of the bottom class")
+    found = [0]
 
-    classes = [EssentialClass(core=_unmask(cores[i]), closed=_unmask(closed[i]),
-                              height=height[i]) for i in range(len(closed))]
+    def grow(start, J):
+        # each component [a, b] from start on that meets V, then the
+        # components after a gap of at least one node
+        for a in range(start, n):
+            rest = vmask >> a
+            if not rest:
+                return
+            for b in range(a + (rest & -rest).bit_length() - 1, n):
+                K = J | (1 << (b + 1)) - (1 << a)
+                if K != full:
+                    found.append(K)
+                    grow(b + 2, K)
+
+    grow(0, 0)
+    classes = [EssentialClass(core=_unmask((vmask | J << 1 | J >> 1) & ~J & full),
+                              closed=_unmask(full & ~J), height=J.bit_count())
+               for J in found]
     # sorted by height, so the unique height-0 class, V's, leads
-    perm = sorted(range(len(classes)), key=lambda i: (classes[i].height, classes[i].core))
-    return EssentialPoset(n, vlist, [classes[i] for i in perm])
+    classes.sort(key=lambda c: (c.height, c.core))
+    if classes[0].core != tuple(vlist) or (len(classes) > 1 and classes[1].height == 0):
+        raise InvariantViolation("V must be the unique height-0 core")
+    return EssentialPoset(n, vlist, classes)
 
 
 class DComplex:

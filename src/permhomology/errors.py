@@ -36,7 +36,7 @@ EXTENSION_CAP = 500_000
 EXPAND_CAP = 100_000
 # ground set size whose 2^n subsets simplex_complex materializes
 BRUTE_GROUND_CAP = 16
-# closed sets one essential-poset enumeration may list
+# essential classes of one Wythoff diagram, counted before any is listed
 CLOSED_SET_CAP = 1_000_000
 
 # points in the orbit of one vector

@@ -1,23 +1,18 @@
 """Reference constructions that the coxeter tests compare the package with.
 
-Nothing here runs in the program.  The brute-force closure checks the
-region-shape enumeration of closed sets, the materialized Wythoff
-complex checks the lazy flag counts and orbit decompositions, and the
-small polytope boundaries are fixtures for both.  The file is not named
-test_*.py, so pytest imports it only through the tests that use it.
+Nothing here runs in the program.  Blocking and closure by their
+definitions, with the longest-chain height, check the closed form of
+the essential poset; the materialized Wythoff complex checks the lazy
+flag counts and orbit decompositions, and the small polytope boundaries
+are fixtures for both.  The file is not named test_*.py, so pytest
+imports it only through the tests that use it.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
 
-from permhomology.coxeter import (
-    DComplex,
-    _mask,
-    _path_mask,
-    _unmask,
-    essential_poset,
-)
+from permhomology.coxeter import DComplex, _mask, _unmask, essential_poset
 from permhomology.errors import BRUTE_GROUND_CAP, CapExceeded
 
 # Safety valve for materialized Wythoff complexes.
@@ -25,6 +20,12 @@ MATERIALIZE_CAP = 200_000
 
 
 # -- blocking and closure by definition ---------------------------------
+
+
+def _path_mask(u: int, v: int) -> int:
+    """The path between u and v on the ground {0..n-1}: an integer interval."""
+    lo, hi = (u, v) if u <= v else (v, u)
+    return ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
 
 
 def blocks(blocker, blocked, V) -> bool:
@@ -54,11 +55,35 @@ def closure(U, V, n) -> frozenset:
     return frozenset(_unmask(closure_mask(_mask(U), V, n)))
 
 
-def closed_sets_brute(n, vlist):
-    """Closed sets as the closures of every nonempty subset."""
+def blocking_cores(n, vlist) -> dict:
+    """Each closed set's smallest member, over every nonempty subset.
+
+    The members of one class are closed under intersection, so the
+    smallest member is the intersection of all of them; it is checked
+    to be a member itself.
+    """
     if n > BRUTE_GROUND_CAP:
         raise CapExceeded(f"ground set of size {n} too large for subset enumeration")
-    return sorted({closure_mask(um, vlist, n) for um in range(1, 1 << n)})
+    core = {}
+    for um in range(1, 1 << n):
+        c = closure_mask(um, vlist, n)
+        core[c] = core.get(c, um) & um
+    for c, um in core.items():
+        assert closure_mask(um, vlist, n) == c, "a class has no smallest member"
+    return core
+
+
+def chain_heights(closed) -> list:
+    """Per closed set, the longest chain of proper supersets among `closed`."""
+    order = sorted(range(len(closed)), key=lambda i: -closed[i].bit_count())
+    height = [0] * len(closed)
+    for pos, i in enumerate(order):
+        best = -1
+        for j in order[:pos]:
+            if closed[i] != closed[j] and closed[i] & ~closed[j] == 0:
+                best = max(best, height[j])
+        height[i] = best + 1
+    return height
 
 
 # -- poset and complex invariants ---------------------------------------

@@ -389,6 +389,20 @@ def test_wythoff_orbit_dim_range(capsys):
     assert len(d["orbits"]["counts"]) == 3
 
 
+def test_wythoff_stops_at_the_class_cap(capsys, monkeypatch):
+    # S12 ringed on every node has 2^11 - 1 essential classes; the count
+    # is known before any class is listed
+    monkeypatch.setattr(errors, "CLOSED_SET_CAP", 2000)
+    assert main(["wythoff", "S12", "--rings", "0,1,2,3,4,5,6,7,8,9,10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err) == {
+        "error": "cap-exceeded",
+        "detail": "2047 essential classes exceed CLOSED_SET_CAP 2000",
+    }
+
+
 def test_edge_degree_hexagon(capsys, tmp_path):
     dump = tmp_path / "points.csv"
     d = run_json(capsys, "edge-degree", "S3", "--vector", "1,2,3",
